@@ -48,6 +48,17 @@ def _params_from(args) -> LoopParams:
     return validate_params(ring, args.A, args.B)
 
 
+def _budget(text: str) -> int:
+    """A verification budget: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
 def _parse_point(params: LoopParams, text: str) -> ProjPoint:
     parts = text.split(",")
     if len(parts) != 3:
@@ -336,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
             lambda sp: (
                 sp.add_argument("--suite", default="all",
                                 choices=("all",) + tuple(sorted(VERIFY_SUITES))),
-                sp.add_argument("--budget", type=int, default=200_000),
+                sp.add_argument("--budget", type=_budget, default=200_000),
                 sp.add_argument("--seed", type=int, default=0),
             ))
     command("witness", cmd_witness, "construct a non-associativity witness",

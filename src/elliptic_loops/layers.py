@@ -22,9 +22,10 @@ from .loop_core import (
     add,
     identity,
     order_of,
+    raw_add,
     scalar_mul,
 )
-from .projective import ProjPoint
+from .projective import ProjPoint, plane_points
 from .ring import INTEGER_QUOTIENT, Payload, RingElem
 
 
@@ -169,36 +170,59 @@ def layer_infinity_generator(layer: Layer) -> ProjPoint:
     raise PreconditionUnmet(f"Newton iteration failed to settle for {layer!r}")
 
 
-def hessian_closure_check(params: LoopParams, alpha, beta, pairs=None) -> bool:
+def hessian_closure_sweep(params: LoopParams, alpha, beta, pairs=None) -> tuple:
     """Closure of the zero set of alpha*F + beta*H_F under the raw law.
 
     Each supplied pair must consist of points annihilating the
-    combination; the check evaluates the combination on the raw
-    (unnormalized) image triple, so non-primitive sums are handled too.
-    When no pairs are given, all pairs from the combination's zero set in
-    P^2(R) are used.
-    """
-    from .loop_core import raw_add
-    from .projective import plane_points
+    combination, else PreconditionUnmet is raised; each distinct point is
+    checked once.  The sum is evaluated on the raw (unnormalized) image
+    triple, so non-primitive sums are handled too.  When no pairs are
+    given, every unordered pair of the combination's zero set in P^2(R)
+    is used: the raw law is symmetric as a map of triples, so one order
+    per pair suffices.
 
+    Returns (closed, pairs checked, size of the zero set or None).  The
+    sweep stops at the first pair whose sum leaves the zero set.
+    """
     ring = params.ring
+    zero = ring.zero
     al = alpha.val if isinstance(alpha, RingElem) else ring.from_int(alpha)
     be = beta.val if isinstance(beta, RingElem) else ring.from_int(beta)
 
     def combo(x, y, z):
-        f = _eval_f(params, x, y, z)
-        h = _eval_h(params, x, y, z)
-        return ring.add(ring.mul(al, f), ring.mul(be, h))
+        return ring.add(ring.mul(al, _eval_f(params, x, y, z)),
+                        ring.mul(be, _eval_h(params, x, y, z)))
 
     if pairs is None:
-        zero_set = [pt for pt in plane_points(ring) if combo(pt.x, pt.y, pt.z) == ring.zero]
-        pairs = [(u, v) for u in zero_set for v in zero_set]
+        zero_set = [pt for pt in plane_points(ring) if combo(pt.x, pt.y, pt.z) == zero]
+        size = len(zero_set)
+        verified = {pt.coords() for pt in zero_set}
+        pairs = ((u, v) for i, u in enumerate(zero_set) for v in zero_set[i:])
+    else:
+        size = None
+        verified = set()
+    checked = 0
     for u, v in pairs:
-        if combo(u.x, u.y, u.z) != ring.zero or combo(v.x, v.y, v.z) != ring.zero:
-            raise PreconditionUnmet(f"pair {u!r}, {v!r} does not annihilate the combination")
-        if combo(*raw_add(params, u.coords(), v.coords())) != ring.zero:
-            return False
-    return True
+        for w in (u, v):
+            key = w.coords()
+            if key not in verified:
+                if combo(*key) != zero:
+                    raise PreconditionUnmet(
+                        f"pair {u!r}, {v!r} does not annihilate the combination"
+                    )
+                verified.add(key)
+        checked += 1
+        if combo(*raw_add(params, u.coords(), v.coords())) != zero:
+            return False, checked, size
+    return True, checked, size
+
+
+def hessian_closure_check(params: LoopParams, alpha, beta, pairs=None) -> bool:
+    """Whether the zero set of alpha*F + beta*H_F is closed under raw sums.
+
+    See :func:`hessian_closure_sweep`, which also reports the counts.
+    """
+    return hessian_closure_sweep(params, alpha, beta, pairs)[0]
 
 
 def layer_isomorphism_check(layer: Layer) -> tuple:

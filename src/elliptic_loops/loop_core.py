@@ -59,7 +59,7 @@ class LoopParams:
 
     __slots__ = (
         "ring", "a", "b", "delta", "q",
-        "_a2", "_b3", "_fast",
+        "_a2", "_b3", "_fast", "_f", "_h", "_raw",
         "residue_pairs", "residue_points", "residue_params",
         "_orders", "_points", "_identity",
     )
@@ -82,6 +82,7 @@ class LoopParams:
         self._a2 = ring.mul(a, a)
         self._b3 = ring.mul_int(3, b)
         self._fast = ring.kind == INTEGER_QUOTIENT
+        self._f, self._h, self._raw = _INT_KERNELS if self._fast else _RING_KERNELS
 
         # discriminant up to sign: -(4 A^3 + 27 B^2) must be a unit
         a3 = ring.mul(self._a2, a)
@@ -209,10 +210,45 @@ def validate_params(ring: RingConfig, a, b) -> LoopParams:
     return LoopParams(ring, pay(a), pay(b))
 
 
-# -- the cubic and its Hessian -----------------------------------------------
+# -- the cubic, its Hessian and the raw law: one kernel per ring shape --------
+#
+# Over Z/p^e each of F, H and the raw law is a single integer polynomial
+# reduced once mod p^e.  Over F_p[t]/(t^e) they are stated with ring ops;
+# those statements are also the oracle the integer kernels are tested
+# against.  LoopParams binds its three kernels once, at construction.
 
 
-def _eval_f(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
+def _eval_f_int(params: LoopParams, x: int, y: int, z: int) -> int:
+    zz = z * z
+    return (x * x * x + (params.a * x + params.b * z) * zz - y * y * z) % params.ring.modulus
+
+
+def _eval_h_int(params: LoopParams, x: int, y: int, z: int) -> int:
+    inner = 3 * x * (params.a * x * z + y * y + 3 * params.b * z * z) - params._a2 * z * z * z
+    return -8 * inner % params.ring.modulus
+
+
+def _raw_add_int(params: LoopParams, t1: tuple, t2: tuple) -> tuple:
+    M = params.ring.modulus
+    a, b3 = params.a, params._b3
+    x1, y1, z1 = t1
+    x2, y2, z2 = t2
+    xx = x1 * x2
+    yy = y1 * y2
+    zz = z1 * z2
+    xz = x1 * z2 + x2 * z1
+    xy = x1 * y2 + x2 * y1
+    zy = z1 * y2 + z2 * y1
+    axz = a * xz
+    b3zz = b3 * zz
+    q1 = yy - axz - b3zz
+    q2 = params._a2 * zz - a * xx - b3 * xz
+    q3 = a * zz + 3 * xx
+    q4 = yy + axz + b3zz
+    return ((xy * q1 + zy * q2) % M, (q1 * q4 - q2 * q3) % M, (xy * q3 + zy * q4) % M)
+
+
+def _eval_f_ring(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
     ring = params.ring
     mul, add, sub = ring.mul, ring.add, ring.sub
     x3 = mul(mul(x, x), x)
@@ -222,23 +258,52 @@ def _eval_f(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
     return sub(add(x3, add(axz2, bz3)), y2z)
 
 
-def _eval_h(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
+def _eval_h_ring(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
     ring = params.ring
     mul, add, sub = ring.mul, ring.add, ring.sub
-    t1 = mul_many(ring, params.a, x, x, z)
-    t1 = ring.mul_int(3, t1)
+    t1 = ring.mul_int(3, mul(mul(mul(params.a, x), x), z))
     t2 = ring.mul_int(3, mul(x, mul(y, y)))
     t3 = ring.mul_int(9, mul(params.b, mul(x, mul(z, z))))
-    t4 = mul_many(ring, params._a2, z, z, z)
+    t4 = mul(mul(mul(params._a2, z), z), z)
     inner = sub(add(t1, add(t2, t3)), t4)
     return ring.mul_int(-8, inner)
 
 
-def mul_many(ring: RingConfig, *vals: Payload) -> Payload:
-    out = vals[0]
-    for v in vals[1:]:
-        out = ring.mul(out, v)
-    return out
+def _raw_add_ring(params: LoopParams, t1: tuple, t2: tuple) -> tuple:
+    ring = params.ring
+    mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
+    a, a2, b3 = params.a, params._a2, params._b3
+    x1, y1, z1 = t1
+    x2, y2, z2 = t2
+
+    xx = mul(x1, x2)
+    yy = mul(y1, y2)
+    zz = mul(z1, z2)
+    xz = add(mul(x1, z2), mul(x2, z1))
+    xy = add(mul(x1, y2), mul(x2, y1))
+    zy = add(mul(z1, y2), mul(z2, y1))
+
+    q1 = add(sub(neg(mul(a, xz)), mul(b3, zz)), yy)
+    q2 = sub(mul(a2, zz), add(mul(a, xx), mul(b3, xz)))
+    q3 = add(mul(a, zz), ring.mul_int(3, xx))
+    q4 = add(add(mul(a, xz), mul(b3, zz)), yy)
+
+    s1 = add(mul(xy, q1), mul(zy, q2))
+    s2 = sub(mul(q1, q4), mul(q2, q3))
+    s3 = add(mul(xy, q3), mul(zy, q4))
+    return (s1, s2, s3)
+
+
+_INT_KERNELS = (_eval_f_int, _eval_h_int, _raw_add_int)
+_RING_KERNELS = (_eval_f_ring, _eval_h_ring, _raw_add_ring)
+
+
+def _eval_f(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
+    return params._f(params, x, y, z)
+
+
+def _eval_h(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
+    return params._h(params, x, y, z)
 
 
 def eval_F(params: LoopParams, pt: ProjPoint) -> RingElem:
@@ -271,30 +336,10 @@ def raw_add(params: LoopParams, t1: tuple, t2: tuple) -> tuple:
 
     Returns the unnormalized image triple (T1, T2, T3) as payloads.  Both
     inputs may be any primitive representatives; the output then represents
-    the sum of the two points whenever both lie on the loop.
+    the sum of the two points whenever both lie on the loop.  The law is
+    symmetric as a map of triples: raw_add(u, v) == raw_add(v, u) exactly.
     """
-    ring = params.ring
-    mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
-    a, a2, b3 = params.a, params._a2, params._b3
-    x1, y1, z1 = t1
-    x2, y2, z2 = t2
-
-    xx = mul(x1, x2)
-    yy = mul(y1, y2)
-    zz = mul(z1, z2)
-    xz = add(mul(x1, z2), mul(x2, z1))
-    xy = add(mul(x1, y2), mul(x2, y1))
-    zy = add(mul(z1, y2), mul(z2, y1))
-
-    q1 = add(sub(neg(mul(a, xz)), mul(b3, zz)), yy)
-    q2 = sub(mul(a2, zz), add(mul(a, xx), mul(b3, xz)))
-    q3 = add(mul(a, zz), ring.mul_int(3, xx))
-    q4 = add(add(mul(a, xz), mul(b3, zz)), yy)
-
-    s1 = add(mul(xy, q1), mul(zy, q2))
-    s2 = sub(mul(q1, q4), mul(q2, q3))
-    s3 = add(mul(xy, q3), mul(zy, q4))
-    return (s1, s2, s3)
+    return params._raw(params, t1, t2)
 
 
 def _add_canonical_int(params: LoopParams, x1, z1, x2, z2) -> tuple:

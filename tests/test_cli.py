@@ -319,6 +319,16 @@ def test_unknown_suite_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("budget", ["-5", "0", "many"])
+def test_budget_below_one_exits_two(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "-p", "5", "-e", "2", "-A", "2", "-B", "1",
+             "--suite", "laws", "--budget", budget])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--budget" in err and "at least 1" in err
+
+
 def test_malformed_point_exits_two(capsys):
     rc, _, err = run_cli(
         capsys, "order", "-p", "5", "-e", "2", "-A", "2", "-B", "1",

@@ -26,6 +26,7 @@ from elliptic_loops import (
     add,
     cardinality_report,
     classify_group_loops,
+    eval_H,
     group_certificate,
     identity,
     infinity_suite,
@@ -34,6 +35,7 @@ from elliptic_loops import (
     matrix_rank,
     neg,
     order_of,
+    plane_points,
     proj_equal,
     replay,
     scalar_mul,
@@ -366,6 +368,35 @@ def test_verify_instance_dispatch():
     with pytest.raises(ValueError):
         verify_instance(params, "no-such-suite")
     assert set(VERIFY_SUITES) >= {"laws", "layers", "witnesses", "torsion"}
+
+
+def test_verify_instance_rejects_budget_below_one():
+    params = params_for(5, 2, 2, 1)
+    for budget in (0, -5):
+        with pytest.raises(PreconditionUnmet):
+            verify_instance(params, "laws", budget=budget)
+
+
+@pytest.mark.parametrize("law", ["full-associative", "moufang"])
+def test_triple_laws_sample_a_pool_that_is_not_the_loop(law):
+    # 5^5 (2,1) has 2.7 M points, so the laws draw from a 5,000-point pool;
+    # a budget above the pool's n^3 must not build index tables over it
+    params = params_for(5, 5, 2, 1)
+    (report,) = law_suite(params, (law,), budget=10**12, seed=0)
+    assert not report.holds and not report.exhaustive
+    assert replay(params, report)
+
+
+def test_reported_counts_match_the_work_done():
+    params = params_for(5, 2, 2, 1)
+    reports = {r.law: r for r in verify_instance(params, "hessian-closure", budget=1_000)}
+    hess = reports["combination-closure-hessian"]
+    zeros = sum(1 for pt in plane_points(params.ring) if eval_H(params, pt).is_zero())
+    assert hess.holds and hess.checked == zeros * (zeros + 1) // 2
+    assert f"({zeros} of 775 plane points)" in hess.detail
+    reports = {r.law: r for r in verify_instance(params, "layers", budget=1_000)}
+    isz = params.ring.ideal_size  # isz layers, each with isz - 1 nonzero infinity points
+    assert reports["layer-infinity-valuation"].checked == isz * (isz - 1)
 
 
 def test_verify_instance_seed_determinism():

@@ -34,6 +34,7 @@ from elliptic_loops import (
     sub,
     validate_params,
 )
+from elliptic_loops import loop_core
 from elliptic_loops.loop_core import raw_add
 
 
@@ -353,3 +354,46 @@ def test_polynomial_ring_loop_matches_integer_counts():
     for pt in poly.loop_points()[::9]:
         assert add(poly, ident, pt) == pt
         assert add(poly, pt, neg(poly, pt)) == ident
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the ring-op statements
+# ---------------------------------------------------------------------------
+
+
+def test_kernels_bound_per_ring_shape():
+    ints = params_for(5, 2, 2, 1)
+    assert (ints._f, ints._h, ints._raw) == (
+        loop_core._eval_f_int, loop_core._eval_h_int, loop_core._raw_add_int)
+    poly = LoopParams(RingConfig.truncated_poly(5, 2), 2, 1)
+    assert (poly._f, poly._h, poly._raw) == (
+        loop_core._eval_f_ring, loop_core._eval_h_ring, loop_core._raw_add_ring)
+
+
+@pytest.mark.parametrize("p,e,a,b,where", [
+    (5, 2, 2, 1, "plane"),
+    (5, 3, 2, 1, "loop"),
+])
+def test_f_and_h_kernels_match_ring_ops(p, e, a, b, where):
+    params = params_for(p, e, a, b)
+    pts = plane_points(params.ring) if where == "plane" else params.loop_points()
+    for pt in pts:
+        c = pt.coords()
+        assert loop_core._eval_f(params, *c) == loop_core._eval_f_ring(params, *c)
+        assert loop_core._eval_h(params, *c) == loop_core._eval_h_ring(params, *c)
+        assert eval_F(params, pt).val == loop_core._eval_f_ring(params, *c)
+
+
+def test_raw_add_kernel_matches_ring_ops_and_is_symmetric():
+    params = params_for(5, 2, 2, 1)
+    ring = params.ring
+    pts = list(plane_points(ring))[::13]
+    non_primitive = 0
+    for u in pts:
+        for v in pts:
+            s = raw_add(params, u.coords(), v.coords())
+            assert s == loop_core._raw_add_ring(params, u.coords(), v.coords())
+            assert s == raw_add(params, v.coords(), u.coords())
+            if not any(ring.is_unit(c) for c in s):
+                non_primitive += 1
+    assert non_primitive > 0  # the set exercises non-primitive sums too
