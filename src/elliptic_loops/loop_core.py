@@ -55,6 +55,7 @@ class LoopParams:
     E: y^2 = x^3 + ab x + bb over F_p is stored both as affine pairs and
     as canonical points of the e = 1 loop over Z/p, which carries the
     same addition law and is used for all order bookkeeping downstairs.
+    That loop enumerates the curve; every other loop shares its lists.
     """
 
     __slots__ = (
@@ -93,10 +94,29 @@ class LoopParams:
                 f"-(4A^3 + 27B^2) = {self.delta!r} is not a unit in {ring!r}"
             )
 
-        p = ring.p
-        ra, rb = ring.residue(a), ring.residue(b)
+        if ring.e == 1 and ring.kind == INTEGER_QUOTIENT:
+            self.residue_params = self
+            self._enumerate_residue_curve()
+        else:
+            # Z/p carries the residue curve; enumerate it there, once
+            rp = LoopParams(ring.residue_ring(), ring.residue(a), ring.residue(b))
+            self.residue_params = rp
+            self.q = rp.q
+            self.residue_pairs = rp.residue_pairs
+            self.residue_points = rp.residue_points
+
+    def _enumerate_residue_curve(self) -> None:
+        """Affine points of y^2 = x^3 + A x + B over F_p and their loop points.
+
+        Only the e = 1 integer loop runs this; every other loop shares the
+        lists of its residue loop.  Each affine (x, y) has y != 0, so its
+        canonical form is (x y^-1 : 1 : y^-1).
+        """
+        p = self.ring.p
+        ra, rb = self.a, self.b
         roots = _sqrt_table(p)
         pairs = []
+        pts = [identity(self)]
         for x in range(p):
             f = (x * x * x + ra * x + rb) % p
             if f == 0:
@@ -106,19 +126,11 @@ class LoopParams:
                 )
             for y in roots.get(f, ()):
                 pairs.append((x, y))
+                yi = pow(y, -1, p)
+                pts.append(ProjPoint(self.ring, x * yi % p, 1, yi))
         self.residue_pairs = pairs
-        self.q = len(pairs) + 1
-
-        if ring.e == 1 and ring.kind == INTEGER_QUOTIENT:
-            self.residue_params = self
-        else:
-            self.residue_params = LoopParams(ring.residue_ring(), ra % p, rb % p)
-
-        rr = self.residue_params.ring
-        pts = [identity(self.residue_params)]
-        for x, y in pairs:
-            pts.append(normalize(rr, x % p, y % p, 1 % rr.modulus))
         self.residue_points = pts
+        self.q = len(pairs) + 1
 
     # -- point bookkeeping ---------------------------------------------------
 
@@ -145,6 +157,7 @@ class LoopParams:
         return n
 
     def pi_order(self, pt: ProjPoint) -> int:
+        """Order of the reduction pi(P) on the residue curve, cached."""
         return self.residue_order(self.project(pt))
 
     def all_residue_three_torsion(self) -> bool:
@@ -444,6 +457,35 @@ def scalar_mul(params: LoopParams, n: int, pt: ProjPoint) -> ProjPoint:
 
 
 def order_of(params: LoopParams, pt: ProjPoint) -> int:
+    """Least n >= 1 with n P = identity.
+
+    The reduction pi is a homomorphism and the powers of P form a cyclic
+    group (power-associativity), so n = r * ord(r P) with r = ord(pi(P)).
+    The multiple r P lies at infinity, which p^(e-1) kills, so its order
+    is p^j with j <= e - 1: r P is multiplied by p until it vanishes, and
+    a point that p^e does not kill raises PreconditionUnmet.  Only the
+    e = 1 integer loop, the residue curve itself, counts by iterated
+    addition; its orders are cached per residue point.
+    """
+    if params.residue_params is params:
+        return _order_by_addition(params, pt)
+    r = params.pi_order(pt)
+    acc = scalar_mul(params, r, pt)
+    o = identity(params)
+    p = params.ring.p
+    n = r
+    for _ in range(params.ring.e + 1):
+        if acc == o:
+            return n
+        acc = scalar_mul(params, p, acc)
+        n *= p
+    raise PreconditionUnmet(
+        f"{r} * {pt!r} is not killed by p^{params.ring.e}, so {pt!r} is not"
+        f" a point of this loop"
+    )
+
+
+def _order_by_addition(params: LoopParams, pt: ProjPoint) -> int:
     """Least n >= 1 with n P = identity, by iterated addition."""
     o = identity(params)
     if pt == o:

@@ -49,7 +49,7 @@ class RingConfig:
     enforced so that 2 and 3 are invertible.
     """
 
-    __slots__ = ("kind", "p", "e", "modulus", "key")
+    __slots__ = ("kind", "p", "e", "modulus", "key", "zero", "one")
 
     def __init__(self, kind: str, p: int, e: int):
         if kind not in (INTEGER_QUOTIENT, TRUNCATED_POLYNOMIAL):
@@ -65,6 +65,9 @@ class RingConfig:
         self.e = e
         self.modulus = p ** e  # p^e; used as the int modulus for Z/p^e
         self.key = (kind, p, e)
+        # canonical 0 and 1, read on every addition: set once, not per access
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     @classmethod
     def integer(cls, p: int, e: int) -> "RingConfig":
@@ -93,14 +96,6 @@ class RingConfig:
             raise ValueError(f"got {len(cs)} coefficients for truncation order {self.e}")
         cs += [0] * (self.e - len(cs))
         return tuple(cs)
-
-    @property
-    def zero(self) -> Payload:
-        return self.from_int(0)
-
-    @property
-    def one(self) -> Payload:
-        return self.from_int(1)
 
     def uniformizer(self) -> Payload:
         """A generator of the maximal ideal: p, respectively t."""

@@ -9,8 +9,14 @@ with the library, so the CLI contract (text/JSON output, 0 = verified,
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import elliptic_loops
 
 from elliptic_loops import (
     ProjPoint,
@@ -353,3 +359,22 @@ def test_missing_point_exits_two(capsys):
     )
     assert rc == 2
     assert "at least 2" in err
+
+
+# ----------------------------------------------------------------------------
+# python -m elliptic_loops
+# ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("point,code,out", [("5,1,0", 0, "25"), ("1,1,1", 2, "")])
+def test_module_entry_point(point, code, out):
+    src = str(Path(elliptic_loops.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "elliptic_loops", "order", "-p", "5", "-e", "3",
+         "-A", "2", "-B", "1", "--point", point],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.strip() == out

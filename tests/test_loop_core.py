@@ -15,6 +15,7 @@ import pytest
 from elliptic_loops import (
     EvenOrder,
     LoopParams,
+    PreconditionUnmet,
     LoopPoint,
     ProjPoint,
     RingConfig,
@@ -58,6 +59,15 @@ def test_even_order_rejected():
     # y^2 = x^3 + x over F_5 has exactly 4 points
     with pytest.raises(EvenOrder):
         validate_params(RingConfig.integer(5, 2), 1, 0)
+
+
+@pytest.mark.parametrize("ring", [RingConfig.integer(5, 3), RingConfig.truncated_poly(5, 3)],
+                         ids=repr)
+def test_ring_one_and_zero_are_canonical_payloads(ring):
+    assert ring.one == ring.from_int(1) and ring.zero == ring.from_int(0)
+    for v in list(ring.elements())[::7]:
+        assert ring.mul(ring.one, v) == v
+        assert ring.add(ring.zero, v) == v
 
 
 def test_residue_curve_orders_frozen():
@@ -285,6 +295,105 @@ def test_order_of_matches_brute_force():
             acc = add(params, acc, pt)
             n += 1
         assert order_of(params, pt) == n
+
+
+@pytest.mark.parametrize("ring,a,b", [
+    (RingConfig.integer(5, 2), 2, 1),
+    (RingConfig.integer(5, 3), 2, 1),
+    (RingConfig.integer(7, 2), 0, 2),
+    (RingConfig.truncated_poly(5, 2), 2, 1),
+], ids=repr)
+def test_order_of_matches_linear_definition_on_every_point(ring, a, b):
+    params = LoopParams(ring, a, b)
+    for pt in params.loop_points():
+        assert order_of(params, pt) == loop_core._order_by_addition(params, pt)
+
+
+def test_order_of_matches_linear_definition_on_a_cubic_polynomial_sample():
+    params = LoopParams(RingConfig.truncated_poly(5, 3), 2, 1)
+    for pt in random.Random(3).sample(params.loop_points(), 300):
+        assert order_of(params, pt) == loop_core._order_by_addition(params, pt)
+
+
+def test_order_of_work_is_logarithmic(monkeypatch, capsys):
+    from elliptic_loops.cli import run
+
+    calls = [0]
+    real_add = loop_core.add
+
+    def counting_add(*args):
+        calls[0] += 1
+        return real_add(*args)
+
+    monkeypatch.setattr(loop_core, "add", counting_add)
+    assert run(["order", "-p", "5", "-e", "12", "-A", "2", "-B", "1",
+                "--point", "5,1,0"]) == 0
+    assert capsys.readouterr().out.strip() == "48828125"  # 5^11
+    assert 0 < calls[0] < 300
+
+
+def test_order_of_refuses_a_p_tower_that_never_vanishes(monkeypatch):
+    params = params_for(5, 2, 2, 1)
+    pt = next(pt for pt in params.loop_points() if params.pi_order(pt) == 7)
+    monkeypatch.setattr(LoopParams, "pi_order", lambda self, pt: 1)
+    with pytest.raises(PreconditionUnmet):
+        order_of(params, pt)
+
+
+# ---------------------------------------------------------------------------
+# the residue curve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", [RingConfig.integer(5, 3), RingConfig.truncated_poly(5, 3)],
+                         ids=repr)
+def test_residue_curve_enumerated_once(monkeypatch, ring):
+    calls = [0]
+    real_table = loop_core._sqrt_table
+
+    def counting_table(p):
+        calls[0] += 1
+        return real_table(p)
+
+    monkeypatch.setattr(loop_core, "_sqrt_table", counting_table)
+    params = LoopParams(ring, 2, 1)
+    rp = params.residue_params
+    assert calls[0] == 1
+    assert params.residue_pairs is rp.residue_pairs
+    assert params.residue_points is rp.residue_points
+    assert params.q == rp.q == 7
+
+
+@pytest.mark.parametrize("p,e,a,b", [(5, 1, 2, 1), (7, 1, 0, 2), (13, 1, 0, 3), (11, 1, 2, 4)])
+def test_residue_points_are_normalized_affine_pairs(p, e, a, b):
+    params = params_for(p, e, a, b)
+    ring = params.ring
+    expected = [identity(params)] + [normalize(ring, x, y, 1) for x, y in params.residue_pairs]
+    assert params.residue_points == expected
+    assert all(membership(params, pt) for pt in params.residue_points)
+
+
+@pytest.mark.parametrize("ring", [RingConfig.integer(7, 2), RingConfig.truncated_poly(7, 2)],
+                         ids=repr)
+def test_validation_errors_follow_the_residue_curve(ring):
+    p = ring.p
+    for a in range(0, 2 * p, 3):
+        for b in range(p):
+            ra, rb = a % p, b % p
+            if (4 * ra ** 3 + 27 * rb ** 2) % p == 0:
+                expected = SingularCurve
+            elif any((x ** 3 + ra * x + rb) % p == 0 for x in range(p)):
+                expected = EvenOrder
+            else:
+                expected = None
+            if expected is None:
+                params = LoopParams(ring, a, b)
+                count = sum((y * y - x ** 3 - ra * x - rb) % p == 0
+                            for x in range(p) for y in range(p))
+                assert params.q == count + 1
+            else:
+                with pytest.raises(expected):
+                    LoopParams(ring, a, b)
 
 
 # ---------------------------------------------------------------------------
