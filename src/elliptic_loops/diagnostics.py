@@ -11,11 +11,18 @@ suite of identities valid at nilpotency degree at most two, the infinity
 part's group structure, the technical congruences for points at
 infinity, and the classification of the parameter pairs whose loops are
 honest groups.
+
+Every check that can either sweep its whole case space or draw seeded
+cases runs through one runner, :func:`_sweep`: it sweeps exhaustively
+when the case space, weighted by the cost of one case, fits the budget,
+and otherwise draws cases with the seed.  A check supplies only its
+space, its draws, its condition and its counterexample encoding.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain, islice, product
 
 from .errors import EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
 from .loop_core import (
@@ -82,15 +89,86 @@ def _decode_points(params: LoopParams, coords) -> list:
     return [params.point(dec(c[0]), dec(c[1]), dec(c[2])) for c in coords]
 
 
-def random_loop_point(params: LoopParams, rng) -> ProjPoint:
+def _point_ce(params: LoopParams, **fixed):
+    """Counterexample encoder of a case of points, after the ``fixed`` entries."""
+    return lambda case: {**fixed, "points": _encode_points(params, case)}
+
+
+def _skipped(law: str, detail: str) -> LawReport:
+    """A check that inspected nothing; ``detail`` says why (``verify`` prints SKIP)."""
+    return LawReport(law, True, None, 0, False, None, detail)
+
+
+def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, draws=None,
+           first_bad=None, samples=None, rng=None, detail="") -> LawReport:
+    """Run one check over its whole case space if that fits the budget, else on draws.
+
+    Exhaustive iff ``space * weight <= budget`` (``space`` counts the cases,
+    None if there is no exhaustive path; ``weight`` is the cost of one case):
+    then ``exhaust()`` runs and the report counts the whole space, even when
+    it stops at a counterexample.  Otherwise ``first_bad`` runs on the first
+    ``samples`` (default ``max(1, budget // weight)``) of ``draws(rng)``, an
+    endless generator, and the report counts the draws made, the failing one
+    included; without ``draws`` the check is left out (None).  ``first_bad``
+    and ``exhaust`` return ``(k, case)`` for the k-th failing case (``exhaust``
+    may give any k), or None; ``encode(case)`` is the counterexample.  ``rng``
+    is the stream the checks of one suite share; by default a fresh one.
+    """
+    if space is not None and space * weight <= budget:
+        hit, checked, exhaustive = exhaust(), space, True
+    elif draws is None:
+        return None
+    else:
+        if samples is None:
+            samples = max(1, budget // weight)
+        hit = first_bad(islice(draws(rng or random.Random(seed)), samples))
+        checked, exhaustive = (samples if hit is None else hit[0]), False
+    return LawReport(law, hit is None, None if hit is None else encode(hit[1]),
+                     checked, exhaustive, seed, detail)
+
+
+def _merge(parts, detail: str = "") -> LawReport:
+    """One report for a check run as several sweeps (per layer, or in phases)."""
+    bad = next((r for r in parts if not r.holds), None)
+    return LawReport(parts[0].law, bad is None, bad and bad.counterexample,
+                     sum(r.checked for r in parts), all(r.exhaustive for r in parts),
+                     parts[0].seed, detail)
+
+
+def _draws(width: int, draw):
+    """Endless draws of ``width`` independent values, each ``draw(rng)``."""
+    def draws(rng):
+        while True:
+            yield tuple([draw(rng) for _ in range(width)])
+    return draws
+
+
+def _picks(pool, width: int):
+    """Draws of ``width`` independent uniform members of ``pool``."""
+    return _draws(width, lambda rng: rng.choice(pool))
+
+
+def _law_breaker(params: LoopParams, law: str):
+    """The ``first_bad`` of a law (see :func:`_check_law`) over cases of points."""
+    def first_bad(cases):
+        for k, case in enumerate(cases, 1):
+            if not _check_law(params, law, *case):
+                return k, case
+    return first_bad
+
+
+def random_loop_point(params: LoopParams, rng, residues=None) -> ProjPoint:
     """A uniformly random loop point, without enumerating the loop.
 
     Every canonical lift of a residue-curve point lies on the loop, and
     these lifts partition it, so a random residue point plus random ideal
-    offsets is uniform.
+    offsets is uniform.  ``residues`` narrows the residue points drawn
+    from (to the affine ones, say).
     """
     ring = params.ring
-    rpt = params.residue_points[rng.randrange(len(params.residue_points))]
+    if residues is None:
+        residues = params.residue_points
+    rpt = residues[rng.randrange(len(residues))]
     x = ring.add(ring.from_int(rpt.x), ring.random_element(rng, 1))
     z = ring.add(ring.from_int(rpt.z), ring.random_element(rng, 1))
     return ProjPoint(ring, x, ring.one, z)
@@ -101,6 +179,13 @@ def random_infinity_point(params: LoopParams, rng, min_valuation: int = 1) -> Pr
     x = ring.random_element(rng, min_valuation)
     z = ring.random_element(rng, min_valuation)
     return ProjPoint(ring, x, ring.one, z)
+
+
+def _point_pool(params: LoopParams, rng, size: int = 4000):
+    """The whole loop up to 200,000 points, else ``size`` seeded random draws."""
+    if params.cardinality() <= 200_000:
+        return params.loop_points()
+    return list({random_loop_point(params, rng) for _ in range(size)})
 
 
 class CayleyIndex:
@@ -165,6 +250,12 @@ class CayleyIndex:
         return None
 
 
+def _assoc_table(params: LoopParams, pts):
+    """``exhaust`` of associativity over an addition-closed list, by index tables."""
+    bad = CayleyIndex(params, pts).assoc_sweep()
+    return None if bad is None else (None, [pts[i] for i in bad])
+
+
 # ----------------------------------------------------------------------------
 # the seven loop laws
 # ----------------------------------------------------------------------------
@@ -178,7 +269,12 @@ def _word_set(params, p, q):
     return list(dict.fromkeys(words))
 
 
-def _check_law_pair(params, law, p, q) -> bool:
+def _check_law(params, law, p, q, r=None) -> bool:
+    """Whether the law holds at the pair (p, q), or at the triple (p, q, r).
+
+    For power-associativity q and r are the exponents; for unique
+    solvability this checks that X = Q - P solves P + X = Q.
+    """
     if law == "alternative":
         return add(params, p, add(params, p, q)) == add(params, add(params, p, p), q)
     if law == "jordan":
@@ -193,91 +289,59 @@ def _check_law_pair(params, law, p, q) -> bool:
                     if add(params, ab, c) != add(params, a, add(params, b, c)):
                         return False
         return True
-    raise ValueError(law)
-
-
-def _check_law_triple(params, law, p, q, r) -> bool:
     if law == "full-associative":
         return add(params, add(params, p, q), r) == add(params, p, add(params, q, r))
     if law == "moufang":
         lhs = add(params, add(params, p, add(params, q, r)), r)
         rhs = add(params, add(params, add(params, p, r), r), q)
         return lhs == rhs
+    if law == "power-associative":
+        lhs = add(params, scalar_mul(params, q, p), scalar_mul(params, r, p))
+        return lhs == scalar_mul(params, q + r, p)
+    if law == "latin-square":
+        return add(params, p, sub(params, q, p)) == q
     raise ValueError(law)
 
 
-def _law_report_pairs(params, law, pts, budget, seed) -> LawReport:
-    n = len(pts)
-    weight = 360 if law == "diassociative" else 1
-    exhaustive = n * n * weight <= budget
-    rng = random.Random(seed)
-    checked = 0
-    if exhaustive:
-        for p in pts:
-            for q in pts:
-                checked += 1
-                if not _check_law_pair(params, law, p, q):
-                    return LawReport(law, False, {"points": _encode_points(params, (p, q))},
-                                     checked, True, seed)
-        return LawReport(law, True, None, checked, True, seed)
-    cases = max(1, budget // weight)
-    for _ in range(cases):
-        p = pts[rng.randrange(n)]
-        q = pts[rng.randrange(n)]
-        checked += 1
-        if not _check_law_pair(params, law, p, q):
-            return LawReport(law, False, {"points": _encode_points(params, (p, q))},
-                             checked, False, seed)
-    return LawReport(law, True, None, checked, False, seed)
+def _law_report_points(params, law, pts, budget, seed) -> LawReport:
+    """A law on pairs, or on triples (full-associative, moufang) of points."""
+    width = 3 if law in ("full-associative", "moufang") else 2
+    first_bad = _law_breaker(params, law)
 
-
-def _law_report_triples(params, law, pts, budget, seed) -> LawReport:
-    n = len(pts)
-    rng = random.Random(seed)
-    # index tables need an addition-closed set: only the whole loop is one
-    tables = n == params.cardinality() and n**3 <= budget
-    if law == "full-associative" and tables:
-        cayley = CayleyIndex(params, pts)
-        bad = cayley.assoc_sweep()
-        if bad is None:
-            return LawReport(law, True, None, n**3, True, seed)
-        ce = {"points": _encode_points(params, [pts[i] for i in bad])}
-        return LawReport(law, False, ce, n**3, True, seed)
-    if law == "moufang" and tables:
-        cayley = CayleyIndex(params, pts)
-        t = cayley.table
+    def exhaust():  # triples go over index tables of the whole loop
+        loop = params.loop_points()
+        if width == 2:
+            return first_bad(product(loop, repeat=2))
+        if law == "full-associative":
+            return _assoc_table(params, loop)
+        t = CayleyIndex(params, loop).table
+        n = len(loop)
         for i in range(n):
             ti = t[i]
             for j in range(n):
                 tj = t[j]
                 for k in range(n):
                     if t[ti[tj[k]]][k] != t[t[ti[k]][k]][j]:
-                        ce = {"points": _encode_points(params, (pts[i], pts[j], pts[k]))}
-                        return LawReport(law, False, ce, n**3, True, seed)
-        return LawReport(law, True, None, n**3, True, seed)
-    checked = 0
-    for _ in range(budget):
-        p, q, r = (pts[rng.randrange(n)] for _ in range(3))
-        checked += 1
-        if not _check_law_triple(params, law, p, q, r):
-            return LawReport(law, False, {"points": _encode_points(params, (p, q, r))},
-                             checked, False, seed)
-    return LawReport(law, True, None, checked, False, seed)
+                        return None, (loop[i], loop[j], loop[k])
+
+    return _sweep(law, budget, seed, _point_ce(params), space=params.cardinality() ** width,
+                  weight=360 if law == "diassociative" else 1, exhaust=exhaust,
+                  draws=_picks(pts, width), first_bad=first_bad)
 
 
 def _law_report_power(params, pts, budget, seed, max_exp=200) -> LawReport:
-    rng = random.Random(seed)
-    cases = max(1, budget // (4 * max(params.ring.e, 8)))
-    checked = 0
-    for _ in range(cases):
-        p = pts[rng.randrange(len(pts))]
-        n = rng.randrange(-max_exp, max_exp + 1)
-        m = rng.randrange(-max_exp, max_exp + 1)
-        checked += 1
-        if add(params, scalar_mul(params, n, p), scalar_mul(params, m, p)) != scalar_mul(params, n + m, p):
-            ce = {"points": _encode_points(params, (p,)), "exponents": [n, m]}
-            return LawReport("power-associative", False, ce, checked, False, seed)
-    return LawReport("power-associative", True, None, checked, False, seed)
+    def draws(rng):
+        n, randrange = len(pts), rng.randrange
+        while True:
+            yield (pts[randrange(n)], randrange(-max_exp, max_exp + 1),
+                   randrange(-max_exp, max_exp + 1))
+
+    def encode(case):
+        return {"points": _encode_points(params, case[:1]), "exponents": list(case[1:])}
+
+    return _sweep("power-associative", budget, seed, encode,
+                  weight=4 * max(params.ring.e, 8), draws=draws,
+                  first_bad=_law_breaker(params, "power-associative"))
 
 
 def _law_report_latin(params, pts, budget, seed) -> LawReport:
@@ -285,36 +349,35 @@ def _law_report_latin(params, pts, budget, seed) -> LawReport:
 
     Existence of a solution to P + X = Q is checked through weak
     associativity (X = Q - P works), uniqueness through row injectivity.
+    A case is one cell (P, Q); cells come a whole row at a time, and a row
+    is checked for collisions at its last cell.
     """
-    n = len(pts)
-    rng = random.Random(seed)
-    if n * n <= budget:
-        for p in pts:
-            row = set()
-            for q in pts:
-                row.add(add(params, p, q))
-                if add(params, p, sub(params, q, p)) != q:
-                    ce = {"points": _encode_points(params, (p, q)), "relation": "solution"}
-                    return LawReport("latin-square", False, ce, n * n, True, seed)
-            if len(row) != n:
-                ce = {"points": _encode_points(params, (p,)), "relation": "row-collision"}
-                return LawReport("latin-square", False, ce, n * n, True, seed)
-        return LawReport("latin-square", True, None, n * n, True, seed)
-    checked = 0
-    rows = max(1, budget // (2 * n))
-    for _ in range(rows):
-        p = pts[rng.randrange(n)]
+    def first_bad(cases, n=len(pts)):
         row = set()
-        for q in pts:
+        for k, (p, q) in enumerate(cases, 1):
             row.add(add(params, p, q))
-            if add(params, p, sub(params, q, p)) != q:
-                ce = {"points": _encode_points(params, (p, q)), "relation": "solution"}
-                return LawReport("latin-square", False, ce, checked, False, seed)
-            checked += 1
-        if len(row) != n:
-            ce = {"points": _encode_points(params, (p,)), "relation": "row-collision"}
-            return LawReport("latin-square", False, ce, checked, False, seed)
-    return LawReport("latin-square", True, None, checked, False, seed)
+            if not _check_law(params, "latin-square", p, q):
+                return k, (p, q)
+            if k % n == 0:
+                if len(row) != n:
+                    return k, (p,)
+                row = set()
+
+    def draws(rng):
+        while True:
+            p = pts[rng.randrange(len(pts))]
+            for q in pts:
+                yield p, q
+
+    def encode(case):
+        return {"points": _encode_points(params, case),
+                "relation": "solution" if len(case) == 2 else "row-collision"}
+
+    n = params.cardinality()
+    return _sweep("latin-square", budget, seed, encode, space=n * n,
+                  exhaust=lambda: first_bad(product(params.loop_points(), repeat=2), n),
+                  draws=draws, first_bad=first_bad,
+                  samples=max(1, budget // (2 * len(pts))) * len(pts))
 
 
 def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int = 0):
@@ -331,54 +394,40 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     unknown = set(laws) - set(LAW_NAMES)
     if unknown:
         raise ValueError(f"unknown laws: {sorted(unknown)}; expected {LAW_NAMES}")
-    if params.cardinality() <= 200_000:
-        pts = params.loop_points()
-    else:
-        rng = random.Random(seed)
-        pts = list({random_loop_point(params, rng) for _ in range(5000)})
+    pts = _point_pool(params, random.Random(seed))
     reports = []
     for law in laws:
-        if law in ("alternative", "jordan", "diassociative"):
-            reports.append(_law_report_pairs(params, law, pts, budget, seed))
-        elif law in ("full-associative", "moufang"):
-            reports.append(_law_report_triples(params, law, pts, budget, seed))
-        elif law == "power-associative":
+        if law == "power-associative":
             reports.append(_law_report_power(params, pts, budget, seed))
-        else:
+        elif law == "latin-square":
             reports.append(_law_report_latin(params, pts, budget, seed))
+        else:
+            reports.append(_law_report_points(params, law, pts, budget, seed))
     return reports
 
 
 def replay(params: LoopParams, report) -> bool:
     """Re-evaluate a report's counterexample; True when it still violates."""
     if isinstance(report, LawReport):
-        law, ce = report.law, report.counterexample
-    else:
-        law, ce = report["law"], report["counterexample"]
+        report = report.to_json()
+    law, ce = report["law"], report["counterexample"]
     if ce is None:
         raise PreconditionUnmet("report carries no counterexample to replay")
-    pts = _decode_points(params, ce["points"])
-    if law in ("alternative", "jordan", "diassociative"):
-        return not _check_law_pair(params, law, *pts)
-    if law in ("full-associative", "moufang", "infinity-associativity",
-               "layer-associativity"):
-        if law != "moufang":
-            law = "full-associative"
-        return not _check_law_triple(params, law, *pts)
-    if law == "power-associative":
-        n, m = ce["exponents"]
-        p = pts[0]
-        return add(params, scalar_mul(params, n, p), scalar_mul(params, m, p)) != scalar_mul(
-            params, n + m, p
-        )
-    if law == "latin-square":
-        if ce.get("relation") == "row-collision":
-            p = pts[0]
-            row = {add(params, p, q) for q in params.loop_points()}
-            return len(row) != params.cardinality()
-        p, q = pts
-        return add(params, p, sub(params, q, p)) != q
-    raise ValueError(law)
+    case = _decode_points(params, ce["points"]) + ce.get("exponents", [])
+    if law in ("infinity-associativity", "layer-associativity"):
+        law = "full-associative"
+    if ce.get("relation") == "row-collision":
+        row = {add(params, case[0], q) for q in params.loop_points()}
+        return len(row) != params.cardinality()
+    return not _check_law(params, law, *case)
+
+
+def _multiples(params: LoopParams, g: ProjPoint, count: int) -> list:
+    """[0*g, 1*g, ..., (count-1)*g], by repeated addition."""
+    out = [identity(params)]
+    for _ in range(count - 1):
+        out.append(add(params, out[-1], g))
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -494,14 +543,6 @@ WITNESS_KINDS = {"A": witness_A, "B": witness_B, "inf": witness_inf}
 # ----------------------------------------------------------------------------
 
 
-def _fiber_indices(cayley: CayleyIndex):
-    params = cayley.params
-    fibers = {}
-    for i, pt in enumerate(cayley.points):
-        fibers.setdefault(params.project(pt), []).append(i)
-    return fibers
-
-
 def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
     """The five identities valid when m^2 = 0, checked over index tables.
 
@@ -522,194 +563,123 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
         )
     rng = random.Random(seed)
     pts = params.loop_points()
+    n_pts = len(pts)
     cayley = CayleyIndex(params, pts)
     t, nn = cayley.table, cayley.neg
-    fibers = _fiber_indices(cayley)
-    inf = fibers[params.project(identity(params))]
-    reports = []
+    by_residue = {}
+    for i, pt in enumerate(pts):
+        by_residue.setdefault(params.project(pt), []).append(i)
+    fibers = list(by_residue.values())
+    inf = by_residue[params.project(identity(params))]
 
-    def encode(indices):
-        return {"points": _encode_points(params, [pts[i] for i in indices])}
+    def encode(case):  # cases hold indices into pts
+        return {"points": _encode_points(params, [pts[i] for i in case])}
 
-    # P + (Q + R) == (P + Q) + R with Q, R at infinity
-    name = "translate-by-infinity-pair"
-    space = len(pts) * len(inf) ** 2
-    if space <= budget:
-        ce = None
-        for i in range(len(pts)):
-            ti = t[i]
-            for q in inf:
-                tiq = t[ti[q]]
-                tq = t[q]
-                for r in inf:
-                    if ti[tq[r]] != tiq[r]:
-                        ce = (i, q, r)
-                        break
-                if ce:
-                    break
-            if ce:
-                break
-        reports.append(LawReport(name, ce is None, encode(ce) if ce else None,
-                                 space, True, seed))
-    else:
-        ce = None
-        checked = 0
-        for _ in range(budget):
-            i = rng.randrange(len(pts))
-            q, r = rng.choice(inf), rng.choice(inf)
-            checked += 1
-            if t[i][t[q][r]] != t[t[i][q]][r]:
-                ce = (i, q, r)
-                break
-        reports.append(LawReport(name, ce is None, encode(ce) if ce else None,
-                                 checked, False, seed))
-
-    # (P + R1) - (Q + R2) == (P - Q) + (R1 - R2) with pi(P) = pi(Q)
-    name = "difference-across-fiber"
-    space = sum(len(f) ** 2 for f in fibers.values()) * len(inf) ** 2
-    ce = None
-    checked = 0
-    if space <= budget:
-        for fib in fibers.values():
-            for i in fib:
-                ti = t[i]
-                for j in fib:
-                    tinj = t[ti[nn[j]]]  # row of P - Q
-                    tj = t[j]
-                    for r1 in inf:
-                        lhs_base = t[ti[r1]]
-                        tr1 = t[r1]
-                        for r2 in inf:
-                            if lhs_base[nn[tj[r2]]] != tinj[tr1[nn[r2]]]:
-                                ce = (i, j, r1, r2)
-                                break
-                        if ce:
-                            break
-                    if ce:
-                        break
-                if ce:
-                    break
-            if ce:
-                break
-        checked = space
-        exhaustive = True
-    else:
-        exhaustive = False
-        fib_list = list(fibers.values())
-        for _ in range(budget):
-            fib = fib_list[rng.randrange(len(fib_list))]
-            i, j = rng.choice(fib), rng.choice(fib)
-            r1, r2 = rng.choice(inf), rng.choice(inf)
-            checked += 1
-            if t[t[i][r1]][nn[t[j][r2]]] != t[t[i][nn[j]]][t[r1][nn[r2]]]:
-                ce = (i, j, r1, r2)
-                break
-    reports.append(LawReport(name, ce is None, encode(ce) if ce else None,
-                             checked, exhaustive, seed))
-
-    # (P + Q) - R == P + (Q - R) with pi(P) = pi(Q) = pi(R)
-    name = "triple-in-fiber"
-    space = sum(len(f) ** 3 for f in fibers.values())
-    ce = None
-    if space <= budget:
-        for fib in fibers.values():
-            for i in fib:
-                ti = t[i]
-                for j in fib:
-                    tij = t[ti[j]]
-                    tj = t[j]
-                    for k in fib:
-                        if tij[nn[k]] != ti[tj[nn[k]]]:
-                            ce = (i, j, k)
-                            break
-                    if ce:
-                        break
-                if ce:
-                    break
-            if ce:
-                break
-        checked, exhaustive = space, True
-    else:
-        checked, exhaustive = 0, False
-        fib_list = list(fibers.values())
-        for _ in range(budget):
-            fib = fib_list[rng.randrange(len(fib_list))]
-            i, j, k = rng.choice(fib), rng.choice(fib), rng.choice(fib)
-            checked += 1
-            if t[t[i][j]][nn[k]] != t[i][t[j][nn[k]]]:
-                ce = (i, j, k)
-                break
-    reports.append(LawReport(name, ce is None, encode(ce) if ce else None,
-                             checked, exhaustive, seed))
-
-    # (P1+P2-P3) + (Q1+Q2-Q3) == (P1+Q1) + (P2+Q2) - (P3+Q3), fiberwise
-    name = "fiberwise-sum-exchange"
-    fib_list = list(fibers.values())
+    def sweep(name, first_bad, draws, space=None, cases=None, **kw):
+        return _sweep(name, budget, seed, encode, space=space, exhaust=lambda: first_bad(cases()),
+                      draws=draws, first_bad=first_bad, rng=rng, **kw)
 
     def conv(a, b, c):
         return t[t[a][b]][nn[c]]
 
-    ce = None
-    checked = 0
-    for _ in range(budget):
-        fp = fib_list[rng.randrange(len(fib_list))]
-        fq = fib_list[rng.randrange(len(fib_list))]
-        p1, p2, p3 = rng.choice(fp), rng.choice(fp), rng.choice(fp)
-        q1, q2, q3 = rng.choice(fq), rng.choice(fq), rng.choice(fq)
-        checked += 1
-        if t[conv(p1, p2, p3)][conv(q1, q2, q3)] != conv(t[p1][q1], t[p2][q2], t[p3][q3]):
-            ce = (p1, p2, p3, q1, q2, q3)
-            break
-    reports.append(LawReport(name, ce is None, encode(ce) if ce else None,
-                             checked, False, seed,
-                             detail="six-point space exceeds any exhaustive budget"))
+    # P + (Q + R) == (P + Q) + R with Q, R at infinity
+    def translate_draws(rng):
+        randrange, choice = rng.randrange, rng.choice
+        while True:
+            yield randrange(n_pts), choice(inf), choice(inf)
+
+    def translate_bad(cases):
+        for k, (i, q, r) in enumerate(cases, 1):
+            if t[i][t[q][r]] != t[t[i][q]][r]:
+                return k, (i, q, r)
+
+    # (P + R1) - (Q + R2) == (P - Q) + (R1 - R2) with pi(P) = pi(Q)
+    def difference_draws(rng):
+        randrange, choice = rng.randrange, rng.choice
+        while True:
+            fib = fibers[randrange(len(fibers))]
+            yield choice(fib), choice(fib), choice(inf), choice(inf)
+
+    def difference_bad(cases):
+        for k, (i, j, r1, r2) in enumerate(cases, 1):
+            if t[t[i][r1]][nn[t[j][r2]]] != t[t[i][nn[j]]][t[r1][nn[r2]]]:
+                return k, (i, j, r1, r2)
+
+    # (P + Q) - R == P + (Q - R) with pi(P) = pi(Q) = pi(R)
+    def triple_draws(rng):
+        randrange, choice = rng.randrange, rng.choice
+        while True:
+            fib = fibers[randrange(len(fibers))]
+            yield choice(fib), choice(fib), choice(fib)
+
+    def triple_bad(cases):
+        for n, (i, j, k) in enumerate(cases, 1):
+            if t[t[i][j]][nn[k]] != t[i][t[j][nn[k]]]:
+                return n, (i, j, k)
+
+    # (P1+P2-P3) + (Q1+Q2-Q3) == (P1+Q1) + (P2+Q2) - (P3+Q3), fiberwise
+    def exchange_draws(rng):
+        randrange, choice = rng.randrange, rng.choice
+        while True:
+            fp, fq = fibers[randrange(len(fibers))], fibers[randrange(len(fibers))]
+            yield choice(fp), choice(fp), choice(fp), choice(fq), choice(fq), choice(fq)
+
+    def exchange_bad(cases):
+        for k, (p1, p2, p3, q1, q2, q3) in enumerate(cases, 1):
+            if t[conv(p1, p2, p3)][conv(q1, q2, q3)] != conv(t[p1][q1], t[p2][q2], t[p3][q3]):
+                return k, (p1, p2, p3, q1, q2, q3)
+
+    triple_space = sum(len(f) ** 3 for f in fibers)
+    reports = [
+        sweep("translate-by-infinity-pair", translate_bad, translate_draws,
+              n_pts * len(inf) ** 2, lambda: product(range(n_pts), inf, inf)),
+        sweep("difference-across-fiber", difference_bad, difference_draws,
+              sum(len(f) ** 2 for f in fibers) * len(inf) ** 2,
+              lambda: chain.from_iterable(product(f, f, inf, inf) for f in fibers)),
+        sweep("triple-in-fiber", triple_bad, triple_draws, triple_space,
+              lambda: chain.from_iterable(product(f, f, f) for f in fibers)),
+        sweep("fiberwise-sum-exchange", exchange_bad, exchange_draws,
+              detail="six-point space exceeds any exhaustive budget"),
+    ]
 
     # m*(P1+P2-P3) == m*P1 + m*P2 - m*P3, fiberwise; exhaustive in the
-    # triple for a spread of multipliers, then sampled jointly
-    name = "multiple-of-fiber-sum"
-    n_pts = len(pts)
+    # triple for a spread of multipliers when that fits four budgets, then
+    # sampled jointly
     multipliers = sorted({0, 1, 2, 3, 5, 7, ring.p, 2 * ring.p + 1, n_pts - 1, n_pts + 2})
-    ce = None
-    ce_mult = None
-    checked = 0
-    triple_space = sum(len(f) ** 3 for f in fibers.values())
-    exhaustive_triples = triple_space * len(multipliers) <= 4 * budget
-    if exhaustive_triples:
+
+    def multiple_all():
         for m in multipliers:
             mul_map = [cayley.mul(i, m) for i in range(n_pts)]
-            for fib in fibers.values():
+            for fib in fibers:
                 for i in fib:
                     for j in fib:
                         tij = t[t[i][j]]
                         for k in fib:
-                            checked += 1
                             if mul_map[tij[nn[k]]] != conv(mul_map[i], mul_map[j], mul_map[k]):
-                                ce, ce_mult = (i, j, k), m
-                                break
-                        if ce:
-                            break
-                    if ce:
-                        break
-                if ce:
-                    break
-            if ce:
-                break
-    if ce is None:
-        for _ in range(max(0, budget // 8)):
-            m = rng.randrange(-2 * n_pts, 2 * n_pts)
-            fib = fib_list[rng.randrange(len(fib_list))]
-            i, j, k = rng.choice(fib), rng.choice(fib), rng.choice(fib)
-            checked += 1
-            if cayley.mul(conv(i, j, k), m) != conv(cayley.mul(i, m), cayley.mul(j, m), cayley.mul(k, m)):
-                ce, ce_mult = (i, j, k), m
-                break
-    payload = None
-    if ce:
-        payload = encode(ce)
-        payload["multiplier"] = ce_mult
-    reports.append(LawReport(name, ce is None, payload, checked, False, seed,
-                             detail=f"exhaustive triples for multipliers {multipliers}"
-                             if exhaustive_triples else ""))
+                                return None, (m, i, j, k)
+
+    def multiple_draws(rng):
+        randrange, choice = rng.randrange, rng.choice
+        while True:
+            m = randrange(-2 * n_pts, 2 * n_pts)
+            fib = fibers[randrange(len(fibers))]
+            yield m, choice(fib), choice(fib), choice(fib)
+
+    def multiple_bad(cases):
+        mul = cayley.mul
+        for n, (m, i, j, k) in enumerate(cases, 1):
+            if mul(conv(i, j, k), m) != conv(mul(i, m), mul(j, m), mul(k, m)):
+                return n, (m, i, j, k)
+
+    def multiple_ce(case):
+        return {**encode(case[1:]), "multiplier": case[0]}
+
+    grid = _sweep("multiple-of-fiber-sum", 4 * budget, seed, multiple_ce,
+                  space=triple_space * len(multipliers), exhaust=multiple_all)
+    tail = _sweep("multiple-of-fiber-sum", budget, seed, multiple_ce, draws=multiple_draws,
+                  first_bad=multiple_bad, samples=budget // 8, rng=rng)
+    reports.append(_merge([r for r in (grid, tail) if r],
+                          f"exhaustive triples for multipliers {multipliers}" if grid else ""))
     return reports
 
 
@@ -730,20 +700,23 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
 
     ring = params.ring
     rng = random.Random(seed)
-    reports = []
-    p, e = ring.p, ring.e
+    e = ring.e
     expected = ring.ideal_size**2
+    encode = _point_ce(params)
+
+    def fresh(width):  # draws of random points at infinity
+        return _draws(width, lambda rng: random_infinity_point(params, rng))
 
     enumerable = expected <= 1_000_000
     if enumerable:
         inf_pts = params.infinity_points()
-        reports.append(LawReport("infinity-cardinality", len(inf_pts) == expected,
-                                 None, len(inf_pts), True, None,
-                                 detail=f"|L^inf| = {len(inf_pts)}, expected {expected}"))
+        reports = [LawReport("infinity-cardinality", len(inf_pts) == expected,
+                             None, len(inf_pts), True, None,
+                             detail=f"|L^inf| = {len(inf_pts)}, expected {expected}")]
     else:
         inf_pts = None
-        reports.append(LawReport("infinity-cardinality", True, None, 0, False, None,
-                                 detail=f"too large to enumerate ({expected})"))
+        reports = [_skipped("infinity-cardinality",
+                            f"skipped: too large to enumerate ({expected})")]
 
     if ring.kind == INTEGER_QUOTIENT:
         g1, g2 = infinity_generators(params)
@@ -752,71 +725,40 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
         ok = o1 == ring.ideal_size and o2 == ring.ideal_size
         reports.append(LawReport("infinity-generator-orders", ok, None, 2, True, None,
                                  detail=f"orders {o1}, {o2}, expected {ring.ideal_size}"))
-
-        m1 = set()
-        cur = identity(params)
-        for _ in range(o1):
-            m1.add(cur)
-            cur = add(params, cur, g1)
-        m2 = set()
-        cur = identity(params)
-        for _ in range(o2):
-            m2.add(cur)
-            cur = add(params, cur, g2)
-        inter = m1 & m2
+        inter = set(_multiples(params, g1, o1)) & set(_multiples(params, g2, o2))
         reports.append(LawReport("infinity-generator-independence",
                                  inter == {identity(params)}, None,
                                  o1 + o2, True, None,
                                  detail=f"|<g1> & <g2>| = {len(inter)}"))
 
-        if enumerable and expected * 50 <= budget:
-            seen = set()
-            for pt in inf_pts:
-                d = infinity_decompose(params, pt)
-                seen.add((d.alpha, d.beta))
-            ok = len(seen) == expected
-            reports.append(LawReport("infinity-coordinate-bijection", ok, None,
-                                     expected, True, seed,
-                                     detail="decomposition is a bijection onto"
-                                            f" [0,{ring.ideal_size})^2"))
-        else:
-            checked = 0
-            ok = True
-            for _ in range(min(budget, 2000)):
-                pt = random_infinity_point(params, rng)
-                infinity_decompose(params, pt)  # raises on failure
-                checked += 1
-            reports.append(LawReport("infinity-coordinate-bijection", ok, None,
-                                     checked, False, seed,
-                                     detail="sampled decompositions recompose"))
+        def undecomposable(cases, seen=None):
+            """First point that does not recompose, or (given ``seen``) collides."""
+            for k, (pt,) in enumerate(cases, 1):
+                try:
+                    d = infinity_decompose(params, pt)
+                except AssertionError:
+                    return k, (pt,)
+                if seen is not None:
+                    if (d.alpha, d.beta) in seen:
+                        return k, (pt,)
+                    seen.add((d.alpha, d.beta))
+
+        rep = _sweep("infinity-coordinate-bijection", budget, seed, encode,
+                     space=expected if enumerable else None, weight=50,
+                     exhaust=lambda: undecomposable(zip(inf_pts), set()), draws=fresh(1),
+                     first_bad=undecomposable, samples=min(budget, 2000), rng=rng)
+        rep.detail = (f"decomposition is a bijection onto [0,{ring.ideal_size})^2"
+                      if rep.exhaustive else "sampled decompositions recompose")
+        reports.append(rep)
 
     # associativity
     if e <= 5:
-        if enumerable and expected**3 <= budget:
-            cayley = CayleyIndex(params, inf_pts)
-            bad = cayley.assoc_sweep()
-            ce = {"points": _encode_points(params, [inf_pts[i] for i in bad])} if bad else None
-            reports.append(LawReport("infinity-associativity", bad is None, ce,
-                                     expected**3, True, seed))
-        else:
-            pool = inf_pts if enumerable else None
-            ce = None
-            checked = 0
-            for _ in range(budget):
-                if pool is not None:
-                    a = pool[rng.randrange(len(pool))]
-                    b = pool[rng.randrange(len(pool))]
-                    c = pool[rng.randrange(len(pool))]
-                else:
-                    a = random_infinity_point(params, rng)
-                    b = random_infinity_point(params, rng)
-                    c = random_infinity_point(params, rng)
-                checked += 1
-                if add(params, add(params, a, b), c) != add(params, a, add(params, b, c)):
-                    ce = {"points": _encode_points(params, (a, b, c))}
-                    break
-            reports.append(LawReport("infinity-associativity", ce is None, ce,
-                                     checked, False, seed))
+        reports.append(_sweep(
+            "infinity-associativity", budget, seed, encode,
+            space=expected**3 if enumerable else None,
+            exhaust=lambda: _assoc_table(params, inf_pts),
+            draws=_picks(inf_pts, 3) if enumerable else fresh(3),
+            first_bad=_law_breaker(params, "full-associative"), rng=rng))
     else:
         w = witness_inf(params)
         reports.append(LawReport("infinity-associativity", False,
@@ -824,45 +766,28 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
                                  detail="guaranteed non-associative from e = 6 on"))
 
     # coordinatewise addition (an isomorphism onto (m, +)^2 for e <= 3)
-    if e <= 3:
-        ce = None
-        checked = 0
-        if enumerable and expected**2 <= budget:
-            exhaustive = True
-            for a in inf_pts:
-                for b in inf_pts:
-                    s = add(params, a, b)
-                    if s.x != ring.add(a.x, b.x) or s.z != ring.add(a.z, b.z):
-                        ce = {"points": _encode_points(params, (a, b))}
-                        break
-                if ce:
-                    break
-            checked = expected**2
-        else:
-            exhaustive = False
-            for _ in range(budget):
-                a = random_infinity_point(params, rng)
-                b = random_infinity_point(params, rng)
-                checked += 1
-                s = add(params, a, b)
-                if s.x != ring.add(a.x, b.x) or s.z != ring.add(a.z, b.z):
-                    ce = {"points": _encode_points(params, (a, b))}
-                    break
-        reports.append(LawReport("infinity-coordinates-additive", ce is None, ce,
-                                 checked, exhaustive, seed))
-    else:
-        additive = 0
-        trials = min(budget, 2000)
-        for _ in range(trials):
-            a = random_infinity_point(params, rng)
-            b = random_infinity_point(params, rng)
-            s = add(params, a, b)
-            if s.x == ring.add(a.x, b.x) and s.z == ring.add(a.z, b.z):
-                additive += 1
-        reports.append(LawReport("infinity-coordinates-additive", True, None,
-                                 trials, False, seed,
-                                 detail=f"no theorem at e = {e}; observed additive on"
-                                        f" {additive}/{trials} sampled pairs"))
+    def additive(a, b):
+        s = add(params, a, b)
+        return s.x == ring.add(a.x, b.x) and s.z == ring.add(a.z, b.z)
+
+    def non_additive(cases):
+        for k, (a, b) in enumerate(cases, 1):
+            if not additive(a, b):
+                return k, (a, b)
+
+    def observe(cases):  # no theorem past e = 3: count, never fail
+        counts.append(sum(additive(a, b) for a, b in cases))
+
+    counts = []
+    rep = _sweep("infinity-coordinates-additive", budget, seed, encode,
+                 space=expected**2 if enumerable and e <= 3 else None,
+                 exhaust=lambda: non_additive(product(inf_pts, repeat=2)), draws=fresh(2),
+                 first_bad=non_additive if e <= 3 else observe,
+                 samples=None if e <= 3 else min(budget, 2000), rng=rng)
+    if counts:
+        rep.detail = (f"no theorem at e = {e}; observed additive on"
+                      f" {counts[0]}/{rep.checked} sampled pairs")
+    reports.append(rep)
     return reports
 
 
@@ -871,8 +796,10 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
 # ----------------------------------------------------------------------------
 
 
-def _val_at_least(ring, payload, k) -> bool:
-    return ring.valuation(payload) >= min(k, ring.e)
+def _congruent(ring, pt, x, z, k) -> bool:
+    """Whether pt = (X : 1 : Z) has X = x and Z = z modulo m^k."""
+    return (ring.valuation(ring.sub(pt.x, x)) >= min(k, ring.e)
+            and ring.valuation(ring.sub(pt.z, z)) >= min(k, ring.e))
 
 
 def technical_congruences(params: LoopParams, cases: int = 10_000, seed: int = 0,
@@ -895,46 +822,47 @@ def technical_congruences(params: LoopParams, cases: int = 10_000, seed: int = 0
         raise PreconditionUnmet("part (iv) needs an integer uniformizer")
     rng = random.Random(seed)
     e = ring.e
-    reports = []
-    for part in parts:
-        ce = None
-        for _ in range(cases):
+
+    def draws(rng):
+        while True:
             k = rng.randrange(1, max(2, e))
-            x1 = ring.random_element(rng, k)
-            z1 = ring.random_element(rng, k)
-            x2 = ring.random_element(rng, k)
-            z2 = ring.random_element(rng, k)
+            x1, z1, x2, z2 = (ring.random_element(rng, k) for _ in range(4))
+            if part == "ii":
+                f = rng.randrange(k, e + 1)
+                extra = (f, ring.random_element(rng, f), ring.random_element(rng, f))
+            else:
+                extra = (rng.randrange(-ring.modulus, ring.modulus),) if part == "iv" else ()
+            yield k, x1, z1, x2, z2, extra
+
+    def first_bad(cases):
+        for c, (k, x1, z1, x2, z2, extra) in enumerate(cases, 1):
             p1 = ProjPoint(ring, x1, ring.one, z1)
             p2 = ProjPoint(ring, x2, ring.one, z2)
             s = add(params, p1, p2)
             if part == "i":
-                ok = _val_at_least(ring, ring.sub(s.x, ring.add(x1, x2)), 3 * k) and \
-                     _val_at_least(ring, ring.sub(s.z, ring.add(z1, z2)), 3 * k)
+                ok = _congruent(ring, s, ring.add(x1, x2), ring.add(z1, z2), 3 * k)
                 case = {"k": k}
             elif part == "ii":
-                f = rng.randrange(k, e + 1)
-                dx = ring.random_element(rng, f)
-                dz = ring.random_element(rng, f)
+                f, dx, dz = extra
                 moved = add(params, ProjPoint(ring, ring.add(x1, dx), ring.one,
                                               ring.add(z1, dz)), p2)
-                ok = _val_at_least(ring, ring.sub(moved.x, ring.add(s.x, dx)), f + 2 * k) and \
-                     _val_at_least(ring, ring.sub(moved.z, ring.add(s.z, dz)), f + 2 * k)
+                ok = _congruent(ring, moved, ring.add(s.x, dx), ring.add(s.z, dz), f + 2 * k)
                 case = {"k": k, "f": f,
                         "deltas": [ring.payload_to_json(dx), ring.payload_to_json(dz)]}
             else:
-                n = rng.randrange(-ring.modulus, ring.modulus)
-                v = min(e, ring.valuation(ring.from_int(n)))
-                mult = scalar_mul(params, n, p1)
-                bound = 3 * k + v - 1
-                ok = _val_at_least(ring, ring.sub(mult.x, ring.mul_int(n, x1)), bound) and \
-                     _val_at_least(ring, ring.sub(mult.z, ring.mul_int(n, z1)), bound)
+                (n,) = extra
+                bound = 3 * k + min(e, ring.valuation(ring.from_int(n))) - 1
+                ok = _congruent(ring, scalar_mul(params, n, p1), ring.mul_int(n, x1),
+                                ring.mul_int(n, z1), bound)
                 case = {"k": k, "n": n}
             if not ok:
                 case["points"] = _encode_points(params, (p1, p2))
-                ce = case
-                break
-        reports.append(LawReport(f"congruence-{part}", ce is None, ce, cases,
-                                 False, seed))
+                return c, case
+
+    reports = []
+    for part in parts:  # draws and first_bad read the current part
+        reports.append(_sweep(f"congruence-{part}", cases, seed, lambda case: case,
+                              draws=draws, first_bad=first_bad, samples=cases, rng=rng))
     return reports
 
 
@@ -952,39 +880,40 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     certified by a concrete non-associative triple (a structured witness
     when one applies, a seeded search otherwise).
     """
-    ring = params.ring
-    if ring.e >= 3:
-        w = witness_A(params)
-        return {"is_group": False, "order": params.cardinality(),
-                "invariants": None, "method": "affine-infinity-witness",
-                "witness": w.to_json(params)}
+    n = params.cardinality()
+
+    def non_group(method, witness):
+        return {"is_group": False, "order": n, "invariants": None, "method": method,
+                "witness": witness}
+
+    if params.ring.e >= 3:
+        return non_group("affine-infinity-witness", witness_A(params).to_json(params))
     try:
-        w = witness_B(params)
-        return {"is_group": False, "order": params.cardinality(),
-                "invariants": None, "method": "shifted-pair-witness",
-                "witness": w.to_json(params)}
+        return non_group("shifted-pair-witness", witness_B(params).to_json(params))
     except PreconditionUnmet:
         pass
 
     pts = params.loop_points()
-    n = len(pts)
+
+    def search():  # the seeded search for a non-associative triple
+        rep = _sweep("full-associative", budget, seed, _point_ce(params), draws=_picks(pts, 3),
+                     first_bad=_law_breaker(params, "full-associative"))
+        if not rep.holds:
+            return non_group("sampled-triple", rep.counterexample)
+        return {"is_group": None, "order": n, "invariants": None,
+                "method": "undetermined", "checked": rep.checked}
+
     orders = {pt: order_of(params, pt) for pt in pts}
     n2 = max(orders.values())
     n1 = n // n2
     ident = identity(params)
     if n1 * n2 != n or (n1 > 1 and n2 % n1):
-        return _certificate_fallback(params, pts, budget, seed)
+        return search()
 
-    g2 = next(pt for pt, o in orders.items() if o == n2)
-    g2_multiples = [ident]
-    for _ in range(n2 - 1):
-        g2_multiples.append(add(params, g2_multiples[-1], g2))
-
+    g2_multiples = _multiples(params, next(pt for pt, o in orders.items() if o == n2), n2)
     candidates = [pt for pt, o in orders.items() if o == n1] if n1 > 1 else [ident]
     for g1 in candidates:
-        g1_multiples = [ident]
-        for _ in range(n1 - 1):
-            g1_multiples.append(add(params, g1_multiples[-1], g1))
+        g1_multiples = _multiples(params, g1, n1)
         phi = {}
         values = set()
         for i, gi in enumerate(g1_multiples):
@@ -994,33 +923,11 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
                 values.add(v)
         if len(values) != n:
             continue
-        pairs = 0
-        homomorphic = True
-        for (i1, j1), v1 in phi.items():
-            for (i2, j2), v2 in phi.items():
-                pairs += 1
-                if add(params, v1, v2) != phi[((i1 + i2) % n1, (j1 + j2) % n2)]:
-                    homomorphic = False
-                    break
-            if not homomorphic:
-                break
-        if homomorphic:
+        if all(add(params, v1, v2) == phi[((i1 + i2) % n1, (j1 + j2) % n2)]
+               for (i1, j1), v1 in phi.items() for (i2, j2), v2 in phi.items()):
             return {"is_group": True, "order": n, "invariants": [n1, n2],
-                    "method": "basis-isomorphism", "checked_pairs": pairs}
-    return _certificate_fallback(params, pts, budget, seed)
-
-
-def _certificate_fallback(params, pts, budget, seed):
-    rng = random.Random(seed)
-    n = len(pts)
-    for _ in range(budget):
-        a, b, c = (pts[rng.randrange(n)] for _ in range(3))
-        if add(params, add(params, a, b), c) != add(params, a, add(params, b, c)):
-            return {"is_group": False, "order": n, "invariants": None,
-                    "method": "sampled-triple",
-                    "witness": {"points": _encode_points(params, (a, b, c))}}
-    return {"is_group": None, "order": n, "invariants": None,
-            "method": "undetermined", "checked": budget}
+                    "method": "basis-isomorphism", "checked_pairs": n * n}
+    return search()
 
 
 def classify_group_loops(p_max: int = 17, size_max: int = 300, e_min: int = 2,
@@ -1101,16 +1008,6 @@ def cardinality_report(params: LoopParams, plane_budget: int = 100_000) -> dict:
 # ----------------------------------------------------------------------------
 
 
-def _enumerable(params: LoopParams, cap: int = 200_000) -> bool:
-    return params.cardinality() <= cap
-
-
-def _point_pool(params: LoopParams, rng, size: int = 4000):
-    if _enumerable(params):
-        return params.loop_points()
-    return list({random_loop_point(params, rng) for _ in range(size)})
-
-
 def laws_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """The two law-level theorems: power-associativity and unique solvability."""
     return law_suite(params, ("power-associative", "latin-square"), budget, seed)
@@ -1129,50 +1026,34 @@ def cardinality_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 def projection_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Reduction mod m is a loop homomorphism onto the residue curve."""
     rng = random.Random(seed)
-    rp = params.residue_params
-    ce = None
-    if _enumerable(params) and params.cardinality() ** 2 <= budget:
-        pts = params.loop_points()
-        exhaustive = True
-        checked = len(pts) ** 2
-        for a in pts:
-            ra = params.project(a)
-            for b in pts:
-                if add(rp, ra, params.project(b)) != params.project(add(params, a, b)):
-                    ce = {"points": _encode_points(params, (a, b))}
-                    break
-            if ce:
-                break
-    else:
-        exhaustive = False
-        pool = _point_pool(params, rng)
-        checked = min(budget, 100_000)
-        for _ in range(checked):
-            a = pool[rng.randrange(len(pool))]
-            b = pool[rng.randrange(len(pool))]
-            if add(rp, params.project(a), params.project(b)) != params.project(add(params, a, b)):
-                ce = {"points": _encode_points(params, (a, b))}
-                break
-    return [LawReport("projection-homomorphism", ce is None, ce, checked, exhaustive, seed)]
+    rp, proj = params.residue_params, params.project
+
+    def first_bad(cases):
+        for k, (a, b) in enumerate(cases, 1):
+            if add(rp, proj(a), proj(b)) != proj(add(params, a, b)):
+                return k, (a, b)
+
+    return [_sweep("projection-homomorphism", budget, seed, _point_ce(params),
+                   space=params.cardinality() ** 2,
+                   exhaust=lambda: first_bad(product(params.loop_points(), repeat=2)),
+                   draws=_picks(_point_pool(params, rng), 2), first_bad=first_bad,
+                   samples=min(budget, 100_000), rng=rng)]
 
 
 def three_torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Hessian vanishing mod m detects exactly the residue 3-torsion."""
     from .loop_core import eval_H
 
-    rng = random.Random(seed)
-    ce = None
-    exhaustive = _enumerable(params, budget)
-    pool = params.loop_points() if exhaustive else _point_pool(params, rng)
-    checked = 0
-    for pt in pool:
-        checked += 1
-        h_unit = eval_H(params, pt).is_unit()
-        three_torsion = params.residue_order(params.project(pt)) in (1, 3)
-        if h_unit == three_torsion:
-            ce = {"points": _encode_points(params, (pt,))}
-            break
-    return [LawReport("three-torsion-hessian", ce is None, ce, checked, exhaustive, seed)]
+    def first_bad(cases):
+        for k, (pt,) in enumerate(cases, 1):
+            if eval_H(params, pt).is_unit() == (params.pi_order(pt) in (1, 3)):
+                return k, (pt,)
+
+    return [_sweep("three-torsion-hessian", budget, seed, _point_ce(params),
+                   space=params.cardinality(),
+                   exhaust=lambda: first_bad(zip(params.loop_points())),
+                   draws=_draws(1, lambda rng: random_loop_point(params, rng)),
+                   first_bad=first_bad)]
 
 
 def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1180,29 +1061,29 @@ def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 
     from .layers import Layer, layer_membership, stratify
 
     if params.q % 3 == 0:
-        return [LawReport("stratification", True, None, 0, False, None,
-                          detail=f"skipped: q = {params.q} divisible by 3")]
+        return [_skipped("stratification", f"skipped: q = {params.q} divisible by 3")]
     ring = params.ring
-    rng = random.Random(seed)
     layers = [Layer(params, t) for t in ring.ideal_elements()]
-    exhaustive = params.cardinality() * ring.ideal_size <= budget
-    if exhaustive:
-        pool = params.loop_points()
-    else:
-        pool = _point_pool(params, rng)[: max(10, budget // max(1, 3 * ring.ideal_size))]
     rident = params.project(identity(params))
-    ce = None
-    checked = 0
-    for pt in pool:
-        if params.project(pt) == rident:
-            continue
-        checked += 1
-        containing = [lay for lay in layers if layer_membership(lay, pt)]
-        if len(containing) != 1 or not layer_membership(Layer(params, stratify(params, pt)), pt):
-            ce = {"points": _encode_points(params, (pt,)),
-                  "layers": [ring.payload_to_json(l.t) for l in containing]}
-            break
-    return [LawReport("stratification", ce is None, ce, checked, exhaustive, seed)]
+    affine = [rpt for rpt in params.residue_points if rpt != rident]
+
+    def first_bad(cases):
+        for k, (pt,) in enumerate(cases, 1):
+            containing = [lay for lay in layers if layer_membership(lay, pt)]
+            own = Layer(params, stratify(params, pt))
+            if len(containing) != 1 or not layer_membership(own, pt):
+                return k, (pt, containing)
+
+    def encode(case):
+        return {"points": _encode_points(params, case[:1]),
+                "layers": [ring.payload_to_json(lay.t) for lay in case[1]]}
+
+    return [_sweep("stratification", budget, seed, encode,
+                   space=len(affine) * ring.ideal_size**2, weight=ring.ideal_size,
+                   exhaust=lambda: first_bad((pt,) for pt in params.loop_points()
+                                             if params.project(pt) != rident),
+                   draws=_draws(1, lambda rng: random_loop_point(params, rng, affine)),
+                   first_bad=first_bad)]
 
 
 def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1212,74 +1093,55 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
     ring = params.ring
     if ring.kind != INTEGER_QUOTIENT:
-        return [LawReport("layers", True, None, 0, False, None,
-                          detail="skipped: layer reports need an integer quotient")]
+        return [_skipped("layers", "skipped: layer reports need an integer quotient")]
     if params.q * ring.ideal_size**3 > 40 * budget:
-        return [LawReport("layers", True, None, 0, False, None,
-                          detail="skipped: layer enumeration exceeds the budget")]
+        return [_skipped("layers", "skipped: layer enumeration exceeds the budget")]
     rng = random.Random(seed)
-    reports = []
     isz = ring.ideal_size
     expected = params.q * isz
     per_layer = max(1, budget // max(1, isz))
-    size_ok = True
-    assoc_ce = None
-    assoc_checked = 0
-    assoc_exhaustive = True
-    closure_ce = None
-    gen_ok = True
-    val_ok = True
+    size_ok = gen_ok = val_ok = True
+    closure, assoc = [], []
     val_checked = 0
+    ident = identity(params)
+    rident = params.project(ident)
     for t in ring.ideal_elements():
         lay = Layer(params, t)
         pts = layer_points(lay)
-        if len(pts) != expected:
-            size_ok = False
-        # closure under the loop sum
-        for _ in range(min(per_layer, 2000)):
-            a = pts[rng.randrange(len(pts))]
-            b = pts[rng.randrange(len(pts))]
-            if not layer_membership(lay, add(params, a, b)):
-                closure_ce = {"t": ring.payload_to_json(t),
-                              "points": _encode_points(params, (a, b))}
-                break
-        # associativity inside the layer
-        if len(pts) ** 3 <= per_layer:
-            cayley = CayleyIndex(params, pts)
-            bad = cayley.assoc_sweep()
-            assoc_checked += len(pts) ** 3
-            if bad is not None:
-                assoc_ce = {"t": ring.payload_to_json(t),
-                            "points": _encode_points(params, [pts[i] for i in bad])}
-        else:
-            assoc_exhaustive = False
-            for _ in range(per_layer):
-                a, b, c = (pts[rng.randrange(len(pts))] for _ in range(3))
-                assoc_checked += 1
-                if add(params, add(params, a, b), c) != add(params, a, add(params, b, c)):
-                    assoc_ce = {"t": ring.payload_to_json(t),
-                                "points": _encode_points(params, (a, b, c))}
-                    break
+        size_ok = size_ok and len(pts) == expected
+        encode = _point_ce(params, t=ring.payload_to_json(t))
+
+        def outside(cases):  # closure under the loop sum
+            for k, (a, b) in enumerate(cases, 1):
+                if not layer_membership(lay, add(params, a, b)):
+                    return k, (a, b)
+
+        closure.append(_sweep("layer-closure", per_layer, seed, encode,
+                              draws=_picks(pts, 2), first_bad=outside,
+                              samples=min(per_layer, 2000), rng=rng))
+        assoc.append(_sweep("layer-associativity", per_layer, seed, encode,
+                            space=len(pts) ** 3, exhaust=lambda: _assoc_table(params, pts),
+                            draws=_picks(pts, 3), rng=rng,
+                            first_bad=_law_breaker(params, "full-associative")))
         gen = layer_infinity_generator(lay)
         if order_of(params, gen) != isz or not layer_membership(lay, gen):
             gen_ok = False
         # no nonzero infinity point of a layer has v(Z) <= v(X)
-        rident = params.project(identity(params))
         for pt in pts:
-            if params.project(pt) == rident and pt != identity(params):
+            if params.project(pt) == rident and pt != ident:
                 val_checked += 1
                 if ring.valuation(pt.z) <= ring.valuation(pt.x):
                     val_ok = False
-    reports.append(LawReport("layer-cardinality", size_ok, None, isz, True, None,
-                             detail=f"each layer has q * p^(e-1) = {expected} points"))
-    reports.append(LawReport("layer-closure", closure_ce is None, closure_ce,
-                             isz * min(per_layer, 2000), False, seed))
-    reports.append(LawReport("layer-associativity", assoc_ce is None, assoc_ce,
-                             assoc_checked, assoc_exhaustive, seed))
-    reports.append(LawReport("layer-infinity-generator", gen_ok, None, isz, True, None,
-                             detail=f"(p : 1 : Z_t) has order {isz} in every layer"))
-    reports.append(LawReport("layer-infinity-valuation", val_ok, None, val_checked, True, None,
-                             detail="nonzero layer points at infinity have v(Z) > v(X)"))
+    reports = [
+        LawReport("layer-cardinality", size_ok, None, isz, True, None,
+                  detail=f"each layer has q * p^(e-1) = {expected} points"),
+        _merge(closure),
+        _merge(assoc),
+        LawReport("layer-infinity-generator", gen_ok, None, isz, True, None,
+                  detail=f"(p : 1 : Z_t) has order {isz} in every layer"),
+        LawReport("layer-infinity-valuation", val_ok, None, val_checked, True, None,
+                  detail="nonzero layer points at infinity have v(Z) > v(X)"),
+    ]
     if params.q % 3 and params.q % ring.p and expected ** 2 <= budget:
         ok_iso = True
         for t in ring.ideal_elements():
@@ -1294,27 +1156,26 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Raw-sum closure of the zero sets of F, H, and F - t*H."""
-    from .layers import Layer, hessian_closure_check, hessian_closure_sweep, layer_points
+    from .layers import Layer, hessian_closure_sweep, layer_points
 
     ring = params.ring
     if params.q * ring.ideal_size**3 > 40 * budget:
-        return [LawReport("hessian-closure", True, None, 0, False, None,
-                          detail="skipped: layer enumeration exceeds the budget")]
+        return [_skipped("hessian-closure", "skipped: layer enumeration exceeds the budget")]
     rng = random.Random(seed)
-    reports = []
     # alpha*F + beta*H with (1, -t): zero set contains the layer
-    ce_any = True
-    pair_budget = max(10, budget // (4 * max(1, ring.ideal_size)))
+    pair_budget = min(2000, max(10, budget // (4 * max(1, ring.ideal_size))))
+    parts = []
     for t in ring.ideal_elements():
-        lay = Layer(params, t)
-        pts = layer_points(lay)
-        pairs = [(pts[rng.randrange(len(pts))], pts[rng.randrange(len(pts))])
-                 for _ in range(min(pair_budget, 2000))]
-        if not hessian_closure_check(params, 1, RingElem(ring, ring.neg(t)), pairs):
-            ce_any = False
-    reports.append(LawReport("combination-closure-layers", ce_any, None,
-                             ring.ideal_size * min(pair_budget, 2000), False, seed,
-                             detail="(F - t*H)(P1 + P2) = 0 on raw sums, every t"))
+        def leaves(cases):
+            pairs = list(cases)
+            ok, k, _ = hessian_closure_sweep(params, 1, RingElem(ring, ring.neg(t)), pairs)
+            return None if ok else (k, pairs[k - 1])
+
+        encode = _point_ce(params, t=ring.payload_to_json(t))
+        parts.append(_sweep("combination-closure-layers", budget, seed, encode,
+                            draws=_picks(layer_points(Layer(params, t)), 2), first_bad=leaves,
+                            samples=pair_budget, rng=rng))
+    reports = [_merge(parts, "(F - t*H)(P1 + P2) = 0 on raw sums, every t")]
     if count_projective(2, ring) <= 25_000:
         ok, closed, zeros = hessian_closure_sweep(params, 0, 1)
         reports.append(LawReport("combination-closure-hessian", ok, None, closed, True, None,
@@ -1343,8 +1204,7 @@ def torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
     ring = params.ring
     if ring.e > 2 or ring.kind != INTEGER_QUOTIENT:
-        return [LawReport("torsion-geometry", True, None, 0, False, None,
-                          detail="skipped: needs an integer quotient with e <= 2")]
+        return [_skipped("torsion-geometry", "skipped: needs an integer quotient with e <= 2")]
     q = params.q
     ident = identity(params)
     rident = params.project(ident)
@@ -1391,8 +1251,7 @@ def witness_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         try:
             w = fn(params)
         except PreconditionUnmet as exc:
-            reports.append(LawReport(f"witness-{kind}", True, None, 0, False, None,
-                                     detail=f"not applicable: {exc}"))
+            reports.append(_skipped(f"witness-{kind}", f"not applicable: {exc}"))
             continue
         ok = w.lhs != w.rhs
         reports.append(LawReport(f"witness-{kind}", ok, w.to_json(params), 1, False,
@@ -1404,17 +1263,16 @@ def witness_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 def structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Sampled rank monotonicity: collapsing a pair never raises the rank."""
     rng = random.Random(seed)
-    pool = _point_pool(params, rng)
-    cases = min(2000, budget)
-    ce = None
-    for _ in range(cases):
-        p1, p2, p3 = (pool[rng.randrange(len(pool))] for _ in range(3))
-        r_triple = AssocMatrix(params, (p1, p2, p3)).rank()
-        r_pair = AssocMatrix(params, (p1, add(params, p2, p3))).rank()
-        if r_pair > r_triple:
-            ce = {"points": _encode_points(params, (p1, p2, p3))}
-            break
-    return [LawReport("rank-monotonicity", ce is None, ce, cases, False, seed)]
+
+    def first_bad(cases):
+        for k, (p1, p2, p3) in enumerate(cases, 1):
+            r_triple = AssocMatrix(params, (p1, p2, p3)).rank()
+            if AssocMatrix(params, (p1, add(params, p2, p3))).rank() > r_triple:
+                return k, (p1, p2, p3)
+
+    return [_sweep("rank-monotonicity", budget, seed, _point_ce(params),
+                   draws=_picks(_point_pool(params, rng), 3), first_bad=first_bad,
+                   samples=min(2000, budget), rng=rng)]
 
 
 def congruence_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1425,8 +1283,8 @@ def congruence_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 def nilpotency_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     if params.ring.e > 2:
-        return [LawReport("low-nilpotency", True, None, 0, False, None,
-                          detail=f"skipped: identities need e <= 2 (e = {params.ring.e})")]
+        return [_skipped("low-nilpotency",
+                         f"skipped: identities need e <= 2 (e = {params.ring.e})")]
     return low_nilpotency_suite(params, budget, seed)
 
 

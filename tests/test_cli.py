@@ -233,6 +233,24 @@ def test_verify_laws_suite_exits_zero(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_prints_checks_of_nothing_as_skip(capsys):
+    rc, out, _ = run_cli(
+        capsys, "verify", "-p", "5", "-e", "3", "-A", "2", "-B", "1",
+        "--suite", "witnesses",
+    )
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert lines[2].startswith("SKIP witness-inf ") and "not applicable" in lines[2]
+    assert all(line.startswith("PASS ") for line in lines[:2])
+    assert lines[-1] == "VERIFIED: 2 pass, 1 skip, 0 fail"
+    rc, out, _ = run_cli(
+        capsys, "verify", "-p", "5", "-e", "3", "-A", "2", "-B", "1",
+        "--suite", "witnesses", "--format", "json",
+    )
+    report = json.loads(out)["reports"][2]
+    assert report["holds"] is True and report["checked"] == 0
+
+
 def test_verify_json_is_deterministic(capsys):
     argv = ("verify", "-p", "5", "-e", "2", "-A", "2", "-B", "1",
             "--suite", "laws", "--seed", "3", "--format", "json")

@@ -1,0 +1,204 @@
+"""The exhaustive-or-sampled runner behind every diagnostics check.
+
+The runner sweeps a check's whole case space when the space, weighted by
+the cost of one case, fits the budget, and otherwise draws seeded cases.
+An exhaustive report counts the whole space, even when it stops at a
+counterexample; a sampled report counts the draws made, the failing one
+included.  The regressions below are checks that used to print PASS for
+work they did not do.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import count
+
+import pytest
+
+from elliptic_loops import LoopParams, RingConfig, law_suite, replay, verify_instance
+from elliptic_loops import structure
+from elliptic_loops.diagnostics import _point_pool, _sweep
+
+
+def params_for(p, e, a, b):
+    return LoopParams(RingConfig.integer(p, e), a, b)
+
+
+def _counting(rng):
+    """Draws 1, 2, 3, ... (one rng call each, so seeds still matter)."""
+    for k in count(1):
+        rng.random()
+        yield (k,)
+
+
+def _first_at_least(limit):
+    """first_bad failing at the first case k >= limit."""
+    def first_bad(cases):
+        for n, (k,) in enumerate(cases, 1):
+            if k >= limit:
+                return n, (k,)
+    return first_bad
+
+
+def _run(budget, space=None, weight=1, limit=10**9, seed=0, **kw):
+    return _sweep("t", budget, seed, lambda case: {"case": list(case)}, space=space,
+                  weight=weight, exhaust=lambda: _first_at_least(limit)(zip(range(space))),
+                  draws=_counting, first_bad=_first_at_least(limit), **kw)
+
+
+# ---------------------------------------------------------------------------
+# the runner
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space,weight,budget", [
+    (10, 1, 10), (10, 1, 9), (10, 3, 30), (10, 3, 29), (7, 50, 350), (7, 50, 349),
+])
+def test_exhaustive_iff_weighted_space_fits_budget(space, weight, budget):
+    report = _run(budget, space, weight)
+    assert report.holds
+    assert report.exhaustive == (space * weight <= budget)
+    assert report.checked == (space if report.exhaustive else max(1, budget // weight))
+
+
+def test_no_space_is_always_sampled():
+    report = _run(10**12, None, samples=123)
+    assert not report.exhaustive and report.checked == 123
+
+
+def test_exhaustive_failure_counts_the_whole_space():
+    report = _run(100, space=50, limit=7)
+    assert not report.holds and report.exhaustive
+    assert report.checked == 50
+    assert report.counterexample == {"case": [7]}
+
+
+def test_sampled_failure_counts_the_draws_made():
+    report = _run(100, space=500, limit=7)
+    assert not report.holds and not report.exhaustive
+    assert report.checked == 7  # the failing draw included
+    assert report.counterexample == {"case": [7]}
+
+
+def test_check_without_draws_is_left_out_when_it_does_not_fit():
+    assert _sweep("t", 9, 0, list, space=10, exhaust=lambda: None) is None
+
+
+def test_same_seed_same_report():
+    def draws(rng):
+        while True:
+            yield (rng.randrange(1000),)
+
+    def first_bad(cases):
+        for k, (x,) in enumerate(cases, 1):
+            if x == 0:
+                return k, (x,)
+
+    runs = [_sweep("t", 5000, seed, list, draws=draws, first_bad=first_bad).to_json()
+            for seed in (3, 3, 4)]
+    assert runs[0] == runs[1]
+    assert runs[0] != runs[2]
+
+
+def test_sampled_law_failure_counts_its_draw():
+    # the report of a failing sampled law stops at draw k: a budget of k
+    # reproduces it, and the k - 1 draws before it all pass
+    params = params_for(5, 2, 2, 1)
+    (bad,) = law_suite(params, ("full-associative",), budget=1000, seed=5)
+    assert not bad.holds and not bad.exhaustive and replay(params, bad)
+    (again,) = law_suite(params, ("full-associative",), budget=bad.checked, seed=5)
+    assert again.to_json() == bad.to_json()
+    if bad.checked > 1:
+        (before,) = law_suite(params, ("full-associative",), budget=bad.checked - 1, seed=5)
+        assert before.holds and before.checked == bad.checked - 1
+
+
+def test_exhaustive_law_failure_counts_the_whole_space():
+    params = params_for(5, 2, 2, 1)
+    (report,) = law_suite(params, ("alternative",), budget=400_000, seed=0)
+    assert not report.holds and report.exhaustive
+    assert report.checked == params.cardinality() ** 2
+    assert replay(params, report)
+
+
+def test_laws_draw_from_the_shared_point_pool():
+    params = params_for(5, 5, 2, 1)  # 2.7 M points: the pool is a sample
+    pool = set(_point_pool(params, random.Random(0)))
+    (report,) = law_suite(params, ("full-associative",), budget=10_000, seed=0)
+    assert not report.holds
+    assert set(_decode(params, report.counterexample["points"])) <= pool
+
+
+def _decode(params, coords):
+    dec = params.ring.payload_from_json
+    return [params.point(*(dec(c) for c in xyz)) for xyz in coords]
+
+
+# ---------------------------------------------------------------------------
+# checks that used to pass on work they did not do
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [1_000, 2_000])
+def test_stratification_checks_affine_points_at_e3(budget):
+    params = params_for(5, 3, 2, 1)
+    (report,) = verify_instance(params, "stratification", budget=budget, seed=0)
+    assert report.holds and not report.exhaustive
+    assert report.checked == budget // params.ring.ideal_size > 0
+
+
+@pytest.mark.parametrize("inst,budget", [
+    ((5, 3, 2, 1), 1_000), ((5, 3, 2, 1), 5_000), ((5, 2, 2, 1), 1_000), ((5, 2, 2, 1), 100),
+])
+def test_three_torsion_exhaustive_flag_matches_its_count(inst, budget):
+    params = params_for(*inst)
+    (report,) = verify_instance(params, "three-torsion", budget=budget, seed=0)
+    assert report.holds
+    assert report.exhaustive == (report.checked == params.cardinality())
+    assert report.checked == min(budget, params.cardinality())
+
+
+@pytest.mark.parametrize("budget", [1_000, 10_000])
+def test_infinity_bijection_reports_a_bad_decomposition(monkeypatch, budget):
+    # 25 points at infinity: budget 1,000 samples them, 10,000 sweeps them all
+    params = params_for(5, 2, 2, 1)
+    real = structure.infinity_decompose
+    victim = params.point(5, 1, 10)
+
+    def broken(params_, pt):
+        if pt == victim:
+            raise AssertionError("does not recompose")
+        return real(params_, pt)
+
+    monkeypatch.setattr(structure, "infinity_decompose", broken)
+    reports = {r.law: r for r in verify_instance(params, "infinity", budget=budget, seed=0)}
+    bij = reports["infinity-coordinate-bijection"]
+    assert not bij.holds
+    assert bij.exhaustive == (budget == 10_000)
+    assert _decode(params, bij.counterexample["points"]) == [victim]
+
+
+def test_infinity_bijection_reports_a_collision(monkeypatch):
+    params = params_for(5, 2, 2, 1)
+    monkeypatch.setattr(structure, "infinity_decompose",
+                        lambda params_, pt: structure.InfDecomposition(0, 0))
+    reports = {r.law: r for r in verify_instance(params, "infinity", budget=10_000, seed=0)}
+    bij = reports["infinity-coordinate-bijection"]
+    assert not bij.holds and bij.exhaustive and bij.checked == 25
+    assert bij.counterexample["points"]
+
+
+VERIFY_INSTANCES = [
+    RingConfig.integer(5, 2), RingConfig.integer(5, 3), RingConfig.integer(7, 2),
+    RingConfig.truncated_poly(5, 2),
+]
+
+
+@pytest.mark.parametrize("ring", VERIFY_INSTANCES, ids=str)
+def test_no_check_passes_on_zero_cases_without_saying_why(ring):
+    a, b = (0, 2) if ring.p == 7 else (2, 1)
+    params = LoopParams(ring, a, b)
+    for report in verify_instance(params, "all", budget=1_000, seed=0):
+        if report.checked == 0:
+            assert any(word in report.detail
+                       for word in ("skipped", "not applicable", "formula only")), report
