@@ -241,7 +241,8 @@ def test_verify_prints_checks_of_nothing_as_skip(capsys):
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[2].startswith("SKIP witness-inf ") and "not applicable" in lines[2]
-    assert all(line.startswith("PASS ") for line in lines[:2])
+    # one constructed triple is the whole case space of a witness
+    assert all(line.startswith("PASS ") and " exhaustive " in line for line in lines[:2])
     assert lines[-1] == "VERIFIED: 2 pass, 1 skip, 0 fail"
     rc, out, _ = run_cli(
         capsys, "verify", "-p", "5", "-e", "3", "-A", "2", "-B", "1",
@@ -249,6 +250,26 @@ def test_verify_prints_checks_of_nothing_as_skip(capsys):
     )
     report = json.loads(out)["reports"][2]
     assert report["holds"] is True and report["checked"] == 0
+
+
+@pytest.mark.parametrize("suite, e, gated, budgets", [
+    ("layers", "2", "layer-group-isomorphism", ("1000", "200000")),
+    ("infinity", "4", "forbidden-locus", ("1000", "20000")),
+])
+def test_verify_prints_the_same_checks_at_any_budget(capsys, suite, e, gated, budgets):
+    names = []
+    for budget in budgets:
+        rc, out, _ = run_cli(capsys, "verify", "-p", "5", "-e", e, "-A", "2", "-B", "1",
+                             "--suite", suite, "--budget", budget)
+        assert rc == 0
+        lines = out.strip().splitlines()[:-1]
+        names.append([line.split()[1] for line in lines])
+        gate = next(line for line in lines if line.split()[1] == gated)
+        if budget == budgets[0]:
+            assert gate.startswith("SKIP") and "skipped: exceeds the budget" in gate
+        else:
+            assert gate.startswith("PASS")
+    assert names[0] == names[1]
 
 
 def test_verify_json_is_deterministic(capsys):

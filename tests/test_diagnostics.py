@@ -274,6 +274,7 @@ def test_infinity_non_associative_from_e6():
     assoc = by_name["infinity-associativity"]
     assert not assoc.holds
     assert assoc.counterexample is not None
+    assert assoc.exhaustive and assoc.checked == 1  # the witness is the whole case space
     assert replay(params, assoc) is True
 
 

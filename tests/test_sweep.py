@@ -202,3 +202,13 @@ def test_no_check_passes_on_zero_cases_without_saying_why(ring):
         if report.checked == 0:
             assert any(word in report.detail
                        for word in ("skipped", "not applicable", "formula only")), report
+
+
+@pytest.mark.parametrize("ring, a, b, suite, law", [
+    (RingConfig.truncated_poly(5, 2), 2, 1, "infinity", "forbidden-locus"),
+    (RingConfig.integer(7, 2), 0, 2, "layers", "layer-group-isomorphism"),  # q = 9
+])
+def test_gated_checks_say_they_do_not_apply(ring, a, b, suite, law):
+    reports = {r.law: r for r in verify_instance(LoopParams(ring, a, b), suite,
+                                                 budget=1_000, seed=0)}
+    assert reports[law].checked == 0 and reports[law].detail.startswith("not applicable")
