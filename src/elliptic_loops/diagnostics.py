@@ -22,8 +22,9 @@ space, its draws, its condition and its counterexample encoding.
 from __future__ import annotations
 
 import functools
+import operator
 import random
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
 
 from .errors import EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
 from .loop_core import (
@@ -147,6 +148,63 @@ def _draws(width: int, draw):
 def _picks(pool, width: int):
     """Draws of ``width`` independent uniform members of ``pool``."""
     return _draws(width, lambda rng: rng.choice(pool))
+
+
+@functools.cache
+def _digit_maps(base: int):
+    """``bytes.translate`` arguments that turn random bytes into digits < ``base``:
+    each byte mod ``base``, with the bytes at or above the largest multiple of
+    ``base`` not above 256 deleted, so every digit is equally likely."""
+    keep = 256 - 256 % base
+    return bytes(b % base for b in range(256)), bytes(range(keep, 256))
+
+
+def _digits(rng, base: int, count: int):
+    """``count`` independent, exactly uniform digits in [0, ``base``) from ``rng``.
+
+    For ``base`` <= 256 they are rejection-sampled from ``rng.randbytes``, one
+    ``bytes.translate`` per block; above 256 each digit is one ``randrange``
+    (under the low-nilpotency size cap only the fiber digit at e = 1 is).
+    """
+    if base > 256:
+        randrange = rng.randrange
+        return [randrange(base) for _ in range(count)]
+    table, reject = _digit_maps(base)
+    out = b""
+    while len(out) < count:
+        need = count - len(out)
+        out += rng.randbytes(need * 256 // (256 - len(reject)) + 8).translate(table, reject)
+    return out[:count]
+
+
+_FIBER_BATCH_MAX = 4096
+
+
+def _fiber_draws(q: int, s: int, shape):
+    """Endless draws of cases of indices into ``loop_points()``, fiber by fiber.
+
+    ``loop_points()`` lists the q fibers of s = |m|^2 points each, residue
+    identity first, so fiber f is the index range f*s ... f*s + s - 1 and the
+    infinity fiber is ``range(s)``.  Slot c of a case lies in the case's
+    ``shape[c]``-th fiber, drawn uniformly, or in the infinity fiber when
+    ``shape[c]`` is None; each point is a uniform member of its fiber.  Cases
+    are decoded in batches, growing to ``_FIBER_BATCH_MAX``, from two digit
+    streams (:func:`_digits`): fibers in base q and offsets in base s.
+    """
+    n_fib = max(k for k in shape if k is not None) + 1
+    width = len(shape)
+
+    def draws(rng):
+        batch = 64
+        while True:
+            fibs = _digits(rng, q, n_fib * batch)
+            offs = _digits(rng, s, width * batch)
+            starts = [list(map(operator.mul, fibs[k::n_fib], repeat(s))) for k in range(n_fib)]
+            yield from zip(*[offs[c::width] if k is None
+                             else map(operator.add, starts[k], offs[c::width])
+                             for c, k in enumerate(shape)])
+            batch = min(2 * batch, _FIBER_BATCH_MAX)
+    return draws
 
 
 def _law_breaker(params: LoopParams, law: str):
@@ -653,11 +711,9 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
     n_pts = len(pts)
     cayley = CayleyIndex(params, pts)
     t, nn = cayley.table, cayley.neg
-    by_residue = {}
-    for i, pt in enumerate(pts):
-        by_residue.setdefault(params.project(pt), []).append(i)
-    fibers = list(by_residue.values())
-    inf = by_residue[params.project(identity(params))]
+    s = ring.ideal_size ** 2  # fiber f is range(f * s, f * s + s): see _fiber_draws
+    fibers = [range(f * s, f * s + s) for f in range(params.q)]
+    inf = fibers[0]
 
     def encode(case):  # cases hold indices into pts
         return {"points": _encode_points(params, [pts[i] for i in case])}
@@ -670,10 +726,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
         return t[t[a][b]][nn[c]]
 
     # P + (Q + R) == (P + Q) + R with Q, R at infinity
-    def translate_draws(rng):
-        randrange, choice = rng.randrange, rng.choice
-        while True:
-            yield randrange(n_pts), choice(inf), choice(inf)
+    translate_draws = _fiber_draws(params.q, s, (0, None, None))
 
     def translate_bad(cases):
         for k, (i, q, r) in enumerate(cases, 1):
@@ -681,11 +734,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
                 return k, (i, q, r)
 
     # (P + R1) - (Q + R2) == (P - Q) + (R1 - R2) with pi(P) = pi(Q)
-    def difference_draws(rng):
-        randrange, choice = rng.randrange, rng.choice
-        while True:
-            fib = fibers[randrange(len(fibers))]
-            yield choice(fib), choice(fib), choice(inf), choice(inf)
+    difference_draws = _fiber_draws(params.q, s, (0, 0, None, None))
 
     def difference_bad(cases):
         for k, (i, j, r1, r2) in enumerate(cases, 1):
@@ -693,11 +742,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
                 return k, (i, j, r1, r2)
 
     # (P + Q) - R == P + (Q - R) with pi(P) = pi(Q) = pi(R)
-    def triple_draws(rng):
-        randrange, choice = rng.randrange, rng.choice
-        while True:
-            fib = fibers[randrange(len(fibers))]
-            yield choice(fib), choice(fib), choice(fib)
+    triple_draws = _fiber_draws(params.q, s, (0, 0, 0))
 
     def triple_bad(cases):
         for n, (i, j, k) in enumerate(cases, 1):
@@ -705,11 +750,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
                 return n, (i, j, k)
 
     # (P1+P2-P3) + (Q1+Q2-Q3) == (P1+Q1) + (P2+Q2) - (P3+Q3), fiberwise
-    def exchange_draws(rng):
-        randrange, choice = rng.randrange, rng.choice
-        while True:
-            fp, fq = fibers[randrange(len(fibers))], fibers[randrange(len(fibers))]
-            yield choice(fp), choice(fp), choice(fp), choice(fq), choice(fq), choice(fq)
+    exchange_draws = _fiber_draws(params.q, s, (0, 0, 0, 1, 1, 1))
 
     def exchange_bad(cases):
         for k, (p1, p2, p3, q1, q2, q3) in enumerate(cases, 1):
@@ -746,11 +787,9 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
                                 return None, (m, i, j, k)
 
     def multiple_draws(rng):
-        randrange, choice = rng.randrange, rng.choice
-        while True:
-            m = randrange(-2 * n_pts, 2 * n_pts)
-            fib = fibers[randrange(len(fibers))]
-            yield m, choice(fib), choice(fib), choice(fib)
+        randrange, span = rng.randrange, 2 * n_pts
+        for case in triple_draws(rng):
+            yield randrange(-span, span), *case
 
     def multiple_bad(cases):
         mul = cayley.mul
@@ -764,7 +803,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
     grid = _sweep("multiple-of-fiber-sum", 4 * budget, seed, multiple_ce,
                   space=triple_space * len(multipliers), exhaust=multiple_all)
     tail = _sweep("multiple-of-fiber-sum", budget, seed, multiple_ce, draws=multiple_draws,
-                  first_bad=multiple_bad, samples=budget // 8, rng=rng)
+                  first_bad=multiple_bad, weight=8, rng=rng)
     reports.append(_merge([r for r in (grid, tail) if r],
                           f"exhaustive triples for multipliers {multipliers}" if grid else ""))
     return reports

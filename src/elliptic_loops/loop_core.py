@@ -165,7 +165,11 @@ class LoopParams:
         return all(self.residue_order(r) in (1, 3) for r in self.residue_points)
 
     def loop_points(self) -> list:
-        """All q * |m|^2 points, lifted fiberwise over the residue curve."""
+        """All q * |m|^2 points, lifted fiberwise over the residue curve.
+
+        The fiber over the f-th residue point (the residue identity first)
+        is the index range f * |m|^2 ... (f + 1) * |m|^2 - 1.
+        """
         if self._points is None:
             ring = self.ring
             one = ring.one

@@ -194,11 +194,14 @@ VERIFY_INSTANCES = [
 ]
 
 
-@pytest.mark.parametrize("ring", VERIFY_INSTANCES, ids=str)
-def test_no_check_passes_on_zero_cases_without_saying_why(ring):
+@pytest.mark.parametrize("ring, budget", [
+    *(pytest.param(ring, 1_000, id=str(ring)) for ring in VERIFY_INSTANCES),
+    *(pytest.param(ring, 1, id=f"{ring}-budget1") for ring in VERIFY_INSTANCES),
+])
+def test_no_check_passes_on_zero_cases_without_saying_why(ring, budget):
     a, b = (0, 2) if ring.p == 7 else (2, 1)
     params = LoopParams(ring, a, b)
-    for report in verify_instance(params, "all", budget=1_000, seed=0):
+    for report in verify_instance(params, "all", budget=budget, seed=0):
         if report.checked == 0:
             assert any(word in report.detail
                        for word in ("skipped", "not applicable", "formula only")), report
