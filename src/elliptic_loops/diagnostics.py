@@ -29,6 +29,7 @@ from itertools import chain, islice, product, repeat
 from .errors import EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
 from .loop_core import (
     LoopParams,
+    _multiples,
     add,
     identity,
     neg,
@@ -567,14 +568,6 @@ def replay(params: LoopParams, report) -> bool:
     return not _check_law(params, law, *case)
 
 
-def _multiples(params: LoopParams, g: ProjPoint, count: int) -> list:
-    """[0*g, 1*g, ..., (count-1)*g], by repeated addition."""
-    out = [identity(params)]
-    for _ in range(count - 1):
-        out.append(add(params, out[-1], g))
-    return out
-
-
 # ----------------------------------------------------------------------------
 # witness triples
 # ----------------------------------------------------------------------------
@@ -876,6 +869,10 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
         rep.detail = (f"decomposition is a bijection onto [0,{ring.ideal_size})^2"
                       if rep.exhaustive else "sampled decompositions recompose")
         reports.append(rep)
+    else:
+        reports += [_skipped(name, "not applicable: needs an integer quotient")
+                    for name in ("infinity-generator-orders", "infinity-generator-independence",
+                                 "infinity-coordinate-bijection")]
 
     # associativity
     if e <= 5:
@@ -1184,12 +1181,12 @@ def three_torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0
 
 def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Affine points lie on exactly one layer each (3 not dividing q)."""
-    from .layers import Layer, layer_membership, stratify
+    from .layers import Layer, all_layers, layer_membership, stratify
 
     if params.q % 3 == 0:
         return [_skipped("stratification", f"skipped: q = {params.q} divisible by 3")]
     ring = params.ring
-    layers = [Layer(params, t) for t in ring.ideal_elements()]
+    layers = all_layers(params)
     rident = params.project(identity(params))
     affine = [rpt for rpt in params.residue_points if rpt != rident]
 
@@ -1214,8 +1211,8 @@ def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 
 
 def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Per-layer group facts: size, closure, associativity, infinity part."""
-    from .layers import (Layer, layer_infinity_generator, layer_isomorphism_check,
-                         layer_membership, layer_points)
+    from .layers import (Layer, all_layers, layer_infinity_generator,
+                         layer_isomorphism_check, layer_membership, layer_points)
 
     ring = params.ring
     if ring.kind != INTEGER_QUOTIENT:
@@ -1274,8 +1271,7 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     elif expected ** 2 > budget:
         reports.append(_skipped("layer-group-isomorphism", "skipped: exceeds the budget"))
     else:
-        ok_iso = all(layer_isomorphism_check(Layer(params, t))[0]
-                     for t in ring.ideal_elements())
+        ok_iso = all(layer_isomorphism_check(lay)[0] for lay in all_layers(params))
         reports.append(LawReport("layer-group-isomorphism", ok_iso, None,
                                  isz * expected ** 2, True, None,
                                  detail=f"every layer = Z/{isz} x (residue curve)"))
@@ -1406,9 +1402,11 @@ def structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 
 def congruence_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    parts = ("i", "ii", "iv") if params.ring.kind == INTEGER_QUOTIENT else ("i", "ii")
-    return technical_congruences(params, cases=min(10_000, max(100, budget // 20)),
-                                 seed=seed, parts=parts)
+    cases = min(10_000, max(100, budget // 20))
+    if params.ring.kind == INTEGER_QUOTIENT:
+        return technical_congruences(params, cases=cases, seed=seed)
+    return technical_congruences(params, cases=cases, seed=seed, parts=("i", "ii")) + [
+        _skipped("congruence-iv", "not applicable: needs an integer quotient")]
 
 
 def nilpotency_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):

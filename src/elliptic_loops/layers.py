@@ -19,8 +19,8 @@ from .loop_core import (
     LoopParams,
     _eval_f,
     _eval_h,
+    _multiples,
     add,
-    identity,
     order_of,
     raw_add,
     scalar_mul,
@@ -36,10 +36,7 @@ class Layer:
 
     def __init__(self, params: LoopParams, t):
         ring = params.ring
-        if isinstance(t, RingElem):
-            t = t.val
-        elif isinstance(t, int):
-            t = ring.from_int(t)
+        t = ring.payload(t)
         if ring.is_unit(t):
             raise PreconditionUnmet(
                 f"layer parameter {t!r} must lie in the maximal ideal"
@@ -186,8 +183,7 @@ def hessian_closure_sweep(params: LoopParams, alpha, beta, pairs=None) -> tuple:
     """
     ring = params.ring
     zero = ring.zero
-    al = alpha.val if isinstance(alpha, RingElem) else ring.from_int(alpha)
-    be = beta.val if isinstance(beta, RingElem) else ring.from_int(beta)
+    al, be = ring.payload(alpha), ring.payload(beta)
 
     def combo(x, y, z):
         return ring.add(ring.mul(al, _eval_f(params, x, y, z)),
@@ -262,9 +258,7 @@ def layer_isomorphism_check(layer: Layer) -> tuple:
     if len(section) != q:
         return False, None
 
-    gen_multiples = [identity(params)]
-    for _ in range(pe1 - 1):
-        gen_multiples.append(add(params, gen_multiples[-1], gen))
+    gen_multiples = _multiples(params, gen, pe1)
 
     phi = {}
     for i in range(pe1):
@@ -277,17 +271,15 @@ def layer_isomorphism_check(layer: Layer) -> tuple:
         return False, None
 
     # homomorphism on all pairs; the second factor adds on the residue curve
-    from .loop_core import add as ladd
-
     rkeys = list(section.keys())
     radd = {}
     for r1 in rkeys:
         for r2 in rkeys:
-            radd[(r1.coords(), r2.coords())] = ladd(rp, r1, r2).coords()
+            radd[(r1.coords(), r2.coords())] = add(rp, r1, r2).coords()
     for (i1, r1), v1 in phi.items():
         for (i2, r2), v2 in phi.items():
             target = phi[((i1 + i2) % pe1, radd[(r1, r2)])]
-            if ladd(params, v1, v2) != target:
+            if add(params, v1, v2) != target:
                 return False, None
     return True, phi
 

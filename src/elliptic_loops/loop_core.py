@@ -60,20 +60,13 @@ class LoopParams:
 
     __slots__ = (
         "ring", "a", "b", "delta", "q",
-        "_a2", "_b3", "_fast", "_f", "_h", "_raw",
+        "_a2", "_b3",
         "residue_pairs", "residue_points", "residue_params",
         "_orders", "_points", "_identity",
     )
 
     def __init__(self, ring: RingConfig, a, b):
-        if isinstance(a, RingElem):
-            a = a.val
-        elif isinstance(a, int):
-            a = ring.from_int(a)
-        if isinstance(b, RingElem):
-            b = b.val
-        elif isinstance(b, int):
-            b = ring.from_int(b)
+        a, b = ring.payload(a), ring.payload(b)
         self.ring = ring
         self.a = a
         self.b = b
@@ -82,8 +75,6 @@ class LoopParams:
         self._identity = None
         self._a2 = ring.mul(a, a)
         self._b3 = ring.mul_int(3, b)
-        self._fast = ring.kind == INTEGER_QUOTIENT
-        self._f, self._h, self._raw = _INT_KERNELS if self._fast else _RING_KERNELS
 
         # discriminant up to sign: -(4 A^3 + 27 B^2) must be a unit
         a3 = ring.mul(self._a2, a)
@@ -217,36 +208,36 @@ def validate_params(ring: RingConfig, a, b) -> LoopParams:
     Raises SingularCurve when the discriminant is not a unit and EvenOrder
     when the residue curve contains 2-torsion.
     """
-    def pay(v):
-        if isinstance(v, RingElem):
-            return v.val
-        if isinstance(v, int):
-            return ring.from_int(v)
-        return ring.from_coeffs(v)
-
-    return LoopParams(ring, pay(a), pay(b))
+    return LoopParams(ring, a, b)
 
 
-# -- the cubic, its Hessian and the raw law: one kernel per ring shape --------
+# -- the cubic, its Hessian and the raw law: one statement for both rings ----
 #
-# Over Z/p^e each of F, H and the raw law is a single integer polynomial
-# reduced once mod p^e.  Over F_p[t]/(t^e) they are stated with ring ops;
-# those statements are also the oracle the integer kernels are tested
-# against.  LoopParams binds its three kernels once, at construction.
+# Each of F, H and the raw law is a single integer polynomial in the
+# payloads, reduced once by ``ring.mod``: p^e over Z/p^e, and over
+# F_p[t]/(t^e) the reducer of the Kronecker-packed payloads, for which int
+# products are polynomial products (see ring.Poly for the slot width).
 
 
-def _eval_f_int(params: LoopParams, x: int, y: int, z: int) -> int:
+def _eval_f(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
     zz = z * z
-    return (x * x * x + (params.a * x + params.b * z) * zz - y * y * z) % params.ring.modulus
+    return (x * x * x + (params.a * x + params.b * z) * zz - y * y * z) % params.ring.mod
 
 
-def _eval_h_int(params: LoopParams, x: int, y: int, z: int) -> int:
+def _eval_h(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
     inner = 3 * x * (params.a * x * z + y * y + 3 * params.b * z * z) - params._a2 * z * z * z
-    return -8 * inner % params.ring.modulus
+    return -8 * inner % params.ring.mod
 
 
-def _raw_add_int(params: LoopParams, t1: tuple, t2: tuple) -> tuple:
-    M = params.ring.modulus
+def raw_add(params: LoopParams, t1: tuple, t2: tuple) -> tuple:
+    """The full bihomogeneous law on arbitrary representatives.
+
+    Returns the unnormalized image triple (T1, T2, T3) as payloads.  Both
+    inputs may be any primitive representatives; the output then represents
+    the sum of the two points whenever both lie on the loop.  The law is
+    symmetric as a map of triples: raw_add(u, v) == raw_add(v, u) exactly.
+    """
+    M = params.ring.mod
     a, b3 = params.a, params._b3
     x1, y1, z1 = t1
     x2, y2, z2 = t2
@@ -263,64 +254,6 @@ def _raw_add_int(params: LoopParams, t1: tuple, t2: tuple) -> tuple:
     q3 = a * zz + 3 * xx
     q4 = yy + axz + b3zz
     return ((xy * q1 + zy * q2) % M, (q1 * q4 - q2 * q3) % M, (xy * q3 + zy * q4) % M)
-
-
-def _eval_f_ring(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
-    ring = params.ring
-    mul, add, sub = ring.mul, ring.add, ring.sub
-    x3 = mul(mul(x, x), x)
-    axz2 = mul(params.a, mul(x, mul(z, z)))
-    bz3 = mul(params.b, mul(mul(z, z), z))
-    y2z = mul(mul(y, y), z)
-    return sub(add(x3, add(axz2, bz3)), y2z)
-
-
-def _eval_h_ring(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
-    ring = params.ring
-    mul, add, sub = ring.mul, ring.add, ring.sub
-    t1 = ring.mul_int(3, mul(mul(mul(params.a, x), x), z))
-    t2 = ring.mul_int(3, mul(x, mul(y, y)))
-    t3 = ring.mul_int(9, mul(params.b, mul(x, mul(z, z))))
-    t4 = mul(mul(mul(params._a2, z), z), z)
-    inner = sub(add(t1, add(t2, t3)), t4)
-    return ring.mul_int(-8, inner)
-
-
-def _raw_add_ring(params: LoopParams, t1: tuple, t2: tuple) -> tuple:
-    ring = params.ring
-    mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
-    a, a2, b3 = params.a, params._a2, params._b3
-    x1, y1, z1 = t1
-    x2, y2, z2 = t2
-
-    xx = mul(x1, x2)
-    yy = mul(y1, y2)
-    zz = mul(z1, z2)
-    xz = add(mul(x1, z2), mul(x2, z1))
-    xy = add(mul(x1, y2), mul(x2, y1))
-    zy = add(mul(z1, y2), mul(z2, y1))
-
-    q1 = add(sub(neg(mul(a, xz)), mul(b3, zz)), yy)
-    q2 = sub(mul(a2, zz), add(mul(a, xx), mul(b3, xz)))
-    q3 = add(mul(a, zz), ring.mul_int(3, xx))
-    q4 = add(add(mul(a, xz), mul(b3, zz)), yy)
-
-    s1 = add(mul(xy, q1), mul(zy, q2))
-    s2 = sub(mul(q1, q4), mul(q2, q3))
-    s3 = add(mul(xy, q3), mul(zy, q4))
-    return (s1, s2, s3)
-
-
-_INT_KERNELS = (_eval_f_int, _eval_h_int, _raw_add_int)
-_RING_KERNELS = (_eval_f_ring, _eval_h_ring, _raw_add_ring)
-
-
-def _eval_f(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
-    return params._f(params, x, y, z)
-
-
-def _eval_h(params: LoopParams, x: Payload, y: Payload, z: Payload) -> Payload:
-    return params._h(params, x, y, z)
 
 
 def eval_F(params: LoopParams, pt: ProjPoint) -> RingElem:
@@ -348,20 +281,9 @@ def identity(params: LoopParams) -> ProjPoint:
 # -- the addition law ----------------------------------------------------------
 
 
-def raw_add(params: LoopParams, t1: tuple, t2: tuple) -> tuple:
-    """The full bihomogeneous law on arbitrary representatives.
-
-    Returns the unnormalized image triple (T1, T2, T3) as payloads.  Both
-    inputs may be any primitive representatives; the output then represents
-    the sum of the two points whenever both lie on the loop.  The law is
-    symmetric as a map of triples: raw_add(u, v) == raw_add(v, u) exactly.
-    """
-    return params._raw(params, t1, t2)
-
-
-def _add_canonical_int(params: LoopParams, x1, z1, x2, z2) -> tuple:
-    """Reduced law for two canonical points (x : 1 : z) over Z/p^e."""
-    M = params.ring.modulus
+def _add_canonical(params: LoopParams, x1, z1, x2, z2) -> tuple:
+    """Reduced law for two canonical points (x : 1 : z)."""
+    M = params.ring.mod
     a, a2, b3 = params.a, params._a2, params._b3
     xx = x1 * x2 % M
     zz = z1 * z2 % M
@@ -384,31 +306,6 @@ def _add_canonical_int(params: LoopParams, x1, z1, x2, z2) -> tuple:
     return x3, z3
 
 
-def _add_canonical_generic(params: LoopParams, x1, z1, x2, z2) -> tuple:
-    ring = params.ring
-    mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
-    a, a2, b3 = params.a, params._a2, params._b3
-    one = ring.one
-    xx = mul(x1, x2)
-    zz = mul(z1, z2)
-    xz = add(mul(x1, z2), mul(x2, z1))
-    sx = add(x1, x2)
-    sz = add(z1, z2)
-    q1 = add(sub(neg(mul(a, xz)), mul(b3, zz)), one)
-    q2 = sub(mul(a2, zz), add(mul(a, xx), mul(b3, xz)))
-    q3 = add(mul(a, zz), ring.mul_int(3, xx))
-    q4 = add(add(mul(a, xz), mul(b3, zz)), one)
-    t2 = sub(mul(q1, q4), mul(q2, q3))
-    if not ring.is_unit(t2):
-        raise DegenerateSum(
-            f"sum of ({x1!r}:1:{z1!r}) and ({x2!r}:1:{z2!r}) has no unit Y coordinate"
-        )
-    inv = ring.inverse(t2)
-    x3 = mul(add(mul(sx, q1), mul(sz, q2)), inv)
-    z3 = mul(add(mul(sx, q3), mul(sz, q4)), inv)
-    return x3, z3
-
-
 def add(params: LoopParams, p1: ProjPoint, p2: ProjPoint) -> ProjPoint:
     """Sum of two loop points, in canonical form.
 
@@ -418,10 +315,7 @@ def add(params: LoopParams, p1: ProjPoint, p2: ProjPoint) -> ProjPoint:
     ring = params.ring
     one = ring.one
     if p1.y == one and p2.y == one:
-        if params._fast:
-            x3, z3 = _add_canonical_int(params, p1.x, p1.z, p2.x, p2.z)
-        else:
-            x3, z3 = _add_canonical_generic(params, p1.x, p1.z, p2.x, p2.z)
+        x3, z3 = _add_canonical(params, p1.x, p1.z, p2.x, p2.z)
         return ProjPoint(ring, x3, one, z3)
     s1, s2, s3 = raw_add(params, p1.coords(), p2.coords())
     if not (ring.is_unit(s1) or ring.is_unit(s2) or ring.is_unit(s3)):
@@ -457,6 +351,14 @@ def scalar_mul(params: LoopParams, n: int, pt: ProjPoint) -> ProjPoint:
         out = add(params, out, out)
         if bit == "1":
             out = add(params, out, pt)
+    return out
+
+
+def _multiples(params: LoopParams, g: ProjPoint, count: int) -> list:
+    """[0*g, 1*g, ..., (count-1)*g], by repeated addition."""
+    out = [identity(params)]
+    for _ in range(count - 1):
+        out.append(add(params, out[-1], g))
     return out
 
 
@@ -514,9 +416,7 @@ def lift_affine(params: LoopParams, pt: ProjPoint, alpha) -> RingElem:
     ring = params.ring
     if not ring.is_unit(pt.z):
         raise PreconditionUnmet(f"{pt!r} is not affine (Z is not a unit)")
-    al = alpha.val if isinstance(alpha, RingElem) else (
-        ring.from_int(alpha) if isinstance(alpha, int) else ring.from_coeffs(alpha)
-    )
+    al = ring.payload(alpha)
     u = ring.inverse(pt.z)
     x = ring.mul(pt.x, u)
     y = ring.mul(pt.y, u)

@@ -34,15 +34,8 @@ class ProjPoint:
 
     @classmethod
     def of(cls, ring: RingConfig, x, y, z) -> "ProjPoint":
-        """Canonicalize a triple given as ints or payloads."""
-        def pay(v):
-            if isinstance(v, RingElem):
-                return v.val
-            if isinstance(v, int):
-                return ring.from_int(v)
-            return ring.from_coeffs(v)
-
-        return normalize(ring, pay(x), pay(y), pay(z))
+        """Canonicalize a triple given as anything ``ring.payload`` accepts."""
+        return normalize(ring, ring.payload(x), ring.payload(y), ring.payload(z))
 
     def coords(self) -> tuple:
         return (self.x, self.y, self.z)

@@ -5,10 +5,17 @@ Two instances are provided under a common interface:
 * ``integer-quotient``      Z/p^e Z, maximal ideal (p)
 * ``truncated-polynomial``  F_p[t]/(t^e), maximal ideal (t)
 
-Elements are kept in a canonical form (least non-negative residue for the
-integer quotient, coefficient tuple for the polynomial quotient), so ``==``
-and hashing are structural.  The valuation of zero is the float infinity,
-which already behaves as the absorbing element under ``+`` and ``min``.
+Elements are kept in a canonical form, and in both rings that form is an
+int: the least non-negative residue for the integer quotient, and for the
+polynomial quotient the Kronecker packing sum c_i 2^(k i) of the
+coefficients 0 <= c_i < p (a :class:`Poly`).  So ``==`` and hashing are
+structural, and sums and products of payloads are plain int arithmetic:
+exact in Z[t] for packed polynomials, as long as every digit stays within
+the slot width documented on :class:`Poly`.  Each ring has one reducer,
+``RingConfig.mod``, that brings such an expression back to a payload:
+``expr % ring.mod`` and ``pow(u, -1, ring.mod)`` mean the same thing in
+both rings.  The valuation of zero is the float infinity, which already
+behaves as the absorbing element under ``+`` and ``min``.
 
 The arithmetic methods on :class:`RingConfig` work on these canonical
 payloads directly; :class:`RingElem` is a thin operator-overloading wrapper
@@ -17,16 +24,17 @@ around them for code where readability matters more than speed.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import NonUnit
 
 INTEGER_QUOTIENT = "integer-quotient"
 TRUNCATED_POLYNOMIAL = "truncated-polynomial"
 
-#: canonical payload: an int for Z/p^e, a coefficient tuple for F_p[t]/(t^e)
-Payload = Union[int, tuple]
+#: canonical payload: a residue for Z/p^e, a packed :class:`Poly` for F_p[t]/(t^e)
+Payload = int
 
 INFINITY = math.inf
 
@@ -42,6 +50,99 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class Poly(int):
+    """A canonical element of F_p[t]/(t^e), packed as the int sum c_i 2^(k i).
+
+    One subclass exists per (p, e) (see :func:`_poly_class`), carrying p, e
+    and the slot width k as class attributes.  Payloads add, subtract and
+    multiply as ints, which is exact polynomial arithmetic in Z[t] while
+    every digit d_i below t^e stays in |d_i| < 2^(k-1); digits from t^e up
+    are discarded by the reduction and may be anything.  The law's largest
+    such digit is in T2 = Q1 Q4 - Q2 Q3 on canonical inputs: the Q's have
+    digits below 4 e^2 (p-1)^3, and a product digit below t^e sums at most
+    e terms, so |d_i| < 32 e^5 (p-1)^6.  Hence
+
+        k = 6 bitlen(p) + 5 bitlen(e) + 6,
+
+    which puts 2^(k-1) above that bound; F, H and the canonical law stay
+    far below it.  ``repr`` and ``str`` show the coefficient tuple.
+    """
+
+    __slots__ = ()
+    p = e = k = 1
+    mod = None  # the _Reducer of this (p, e)
+
+    def coeffs(self) -> tuple:
+        k, mask = self.k, (1 << self.k) - 1
+        return tuple(self >> k * i & mask for i in range(self.e))
+
+    def __repr__(self) -> str:
+        return repr(self.coeffs())
+
+    __str__ = __repr__
+
+    def __reduce__(self):  # the class is made at run time: pickle by (p, e)
+        return _poly_payload, (self.p, self.e, int(self))
+
+    def __pow__(self, n, mod=None):
+        """``pow(a, -1, mod)`` is the inverse: Newton steps u' = u(2 - a u)
+        from the constant term, each doubling the t-adic precision, with one
+        reduction per step (digits stay below e^2 (p-1)^3).  Raises
+        ValueError on the maximal ideal, as ``pow`` does for ints."""
+        if n != -1 or mod is not self.mod:
+            return int.__pow__(self, n, mod)
+        c0 = self & (1 << self.k) - 1
+        if c0 == 0:
+            raise ValueError("base is not invertible for the given modulus")
+        inv = type(self)(pow(c0, -1, self.p))
+        for _ in range((self.e - 1).bit_length()):
+            inv = inv * (2 - self * inv) % mod
+        return inv
+
+
+class _Reducer:
+    """``v % reducer``: the payload of an int-packed polynomial expression.
+
+    Takes the low e digits of v as signed k-bit digits, reduces each mod p,
+    and packs the result.  A bias of 2^(k-1) per digit turns the signed
+    digits into unsigned ones, so one mask isolates all e of them.
+    """
+
+    __slots__ = ("cls", "p", "k", "mask", "half", "bias", "low", "shifts")
+
+    def __init__(self, cls):
+        k, e = cls.k, cls.e
+        self.cls = cls
+        self.p = cls.p
+        self.k = k
+        self.mask = (1 << k) - 1
+        self.half = 1 << (k - 1)
+        self.bias = sum(self.half << k * i for i in range(e))
+        self.low = (1 << k * e) - 1
+        self.shifts = tuple(k * i for i in range(e))
+
+    def __rmod__(self, v: int) -> Poly:
+        p, mask, half = self.p, self.mask, self.half
+        w = (v + self.bias) & self.low
+        out = 0
+        for s in self.shifts:
+            out |= ((w >> s & mask) - half) % p << s
+        return self.cls(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _poly_class(p: int, e: int) -> type:
+    """The packed payload class of F_p[t]/(t^e), one per (p, e)."""
+    k = 6 * p.bit_length() + 5 * e.bit_length() + 6
+    cls = type(f"Poly_{p}_{e}", (Poly,), {"__slots__": (), "p": p, "e": e, "k": k})
+    cls.mod = _Reducer(cls)
+    return cls
+
+
+def _poly_payload(p: int, e: int, value: int) -> Poly:
+    return _poly_class(p, e)(value)
+
+
 class RingConfig:
     """A finite local ring R with maximal ideal m, m^e = 0 and 6 in R*.
 
@@ -49,7 +150,7 @@ class RingConfig:
     enforced so that 2 and 3 are invertible.
     """
 
-    __slots__ = ("kind", "p", "e", "modulus", "key", "zero", "one")
+    __slots__ = ("kind", "p", "e", "modulus", "mod", "key", "zero", "one")
 
     def __init__(self, kind: str, p: int, e: int):
         if kind not in (INTEGER_QUOTIENT, TRUNCATED_POLYNOMIAL):
@@ -63,7 +164,9 @@ class RingConfig:
         self.kind = kind
         self.p = p
         self.e = e
-        self.modulus = p ** e  # p^e; used as the int modulus for Z/p^e
+        self.modulus = p ** e  # |R| = p^e
+        # what the formulas reduce by: p^e itself, or the packed class's reducer
+        self.mod = self.modulus if kind == INTEGER_QUOTIENT else _poly_class(p, e).mod
         self.key = (kind, p, e)
         # canonical 0 and 1, read on every addition: set once, not per access
         self.zero = self.from_int(0)
@@ -82,20 +185,28 @@ class RingConfig:
     # -- construction of canonical payloads ---------------------------------
 
     def from_int(self, n: int) -> Payload:
-        """Image of the integer n under the unique map Z -> R."""
+        """Image of the integer n under the unique map Z -> R.
+
+        A payload of this ring is an int too, and comes back unchanged.
+        """
         if self.kind == INTEGER_QUOTIENT:
             return n % self.modulus
-        return (n % self.p,) + (0,) * (self.e - 1)
+        cls = self.mod.cls
+        if isinstance(n, Poly):
+            if type(n) is not cls:
+                raise ValueError(f"{n!r} is a payload of another ring than {self!r}")
+            return n
+        return cls(n % self.p)
 
     def from_coeffs(self, coeffs) -> Payload:
         """Polynomial payload from a coefficient sequence (constant first)."""
         if self.kind == INTEGER_QUOTIENT:
             raise ValueError("coefficient form only exists for the polynomial quotient")
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.e:
-            raise ValueError(f"got {len(cs)} coefficients for truncation order {self.e}")
-        cs += [0] * (self.e - len(cs))
-        return tuple(cs)
+        coeffs = list(coeffs)
+        if len(coeffs) > self.e:
+            raise ValueError(f"got {len(coeffs)} coefficients for truncation order {self.e}")
+        p, k = self.p, self.mod.k
+        return self.mod.cls(sum(c % p << k * i for i, c in enumerate(coeffs)))
 
     def uniformizer(self) -> Payload:
         """A generator of the maximal ideal: p, respectively t."""
@@ -106,86 +217,50 @@ class RingConfig:
     # -- arithmetic on payloads ---------------------------------------------
 
     def add(self, a: Payload, b: Payload) -> Payload:
-        if self.kind == INTEGER_QUOTIENT:
-            return (a + b) % self.modulus
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return (a + b) % self.mod
 
     def sub(self, a: Payload, b: Payload) -> Payload:
-        if self.kind == INTEGER_QUOTIENT:
-            return (a - b) % self.modulus
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return (a - b) % self.mod
 
     def neg(self, a: Payload) -> Payload:
-        if self.kind == INTEGER_QUOTIENT:
-            return (-a) % self.modulus
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return (-a) % self.mod
 
     def mul(self, a: Payload, b: Payload) -> Payload:
-        if self.kind == INTEGER_QUOTIENT:
-            return (a * b) % self.modulus
-        p, e = self.p, self.e
-        out = [0] * e
-        for i, x in enumerate(a):
-            if x:
-                for j in range(e - i):
-                    out[i + j] = (out[i + j] + x * b[j]) % p
-        return tuple(out)
+        return (a * b) % self.mod
 
     def mul_int(self, n: int, a: Payload) -> Payload:
-        """n * a for an integer scalar n."""
-        if self.kind == INTEGER_QUOTIENT:
-            return (n * a) % self.modulus
-        p = self.p
-        return tuple((n * x) % p for x in a)
+        """n * a for an integer scalar n (reduced first, so any n is safe)."""
+        return (self.from_int(n) * a) % self.mod
 
     def valuation(self, a: Payload):
         """m-adic valuation in {0, ..., e-1}, or infinity for zero."""
+        if a == 0:
+            return INFINITY
         if self.kind == INTEGER_QUOTIENT:
-            if a == 0:
-                return INFINITY
             p, v = self.p, 0
             while a % p == 0:
                 a //= p
                 v += 1
             return v
-        for i, c in enumerate(a):
-            if c:
-                return i
-        return INFINITY
+        return ((a & -a).bit_length() - 1) // self.mod.k  # the lowest nonzero digit
 
     def is_unit(self, a: Payload) -> bool:
         if self.kind == INTEGER_QUOTIENT:
             return a % self.p != 0
-        return a[0] != 0
+        return a & self.mod.mask != 0
 
     def inverse(self, a: Payload) -> Payload:
         """Multiplicative inverse; raises NonUnit on the maximal ideal."""
-        if self.kind == INTEGER_QUOTIENT:
-            if a % self.p == 0:
-                raise NonUnit(f"{a} lies in the maximal ideal of Z/{self.modulus}")
-            return pow(a, -1, self.modulus)
-        if a[0] == 0:
-            raise NonUnit(f"{a} lies in the maximal ideal (constant term 0)")
-        p, e = self.p, self.e
-        out = [0] * e
-        c0 = pow(a[0], -1, p)
-        out[0] = c0
-        # (sum a_i t^i)(sum b_j t^j) = 1 truncated at t^e, solved degree by degree
-        for k in range(1, e):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += a[i] * out[k - i]
-            out[k] = (-c0 * acc) % p
-        return tuple(out)
+        try:
+            return pow(a, -1, self.mod)
+        except ValueError:
+            raise NonUnit(f"{a} lies in the maximal ideal of {self!r}") from None
 
     def residue(self, a: Payload) -> int:
         """Projection R -> R/m = F_p, as an integer in [0, p)."""
         if self.kind == INTEGER_QUOTIENT:
             return a % self.p
-        return a[0]
+        return a & self.mod.mask
 
     def residue_ring(self) -> "RingConfig":
         """The residue field F_p presented as the integer quotient Z/p."""
@@ -204,16 +279,7 @@ class RingConfig:
 
     def elements(self) -> Iterator[Payload]:
         """All p^e canonical payloads."""
-        if self.kind == INTEGER_QUOTIENT:
-            yield from range(self.modulus)
-            return
-        p, e = self.p, self.e
-        for n in range(p ** e):
-            cs = []
-            for _ in range(e):
-                cs.append(n % p)
-                n //= p
-            yield tuple(cs)
+        return self.ideal_elements(0)
 
     def ideal_elements(self, power: int = 1) -> Iterator[Payload]:
         """All elements of m^power (the zero ideal once power >= e)."""
@@ -231,7 +297,7 @@ class RingConfig:
             for _ in range(free):
                 cs.append(n % p)
                 n //= p
-            yield tuple(cs)
+            yield self.from_coeffs(cs)
 
     def random_element(self, rng, min_valuation: int = 0) -> Payload:
         """A uniformly random element of m^min_valuation.
@@ -243,13 +309,12 @@ class RingConfig:
         if self.kind == INTEGER_QUOTIENT:
             step = self.p ** k
             return step * rng.randrange(self.p ** (self.e - k)) if k < self.e else 0
-        cs = [0] * k + [rng.randrange(self.p) for _ in range(self.e - k)]
-        return tuple(cs)
+        return self.from_coeffs([0] * k + [rng.randrange(self.p) for _ in range(self.e - k)])
 
     # -- serialization and housekeeping --------------------------------------
 
     def payload_to_json(self, a: Payload):
-        return a if self.kind == INTEGER_QUOTIENT else list(a)
+        return a if self.kind == INTEGER_QUOTIENT else list(a.coeffs())
 
     def payload_from_json(self, obj) -> Payload:
         if self.kind == INTEGER_QUOTIENT:
@@ -263,17 +328,27 @@ class RingConfig:
     def from_json(cls, obj: dict) -> "RingConfig":
         return cls(obj["kind"], int(obj["p"]), int(obj["e"]))
 
-    def elem(self, value) -> "RingElem":
-        """Wrap an int (any kind) or coefficient sequence (polynomial kind)."""
+    def payload(self, value) -> Payload:
+        """The payload named by a RingElem, an int or payload (any kind), or a
+        coefficient sequence (polynomial kind)."""
+        if isinstance(value, RingElem):
+            return value.val
         if isinstance(value, int):
-            return RingElem(self, self.from_int(value))
-        return RingElem(self, self.from_coeffs(value))
+            return self.from_int(value)
+        return self.from_coeffs(value)
+
+    def elem(self, value) -> "RingElem":
+        """Wrap anything :meth:`payload` accepts."""
+        return RingElem(self, self.payload(value))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RingConfig) and self.key == other.key
 
     def __hash__(self) -> int:
         return hash(self.key)
+
+    def __reduce__(self):
+        return RingConfig, (self.kind, self.p, self.e)
 
     def __repr__(self) -> str:
         if self.kind == INTEGER_QUOTIENT:

@@ -19,6 +19,7 @@ from .loop_core import (
     LoopParams,
     _eval_f,
     _eval_h,
+    _multiples,
     add,
     identity,
     neg,
@@ -26,7 +27,7 @@ from .loop_core import (
     sub,
 )
 from .projective import ProjPoint
-from .ring import INTEGER_QUOTIENT, RingElem
+from .ring import INTEGER_QUOTIENT
 
 
 class AssocMatrix:
@@ -163,15 +164,12 @@ def forbidden_locus_check(params: LoopParams) -> bool:
     Exhaustive over the p^(e-1) - 1 nonzero multiples and all layer
     parameters t in m.
     """
-    from .layers import Layer, layer_membership
+    from .layers import all_layers, layer_membership
 
-    ring = params.ring
     _, g2 = infinity_generators(params)
     ident = identity(params)
-    layers = [Layer(params, t) for t in ring.ideal_elements()]
-    current = ident
-    for _ in range(ring.ideal_size - 1):
-        current = add(params, current, g2)
+    layers = all_layers(params)
+    for current in _multiples(params, g2, params.ring.ideal_size)[1:]:
         if current == ident:
             continue
         for lay in layers:
@@ -297,31 +295,19 @@ def torsion_line(params: LoopParams, pt: ProjPoint, gen: ProjPoint) -> TorsionLi
 
     X, Z = pt.x, pt.z
     mx, mz = gen.x, gen.z
-    a, a2, b = params.a, params._a2, params.b
+    a, b = params.a, params.b
     mul, addp, subp = ring.mul, ring.add, ring.sub
 
-    def lin(*terms):
-        total = ring.zero
-        for coeff, val in terms:
-            total = addp(total, ring.mul_int(coeff, val))
-        return total
-
-    XX, XZ, ZZ = mul(X, X), mul(X, Z), mul(Z, Z)
-    alpha = lin(
-        (1, mul(a2, mul(ZZ, mz))),
-        (-1, mul(a, mul(XX, mz))),
-        (-2, mul(a, mul(XZ, mx))),
-        (-6, mul(b, mul(XZ, mz))),
-        (-3, mul(b, mul(ZZ, mx))),
-        (1, mx),
-    )
-    beta = lin(
-        (2, mul(a, mul(XZ, mz))),
-        (1, mul(a, mul(ZZ, mx))),
-        (3, mul(b, mul(ZZ, mz))),
-        (3, mul(XX, mx)),
-        (1, mz),
-    )
+    # Exact integer statements of the direction, reduced by ring.mod for
+    # the line.  Over Z/p^2 they also give the reduced line: from the
+    # canonical representatives, -(beta/p)*X + ((beta*X - alpha*Z)/p)*1 +
+    # (alpha/p)*Z = 0 holds as an integer identity, which is what pins the
+    # cut to the coset.
+    alpha_z = (params._a2 * Z * Z * mz - a * X * X * mz - 2 * a * X * Z * mx
+               - 6 * b * X * Z * mz - 3 * b * Z * Z * mx + mx)
+    beta_z = (2 * a * X * Z * mz + a * Z * Z * mx + 3 * b * Z * Z * mz
+              + 3 * X * X * mx + mz)
+    alpha, beta = alpha_z % ring.mod, beta_z % ring.mod
 
     degenerate = mx == ring.zero and mz == ring.zero
     line = (ring.neg(beta), subp(mul(beta, X), mul(alpha, Z)), alpha)
@@ -352,16 +338,7 @@ def torsion_line(params: LoopParams, pt: ProjPoint, gen: ProjPoint) -> TorsionLi
             raise AssertionError(f"coset point {cpt!r} misses the line")
 
     if ring.kind == INTEGER_QUOTIENT and ring.e == 2 and not degenerate:
-        # The reduced line must be built from exact integer values: with
-        # alpha, beta recomputed over Z from the canonical representatives,
-        # -(beta/p)*X + ((beta*X - alpha*Z)/p)*1 + (alpha/p)*Z = 0 holds as
-        # an integer identity, which is what pins the cut to the coset.
         p, pe = ring.p, ring.size
-        ai, bi, a2i = a, b, a2
-        alpha_z = (a2i * Z * Z * mz - ai * X * X * mz - 2 * ai * X * Z * mx
-                   - 6 * bi * X * Z * mz - 3 * bi * Z * Z * mx + mx)
-        beta_z = (2 * ai * X * Z * mz + ai * Z * Z * mx + 3 * bi * Z * Z * mz
-                  + 3 * X * X * mx + mz)
         if alpha_z % p or beta_z % p:
             raise AssertionError("line coefficients are not all divisible by p")
         reduced = (

@@ -1,9 +1,11 @@
 """Core loop arithmetic against independent oracles.
 
-The addition law is cross-checked three ways: against the textbook
+The addition law is cross-checked four ways: against the textbook
 chord-and-tangent formulas on the classical curve points (the exact
-zero set of F), against repeated addition for scalar multiples, and
-against unit-rescaled inputs for projective well-definedness.
+zero set of F), against repeated addition for scalar multiples, against
+unit-rescaled inputs for projective well-definedness, and, with F and H,
+against the module docstring's formulas evaluated with RingElem
+operators on both ring kinds, up to the slot width of packed polynomials.
 """
 
 from __future__ import annotations
@@ -13,18 +15,22 @@ import random
 import pytest
 
 from elliptic_loops import (
+    DegenerateSum,
     EvenOrder,
+    Layer,
     LoopParams,
     PreconditionUnmet,
     LoopPoint,
     ProjPoint,
     RingConfig,
+    RingElem,
     SingularCurve,
     add,
     eval_F,
     eval_H,
     identity,
     lift_affine,
+    matching_curve_shift,
     membership,
     neg,
     normalize,
@@ -466,43 +472,155 @@ def test_polynomial_ring_loop_matches_integer_counts():
 
 
 # ---------------------------------------------------------------------------
-# integer kernels against the ring-op statements
+# the kernels against the module docstring's formulas, evaluated with
+# RingElem operators (which reduce after every operation)
 # ---------------------------------------------------------------------------
 
 
-def test_kernels_bound_per_ring_shape():
-    ints = params_for(5, 2, 2, 1)
-    assert (ints._f, ints._h, ints._raw) == (
-        loop_core._eval_f_int, loop_core._eval_h_int, loop_core._raw_add_int)
-    poly = LoopParams(RingConfig.truncated_poly(5, 2), 2, 1)
-    assert (poly._f, poly._h, poly._raw) == (
-        loop_core._eval_f_ring, loop_core._eval_h_ring, loop_core._raw_add_ring)
+def _wrap(params, *payloads):
+    return [RingElem(params.ring, v) for v in (params.a, params.b) + payloads]
 
 
-@pytest.mark.parametrize("p,e,a,b,where", [
-    (5, 2, 2, 1, "plane"),
-    (5, 3, 2, 1, "loop"),
+def _f_oracle(params, x, y, z):
+    A, B, X, Y, Z = _wrap(params, x, y, z)
+    return (X * X * X + A * X * Z * Z + B * Z * Z * Z - Y * Y * Z).val
+
+
+def _h_oracle(params, x, y, z):
+    A, B, X, Y, Z = _wrap(params, x, y, z)
+    return (-8 * (3 * A * X * X * Z + 3 * X * Y * Y + 9 * B * X * Z * Z - A * A * Z * Z * Z)).val
+
+
+def _raw_oracle(params, t1, t2):
+    A, B, X1, Y1, Z1, X2, Y2, Z2 = _wrap(params, *t1, *t2)
+    Q1 = -A * X1 * Z2 - A * X2 * Z1 - 3 * B * Z1 * Z2 + Y1 * Y2
+    Q2 = A * A * Z1 * Z2 - A * X1 * X2 - 3 * B * X1 * Z2 - 3 * B * X2 * Z1
+    Q3 = A * Z1 * Z2 + 3 * X1 * X2
+    Q4 = A * X1 * Z2 + A * X2 * Z1 + 3 * B * Z1 * Z2 + Y1 * Y2
+    XY, ZY = X1 * Y2 + X2 * Y1, Z1 * Y2 + Z2 * Y1
+    return ((XY * Q1 + ZY * Q2).val, (Q1 * Q4 - Q2 * Q3).val, (XY * Q3 + ZY * Q4).val)
+
+
+def _assert_canonical_add_matches_oracle(params, x1, z1, x2, z2):
+    """add on (x1 : 1 : z1), (x2 : 1 : z2) is (T1/T2 : 1 : T3/T2), or raises
+    DegenerateSum when T2 is no unit."""
+    ring = params.ring
+    one = ring.one
+    t1, t2, t3 = (RingElem(ring, v)
+                  for v in _raw_oracle(params, (x1, one, z1), (x2, one, z2)))
+    p1, p2 = ProjPoint(ring, x1, one, z1), ProjPoint(ring, x2, one, z2)
+    if not t2.is_unit():
+        with pytest.raises(DegenerateSum):
+            add(params, p1, p2)
+        return
+    inv = t2.inverse()
+    assert add(params, p1, p2) == ProjPoint(ring, (t1 * inv).val, one, (t3 * inv).val)
+
+
+@pytest.mark.parametrize("ring,a,b,where", [
+    pytest.param(RingConfig.integer(5, 2), 2, 1, "plane", id="5-2-2-1-plane"),
+    pytest.param(RingConfig.integer(5, 3), 2, 1, "loop", id="5-3-2-1-loop"),
+    pytest.param(RingConfig.truncated_poly(5, 2), 2, 1, "plane", id="poly-5-2-2-1-plane"),
+    pytest.param(RingConfig.truncated_poly(5, 3), 2, 1, "loop", id="poly-5-3-2-1-loop"),
 ])
-def test_f_and_h_kernels_match_ring_ops(p, e, a, b, where):
-    params = params_for(p, e, a, b)
-    pts = plane_points(params.ring) if where == "plane" else params.loop_points()
+def test_f_and_h_kernels_match_ring_ops(ring, a, b, where):
+    params = LoopParams(ring, a, b)
+    pts = plane_points(ring) if where == "plane" else params.loop_points()
     for pt in pts:
         c = pt.coords()
-        assert loop_core._eval_f(params, *c) == loop_core._eval_f_ring(params, *c)
-        assert loop_core._eval_h(params, *c) == loop_core._eval_h_ring(params, *c)
-        assert eval_F(params, pt).val == loop_core._eval_f_ring(params, *c)
+        assert loop_core._eval_f(params, *c) == _f_oracle(params, *c)
+        assert loop_core._eval_h(params, *c) == _h_oracle(params, *c)
+        assert eval_F(params, pt).val == _f_oracle(params, *c)
 
 
 def test_raw_add_kernel_matches_ring_ops_and_is_symmetric():
-    params = params_for(5, 2, 2, 1)
-    ring = params.ring
-    pts = list(plane_points(ring))[::13]
-    non_primitive = 0
-    for u in pts:
-        for v in pts:
-            s = raw_add(params, u.coords(), v.coords())
-            assert s == loop_core._raw_add_ring(params, u.coords(), v.coords())
-            assert s == raw_add(params, v.coords(), u.coords())
-            if not any(ring.is_unit(c) for c in s):
-                non_primitive += 1
-    assert non_primitive > 0  # the set exercises non-primitive sums too
+    for ring in (RingConfig.integer(5, 2), RingConfig.truncated_poly(5, 2)):
+        params = LoopParams(ring, 2, 1)
+        pts = list(plane_points(ring))[::13]
+        non_primitive = 0
+        for u in pts:
+            for v in pts:
+                s = raw_add(params, u.coords(), v.coords())
+                assert s == _raw_oracle(params, u.coords(), v.coords())
+                assert s == raw_add(params, v.coords(), u.coords())
+                if not any(ring.is_unit(c) for c in s):
+                    non_primitive += 1
+        assert non_primitive > 0  # the set exercises non-primitive sums too
+
+
+@pytest.mark.parametrize("ring", [RingConfig.integer(5, 3), RingConfig.truncated_poly(5, 3)],
+                         ids=repr)
+def test_canonical_add_matches_ring_ops(ring):
+    params = LoopParams(ring, 2, 1)
+    pts = params.loop_points()
+    for u in pts[::41]:
+        for v in pts[::43]:
+            _assert_canonical_add_matches_oracle(params, u.x, u.z, v.x, v.z)
+
+
+# ---------------------------------------------------------------------------
+# packed polynomial payloads: the slot width and the int pass-through
+# ---------------------------------------------------------------------------
+
+
+def _unchecked_params(ring, a, b):
+    """LoopParams with only what the kernels read, skipping the curve checks."""
+    params = LoopParams.__new__(LoopParams)
+    params.ring, params.a, params.b = ring, a, b
+    params._a2, params._b3 = ring.mul(a, a), ring.mul_int(3, b)
+    return params
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (5, 12), (65521, 7)])
+def test_kernels_hold_at_the_slot_width_bound(p, e):
+    ring = RingConfig.truncated_poly(p, e)
+    top = ring.from_coeffs([p - 1] * e)  # the largest digits a payload has
+    rng = random.Random(p * e)
+    rand = [ring.random_element(rng) for _ in range(12)]
+    for a, b in [(top, top), (rand[0], rand[1])]:
+        params = _unchecked_params(ring, a, b)
+        triples = [(top, top, top)] + [tuple(rand[i:i + 3]) for i in range(2, 11, 3)]
+        for t in triples:
+            assert loop_core._eval_f(params, *t) == _f_oracle(params, *t)
+            assert loop_core._eval_h(params, *t) == _h_oracle(params, *t)
+            for u in triples:
+                assert raw_add(params, t, u) == _raw_oracle(params, t, u)
+            _assert_canonical_add_matches_oracle(params, t[0], t[2], top, top)
+            _assert_canonical_add_matches_oracle(params, t[0], t[2], t[1], t[0])
+    big = 1 << 4 * ring.mod.k
+    for n in (big + 12345, -big - 7, 3 ** 400, -(5 ** 300) + 2):
+        for a in [top] + rand:
+            coeffs = ring.payload_to_json(a)
+            assert ring.payload_to_json(ring.mul_int(n, a)) == [n * c % p for c in coeffs]
+
+
+def test_packed_payload_coerces_like_its_coefficient_list():
+    ring = RingConfig.truncated_poly(5, 3)
+    pack = ring.from_coeffs
+    A, B = [2, 1, 3], [1, 4, 0]
+    params = validate_params(ring, A, B)
+    for built in (params, LoopParams(ring, pack(A), pack(B)),
+                  validate_params(ring, pack(A), pack(B))):
+        assert (built.a, built.b) == (pack(A), pack(B))
+
+    xyz = ([1, 2, 0], [3, 0, 1], [0, 1, 1])
+    assert ProjPoint.of(ring, *map(pack, xyz)) == ProjPoint.of(ring, *xyz)
+    t = [0, 1, 2]
+    assert Layer(params, pack(t)).t == Layer(params, RingElem(ring, pack(t))).t == pack(t)
+    pt = next(q for q in params.loop_points() if ring.is_unit(q.z) and not ring.is_unit(q.x))
+    assert lift_affine(params, pt, pack(t)) == lift_affine(params, pt, t)
+    u = RingElem(ring, pack([3, 1, 4]))
+    assert u * pack(t) == u * ring.elem(t)
+    assert u + pack(t) == u + ring.elem(t)
+    assert u - pack(t) == u - ring.elem(t)
+    assert ring.elem(pack(t)) == ring.elem(t) == pack(t)
+
+
+def test_matching_curve_shift_returns_payloads():
+    ring = RingConfig.truncated_poly(5, 2)
+    params = LoopParams(ring, 2, 1)
+    shift = matching_curve_shift(Layer(params, ring.zero))
+    assert shift == (ring.zero, ring.zero)
+    assert all(type(v) is type(ring.zero) for v in shift)
+    assert repr(shift) == "((0, 0), (0, 0))"
+    assert matching_curve_shift(Layer(params, ring.uniformizer())) is None

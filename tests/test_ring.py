@@ -1,14 +1,15 @@
 """Ring arithmetic against independent oracles.
 
 Integer quotients are checked against Python's own modular arithmetic
-and pow-based inverses; truncated polynomials against a naive
-convolution oracle; inverses additionally against an extended-Euclid
-implementation local to this file.
+and pow-based inverses; truncated polynomials, read as coefficient lists
+through ``payload_to_json``, against a naive convolution oracle; inverses
+additionally against an extended-Euclid implementation local to this file.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import pytest
@@ -37,7 +38,7 @@ def _poly_mul_oracle(ring, a, b):
         for j, cb in enumerate(b):
             if i + j < e:
                 out[i + j] = (out[i + j] + ca * cb) % p
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +112,22 @@ def test_residue_ring_and_residue_map():
 
 @pytest.mark.parametrize("ring", POLY_RINGS, ids=repr)
 def test_poly_ops_match_convolution_oracle(ring):
+    coeffs = ring.payload_to_json
     elems = list(ring.elements())
     assert len(elems) == ring.p ** ring.e
     for a in elems:
+        ca = coeffs(a)
         for b in elems:
-            assert ring.mul(a, b) == _poly_mul_oracle(ring, a, b)
-            assert ring.add(a, b) == tuple((x + y) % ring.p for x, y in zip(a, b))
-            assert ring.sub(a, b) == tuple((x - y) % ring.p for x, y in zip(a, b))
+            cb = coeffs(b)
+            assert coeffs(ring.mul(a, b)) == _poly_mul_oracle(ring, ca, cb)
+            assert coeffs(ring.add(a, b)) == [(x + y) % ring.p for x, y in zip(ca, cb)]
+            assert coeffs(ring.sub(a, b)) == [(x - y) % ring.p for x, y in zip(ca, cb)]
 
 
 @pytest.mark.parametrize("ring", POLY_RINGS, ids=repr)
 def test_poly_valuation_and_units(ring):
     for a in ring.elements():
-        lead = next((i for i, c in enumerate(a) if c), None)
+        lead = next((i for i, c in enumerate(ring.payload_to_json(a)) if c), None)
         if lead is None:
             assert ring.valuation(a) == math.inf
             assert not ring.is_unit(a)
@@ -170,6 +174,8 @@ def test_payload_json_round_trip(ring):
         assert ring.payload_from_json(encoded) == a
     blob = ring.to_json()
     assert RingConfig.from_json(blob) == ring
+    elems = list(ring.elements())
+    assert pickle.loads(pickle.dumps((ring, elems))) == (ring, elems)
 
 
 @pytest.mark.parametrize("ring", INT_RINGS + POLY_RINGS, ids=repr)

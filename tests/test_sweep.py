@@ -215,3 +215,16 @@ def test_gated_checks_say_they_do_not_apply(ring, a, b, suite, law):
     reports = {r.law: r for r in verify_instance(LoopParams(ring, a, b), suite,
                                                  budget=1_000, seed=0)}
     assert reports[law].checked == 0 and reports[law].detail.startswith("not applicable")
+
+
+@pytest.mark.parametrize("suite", ["infinity", "congruences"])
+def test_integer_only_checks_report_on_polynomial_rings(suite):
+    def laws(ring):
+        return [r.law for r in verify_instance(LoopParams(ring, 2, 1), suite,
+                                               budget=1_000, seed=0)]
+
+    poly = RingConfig.truncated_poly(5, 2)
+    assert laws(poly) == laws(RingConfig.integer(5, 2))
+    reports = verify_instance(LoopParams(poly, 2, 1), suite, budget=1_000, seed=0)
+    skipped = [r for r in reports if r.detail == "not applicable: needs an integer quotient"]
+    assert skipped and all(r.checked == 0 for r in skipped)
