@@ -264,12 +264,16 @@ class CayleyIndex:
     ``table[i][j]`` is the index of points[i] + points[j]; ``neg[i]`` the
     index of -points[i]; ``index`` maps a point's coordinate triple
     ``(x, y, z)`` to its index.  Built once, it turns bulk law sweeps into
-    lookups, which is what makes the exhaustive checks affordable.  Tables
-    of at most ``BYTE_ROWS_MAX`` points are swept as ``bytes`` rows, one
-    ``bytes.translate`` per row; larger ones as lists.
+    lookups, which is what makes the exhaustive checks affordable.
+
+    Associativity is certified by Light's test from a generating set
+    (:meth:`associative`), n^2 lookups per generator; only a table that
+    fails it is swept over all n^3 triples, to name the first failing one.
+    Tables of at most ``BYTE_ROWS_MAX`` points are checked and swept as
+    ``bytes`` rows, one ``bytes.translate`` per row; larger ones as lists.
     """
 
-    __slots__ = ("params", "points", "index", "table", "neg", "ident")
+    __slots__ = ("params", "points", "index", "table", "neg", "ident", "_cycles")
 
     def __init__(self, params: LoopParams, points):
         self.params = params
@@ -298,27 +302,91 @@ class CayleyIndex:
         self.table = table
         self.neg = [at(neg(params, pt), f"-{pt!r}") for pt in pts]
         self.ident = at(identity(params), "the identity")
+        self._cycles = {}
+
+    def multiples(self, i: int) -> list:
+        """Indices of [0 * points[i], 1 * points[i], ...] up to its order, cached.
+
+        The multiples of one point form a cyclic group (power-associativity),
+        walked once through the table: (k + 1) * P = k * P + P.
+        """
+        cyc = self._cycles.get(i)
+        if cyc is None:
+            table, k = self.table, i
+            cyc = self._cycles[i] = [self.ident]
+            while k != self.ident:
+                cyc.append(k)
+                k = table[k][i]
+        return cyc
 
     def mul(self, i: int, n: int) -> int:
-        """Index of n * points[i]."""
-        if n < 0:
-            return self.mul(self.neg[i], -n)
-        result = self.ident
-        base = i
+        """Index of n * points[i], for any integer n."""
+        cyc = self.multiples(i)
+        return cyc[n % len(cyc)]
+
+    def generators(self) -> list:
+        """A generating set S of the table, found greedily; never the identity.
+
+        Each generator is the smallest index not yet reached; the reached
+        set is closed under the right translations x -> x + s, s in S (the
+        left-normed words of S), until it holds all n indices.  The identity
+        comes last, so it is taken only in the one-point table.
+        """
+        table, ident = self.table, self.ident
+        n = len(table)
+        reached = [False] * n
+        gens = []
+        for g in [*range(ident), *range(ident + 1, n), ident]:
+            if reached[g]:
+                continue
+            gens.append(g)
+            reached[g] = True
+            todo = [x for x in range(n) if reached[x]]  # every word so far, now also + g
+            while todo:
+                row = table[todo.pop()]
+                for s in gens:
+                    y = row[s]
+                    if not reached[y]:
+                        reached[y] = True
+                        todo.append(y)
+        return gens
+
+    def associative(self, gens=None) -> bool:
+        """Whether the table is associative, by Light's test on ``gens``.
+
+        In any finite magma the g with (x + g) + y = x + (g + y) for all x, y
+        form a closed subset, so a generating set that passes proves all n^3
+        triples.  ``gens`` must generate the table; by default
+        :meth:`generators` finds a set.  Costs n^2 lookups per generator: as
+        byte rows, one ``bytes.translate`` per (x, g), row (x + g) against
+        row g mapped through row x.
+        """
         table = self.table
-        while n:
-            if n & 1:
-                result = table[result][base]
-            base = table[base][base]
-            n >>= 1
-        return result
+        n = len(table)
+        if gens is None:
+            gens = self.generators()
+        if n > BYTE_ROWS_MAX:
+            return all(table[tx[g]] == [tx[c] for c in table[g]] for tx in table for g in gens)
+        pad = bytes(BYTE_ROWS_MAX - n)
+        rows = [bytes(r) for r in table]
+        for tx, rx in zip(table, rows):
+            x_map = rx + pad
+            for g in gens:
+                if rows[tx[g]] != rows[g].translate(x_map):
+                    return False
+        return True
 
     def assoc_sweep(self):
-        """First non-associative triple (i, j, c) of indices, or None; full n^3 sweep.
+        """First non-associative triple (i, j, c) of indices, or None.
 
-        As byte rows, the block of a fixed i is one comparison: row (i + j)
-        for every j, joined, against the whole table mapped through row i.
+        None comes only from Light's test (:meth:`associative`).  A table
+        that fails it is swept over all n^3 triples for the first failing
+        one: as byte rows, the block of a fixed i is one comparison, row
+        (i + j) for every j, joined, against the whole table mapped through
+        row i.
         """
+        if self.associative():
+            return None
         table = self.table
         n = len(table)
         if n > BYTE_ROWS_MAX:
@@ -331,7 +399,7 @@ class CayleyIndex:
             rhs = flat.translate(rows[i] + pad)    # i + (j + c)
             if lhs != rhs:
                 return (i, *divmod(_first_difference(lhs, rhs), n))
-        return None
+        raise AssertionError("Light's test failed, yet every triple associates")
 
     def moufang_sweep(self):
         """First triple (i, j, k) of indices breaking the Moufang identity
@@ -400,10 +468,33 @@ def _table_hit(cayley: CayleyIndex, bad):
     return None if bad is None else (None, [cayley.points[i] for i in bad])
 
 
-def _assoc_table(params: LoopParams, pts):
-    """``exhaust`` of associativity over an addition-closed list, by index tables."""
-    cayley = CayleyIndex(params, pts)
-    return _table_hit(cayley, cayley.assoc_sweep())
+def _assoc_table(cayley: CayleyIndex, proofs: list):
+    """``exhaust`` of associativity over index tables, by :meth:`CayleyIndex.assoc_sweep`.
+
+    Appends to ``proofs`` how the table was decided: (generators, lookups)
+    when Light's test certified it, None when it was swept in full.
+    """
+    bad = cayley.assoc_sweep()
+    if bad is None:
+        k = len(cayley.generators())
+        proofs.append((k, k * len(cayley.table) ** 2))
+    else:
+        proofs.append(None)
+    return _table_hit(cayley, bad)
+
+
+def _assoc_detail(proofs: list) -> str:
+    """The detail of a report decided by the tables in ``proofs`` (see _assoc_table)."""
+    certs = [p for p in proofs if p]
+    swept = len(proofs) - len(certs)
+    parts = []
+    if certs:
+        on = f" on {len(certs)} tables" if len(certs) > 1 else ""
+        parts.append(f"Light's test{on}: {sum(g for g, _ in certs)} generators, "
+                     f"{sum(k for _, k in certs):,} lookups")
+    if swept:
+        parts.append("full sweep" + (f" on {swept} tables" if swept > 1 else ""))
+    return "; ".join(parts)
 
 
 # ----------------------------------------------------------------------------
@@ -461,16 +552,21 @@ def _law_report_points(params, law, pts, budget, seed, cayley) -> LawReport:
     """
     width = 3 if law in ("full-associative", "moufang") else 2
     first_bad = _law_breaker(params, law)
+    proofs = []
 
     def exhaust():
         if width == 2:
             return first_bad(product(params.loop_points(), repeat=2))
         t = cayley()
-        return _table_hit(t, t.assoc_sweep() if law == "full-associative" else t.moufang_sweep())
+        if law == "full-associative":
+            return _assoc_table(t, proofs)
+        return _table_hit(t, t.moufang_sweep())
 
-    return _sweep(law, budget, seed, _point_ce(params), space=params.cardinality() ** width,
-                  weight=360 if law == "diassociative" else 1, exhaust=exhaust,
-                  draws=_picks(pts, width), first_bad=first_bad)
+    rep = _sweep(law, budget, seed, _point_ce(params), space=params.cardinality() ** width,
+                 weight=360 if law == "diassociative" else 1, exhaust=exhaust,
+                 draws=_picks(pts, width), first_bad=first_bad)
+    rep.detail = _assoc_detail(proofs)
+    return rep
 
 
 def _law_report_power(params, pts, budget, seed, max_exp=200) -> LawReport:
@@ -876,12 +972,14 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
 
     # associativity
     if e <= 5:
-        reports.append(_sweep(
-            "infinity-associativity", budget, seed, encode,
-            space=expected**3 if enumerable else None,
-            exhaust=lambda: _assoc_table(params, inf_pts),
-            draws=_picks(inf_pts, 3) if enumerable else fresh(3),
-            first_bad=_law_breaker(params, "full-associative"), rng=rng))
+        proofs = []
+        rep = _sweep("infinity-associativity", budget, seed, encode,
+                     space=expected**3 if enumerable else None,
+                     exhaust=lambda: _assoc_table(CayleyIndex(params, inf_pts), proofs),
+                     draws=_picks(inf_pts, 3) if enumerable else fresh(3),
+                     first_bad=_law_breaker(params, "full-associative"), rng=rng)
+        rep.detail = _assoc_detail(proofs)
+        reports.append(rep)
     else:
         w = witness_inf(params)
         reports.append(LawReport("infinity-associativity", False,
@@ -997,11 +1095,16 @@ def technical_congruences(params: LoopParams, cases: int = 10_000, seed: int = 0
 def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) -> dict:
     """Decide whether the loop is a group, with an explicit reason.
 
-    Groups are certified by an isomorphism with Z/n1 x Z/n2: a basis is
-    searched, the map (i, j) -> i*G1 + j*G2 is verified to be a bijection
-    and then a homomorphism on every ordered pair.  Non-groups are
-    certified by a concrete non-associative triple (a structured witness
-    when one applies, a seeded search otherwise).
+    Groups are certified by an isomorphism with Z/n1 x Z/n2, read off the
+    whole loop's index table (one ``add`` per unordered pair): a basis
+    G1, G2 of orders n1, n2 with n1 * n2 = n is searched, and the map
+    (i, j) -> i*G1 + j*G2 is checked to be a bijection, which proves that
+    G1 and G2 generate the loop.  Light's test on {G1, G2}
+    (:meth:`CayleyIndex.associative`) then proves the loop associative, so
+    an abelian group (the law is symmetric), and the bijection an
+    isomorphism.  Non-groups are certified by a concrete non-associative
+    triple (a structured witness when one applies, a seeded search
+    otherwise).
     """
     n = params.cardinality()
 
@@ -1026,30 +1129,25 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
         return {"is_group": None, "order": n, "invariants": None,
                 "method": "undetermined", "checked": rep.checked}
 
-    orders = {pt: order_of(params, pt) for pt in pts}
-    n2 = max(orders.values())
+    orders = [order_of(params, pt) for pt in pts]
+    n2 = max(orders)
     n1 = n // n2
-    ident = identity(params)
     if n1 * n2 != n or (n1 > 1 and n2 % n1):
         return search()
 
-    g2_multiples = _multiples(params, next(pt for pt, o in orders.items() if o == n2), n2)
-    candidates = [pt for pt, o in orders.items() if o == n1] if n1 > 1 else [ident]
+    cayley = CayleyIndex(params, pts)
+    table = cayley.table
+    g2 = orders.index(n2)
+    g2_multiples = cayley.multiples(g2)
+    candidates = [i for i, o in enumerate(orders) if o == n1] if n1 > 1 else [cayley.ident]
     for g1 in candidates:
-        g1_multiples = _multiples(params, g1, n1)
-        phi = {}
-        values = set()
-        for i, gi in enumerate(g1_multiples):
-            for j, gj in enumerate(g2_multiples):
-                v = add(params, gi, gj)
-                phi[(i, j)] = v
-                values.add(v)
+        values = {table[a][b] for a in cayley.multiples(g1) for b in g2_multiples}
         if len(values) != n:
             continue
-        if all(add(params, v1, v2) == phi[((i1 + i2) % n1, (j1 + j2) % n2)]
-               for (i1, j1), v1 in phi.items() for (i2, j2), v2 in phi.items()):
+        if cayley.associative([g1, g2]):
             return {"is_group": True, "order": n, "invariants": [n1, n2],
                     "method": "basis-isomorphism", "checked_pairs": n * n}
+        return search()  # not associative, so no basis is an isomorphism
     return search()
 
 
@@ -1224,7 +1322,7 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     expected = params.q * isz
     per_layer = max(1, budget // max(1, isz))
     size_ok = gen_ok = val_ok = True
-    closure, assoc = [], []
+    closure, assoc, proofs = [], [], []
     val_checked = 0
     ident = identity(params)
     rident = params.project(ident)
@@ -1243,7 +1341,8 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
                               draws=_picks(pts, 2), first_bad=outside,
                               samples=min(per_layer, 2000), rng=rng))
         assoc.append(_sweep("layer-associativity", per_layer, seed, encode,
-                            space=len(pts) ** 3, exhaust=lambda: _assoc_table(params, pts),
+                            space=len(pts) ** 3,
+                            exhaust=lambda: _assoc_table(CayleyIndex(params, pts), proofs),
                             draws=_picks(pts, 3), rng=rng,
                             first_bad=_law_breaker(params, "full-associative")))
         gen = layer_infinity_generator(lay)
@@ -1259,7 +1358,7 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         LawReport("layer-cardinality", size_ok, None, isz, True, None,
                   detail=f"each layer has q * p^(e-1) = {expected} points"),
         _merge(closure),
-        _merge(assoc),
+        _merge(assoc, _assoc_detail(proofs)),
         LawReport("layer-infinity-generator", gen_ok, None, isz, True, None,
                   detail=f"(p : 1 : Z_t) has order {isz} in every layer"),
         LawReport("layer-infinity-valuation", val_ok, None, val_checked, True, None,

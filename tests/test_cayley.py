@@ -1,9 +1,12 @@
-"""Index tables: the byte-row sweeps against the list sweeps they replace.
+"""Index tables: Light's test and the byte-row sweeps against the list sweeps.
 
-Tables of at most ``BYTE_ROWS_MAX`` points are swept for associativity
-and the Moufang identity as ``bytes`` rows; larger ones, and the reference
-here, as lists.  Both must return the same first failing triple of
-indices, in (i, j, k) order, or None.
+Associativity is certified by Light's test from a generating set, and only
+a table that fails it is swept in full.  Tables of at most
+``BYTE_ROWS_MAX`` points are checked and swept for associativity and the
+Moufang identity as ``bytes`` rows; larger ones, and the reference here,
+as lists.  Both must return the same first failing triple of indices, in
+(i, j, k) order, or None, and Light's test must agree with the full list
+sweep.
 """
 
 from __future__ import annotations
@@ -20,8 +23,19 @@ def params_for(p, e, a, b):
 
 
 def assert_sweeps_match_lists(cayley):
-    assert cayley.assoc_sweep() == cayley._assoc_by_lists()
+    reference = cayley._assoc_by_lists()
+    assert cayley.associative() == (reference is None)
+    assert cayley.assoc_sweep() == reference
     assert cayley.moufang_sweep() == cayley._moufang_by_lists()
+
+
+def left_normed_closure(table, gens):
+    """Every index reached from ``gens`` by x -> x + s, s in ``gens``."""
+    reached, frontier = set(gens), set(gens)
+    while frontier:
+        frontier = {table[x][s] for x in frontier for s in gens} - reached
+        reached |= frontier
+    return reached
 
 
 @pytest.mark.parametrize("inst", [(5, 2, 2, 1), (7, 2, 0, 2)])
@@ -31,6 +45,9 @@ def test_byte_sweeps_match_lists_on_every_layer(inst):
         cayley = CayleyIndex(params, layer_points(Layer(params, t)))
         assert cayley.assoc_sweep() is None  # every layer is a group
         assert_sweeps_match_lists(cayley)
+        gens = cayley.generators()
+        assert cayley.ident not in gens
+        assert left_normed_closure(cayley.table, gens) == set(range(len(cayley.table)))
 
 
 # whole loops of 75 to 245 points: two groups, then non-groups
@@ -41,12 +58,16 @@ def test_byte_sweeps_match_lists_on_whole_loops(inst):
     cayley = CayleyIndex(params, params.loop_points())
     assert len(cayley.table) <= BYTE_ROWS_MAX
     assert_sweeps_match_lists(cayley)
+    gens = cayley.generators()
+    assert cayley.ident not in gens
+    assert left_normed_closure(cayley.table, gens) == set(range(len(cayley.table)))
 
 
 def cyclic_table(n, corrupt=None):
     """An index table of Z/n, optionally with one cell (i, j) set to i + j + 1."""
     cayley = CayleyIndex.__new__(CayleyIndex)
     cayley.table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    cayley.ident = 0
     if corrupt:
         i, j = corrupt
         cayley.table[i][j] = (i + j + 1) % n
@@ -64,6 +85,38 @@ def test_cyclic_tables_on_both_sides_of_the_byte_row_cutoff(n):
         assert broken.assoc_sweep() is not None
         assert broken.moufang_sweep() is not None
         assert_sweeps_match_lists(broken)
+
+
+def nucleus_first_loop():
+    """The whole loop (5,2,2,1), a non-group, listed identity first and then a
+    point g of its nucleus: (x + g) + y = x + (g + y) for all x, y, so g
+    passes Light's test although the table is not associative."""
+    params = params_for(5, 2, 2, 1)
+    pts = params.loop_points()
+    whole = CayleyIndex(params, pts)
+    g = next(k for k in range(1, len(pts)) if whole.associative([k]))
+    return CayleyIndex(params, [pts[0], pts[g], *pts[1:g], *pts[g + 1:]])
+
+
+def times_cyclic(cayley, m):
+    """The index table of cayley x Z/m, index (a, k) at a * m + k."""
+    t, n = cayley.table, len(cayley.table)
+    prod = CayleyIndex.__new__(CayleyIndex)
+    prod.table = [[t[a][b] * m + (k + l) % m for b in range(n) for l in range(m)]
+                  for a in range(n) for k in range(m)]
+    prod.ident = cayley.ident * m
+    return prod
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["bytes", "lists"])
+def test_light_test_checks_every_generator_not_only_the_first(m):
+    cayley = times_cyclic(nucleus_first_loop(), m)
+    assert (len(cayley.table) > BYTE_ROWS_MAX) == (m == 2)
+    gens = cayley.generators()
+    assert gens[0] == 1 and len(gens) > 1
+    assert cayley.associative([1])  # the first generator alone passes
+    assert_sweeps_match_lists(cayley)
+    assert cayley.assoc_sweep() is not None
 
 
 def test_law_suite_builds_the_whole_loop_index_once(monkeypatch):

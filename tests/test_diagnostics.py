@@ -45,7 +45,9 @@ from elliptic_loops import (
     witness_B,
     witness_inf,
 )
+from elliptic_loops import diagnostics
 from elliptic_loops.diagnostics import VERIFY_SUITES, random_loop_point
+from elliptic_loops.loop_core import _multiples
 
 
 def params_for(p, e, a, b):
@@ -136,11 +138,11 @@ def test_cayley_index_mul_matches_scalar_mul():
     params = params_for(5, 2, 2, 1)
     pts = params.loop_points()
     cayley = CayleyIndex(params, pts)
-    rng = random.Random(9)
-    for _ in range(100):
-        i = rng.randrange(len(pts))
-        n = rng.randrange(-50, 50)
-        assert pts[cayley.mul(i, n)] == scalar_mul(params, n, pts[i])
+    n = len(pts)
+    for i, pt in enumerate(pts):
+        for m in range(-2 * n, 2 * n):
+            s = scalar_mul(params, m, pt)
+            assert cayley.mul(i, m) == cayley.index[s.x, s.y, s.z], (i, m)
 
 
 def test_cayley_assoc_sweep_finds_loop_non_associativity():
@@ -322,6 +324,101 @@ def test_group_certificate_on_known_non_group():
     assert add(params, add(params, pts[0], pts[1]), pts[2]) != add(
         params, pts[0], add(params, pts[1], pts[2])
     )
+
+
+def certificate_by_homomorphism(params, budget=200_000, seed=0):
+    """The group certificate by its definition, the oracle of the fast one:
+    the basis map (i, j) -> i*G1 + j*G2 is a bijection, and a homomorphism
+    on every ordered pair, by one ``add`` per pair."""
+    n = params.cardinality()
+
+    def non_group(method, witness):
+        return {"is_group": False, "order": n, "invariants": None, "method": method,
+                "witness": witness}
+
+    if params.ring.e >= 3:
+        return non_group("affine-infinity-witness",
+                         diagnostics.witness_A(params).to_json(params))
+    try:
+        return non_group("shifted-pair-witness", diagnostics.witness_B(params).to_json(params))
+    except PreconditionUnmet:
+        pass
+    pts = params.loop_points()
+
+    def search():
+        rep = diagnostics._sweep("full-associative", budget, seed,
+                                 diagnostics._point_ce(params),
+                                 draws=diagnostics._picks(pts, 3),
+                                 first_bad=diagnostics._law_breaker(params, "full-associative"))
+        if not rep.holds:
+            return non_group("sampled-triple", rep.counterexample)
+        return {"is_group": None, "order": n, "invariants": None,
+                "method": "undetermined", "checked": rep.checked}
+
+    orders = {pt: order_of(params, pt) for pt in pts}
+    n2 = max(orders.values())
+    n1 = n // n2
+    if n1 * n2 != n or (n1 > 1 and n2 % n1):
+        return search()
+    g2_multiples = _multiples(params, next(pt for pt, o in orders.items() if o == n2), n2)
+    candidates = [pt for pt, o in orders.items() if o == n1] if n1 > 1 else [identity(params)]
+    for g1 in candidates:
+        phi = {(i, j): add(params, gi, gj) for i, gi in enumerate(_multiples(params, g1, n1))
+               for j, gj in enumerate(g2_multiples)}
+        if len(set(phi.values())) != n:
+            continue
+        if all(add(params, v1, v2) == phi[((i1 + i2) % n1, (j1 + j2) % n2)]
+               for (i1, j1), v1 in phi.items() for (i2, j2), v2 in phi.items()):
+            return {"is_group": True, "order": n, "invariants": [n1, n2],
+                    "method": "basis-isomorphism", "checked_pairs": n * n}
+    return search()
+
+
+@pytest.mark.parametrize("inst", [(5, 2, 4, 2), (5, 2, 4, 3), (7, 2, 0, 4), (7, 2, 0, 2)])
+def test_group_certificate_matches_the_homomorphism_definition(inst):
+    params = params_for(*inst)
+    cert = group_certificate(params)
+    assert cert["is_group"] is True
+    assert cert == certificate_by_homomorphism(params)
+
+
+def test_non_group_past_the_witnesses_fails_light_test_as_the_definition_does(monkeypatch):
+    def no_witness(params, pt=None):
+        raise PreconditionUnmet("no structured witness")
+
+    monkeypatch.setattr(diagnostics, "witness_B", no_witness)
+    tried = []
+    light = CayleyIndex.associative
+
+    def recording(self, gens=None):
+        tried.append(light(self, gens))
+        return tried[-1]
+
+    monkeypatch.setattr(CayleyIndex, "associative", recording)
+    params = params_for(5, 2, 2, 1)
+    cert = group_certificate(params, seed=3)
+    assert tried == [False]  # a bijective basis reached Light's test
+    assert cert["method"] == "sampled-triple"
+    assert cert == certificate_by_homomorphism(params, seed=3)
+
+
+def test_group_certificate_adds_no_more_than_one_table_build(monkeypatch):
+    params = params_for(7, 2, 0, 2)
+    n = params.cardinality()
+    calls = [0]
+    counted = diagnostics.add
+
+    def counting_add(*args):
+        calls[0] += 1
+        return counted(*args)
+
+    monkeypatch.setattr(diagnostics, "add", counting_add)
+    with pytest.raises(PreconditionUnmet):
+        diagnostics.witness_B(params)
+    witness_adds, calls[0] = calls[0], 0
+    assert group_certificate(params)["is_group"] is True
+    # order_of adds through loop_core, so only the table build and the basis count
+    assert calls[0] - witness_adds <= n * (n + 1) // 2 + n
 
 
 def test_small_classification_sweep():
