@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
+from functools import partial
 from itertools import chain, islice, product, repeat
 
 from .errors import EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
@@ -208,11 +209,11 @@ def _fiber_draws(q: int, s: int, shape):
     return draws
 
 
-def _law_breaker(params: LoopParams, law: str):
-    """The ``first_bad`` of a law (see :func:`_check_law`) over cases of points."""
+def _breaker(ok):
+    """The ``first_bad`` of a condition: the first ``(k, case)`` with ``ok(*case)`` false."""
     def first_bad(cases):
         for k, case in enumerate(cases, 1):
-            if not _check_law(params, law, *case):
+            if not ok(*case):
                 return k, case
     return first_bad
 
@@ -234,28 +235,20 @@ def random_loop_point(params: LoopParams, rng, residues=None) -> ProjPoint:
     return ProjPoint(ring, x, ring.one, z)
 
 
-def random_infinity_point(params: LoopParams, rng, min_valuation: int = 1) -> ProjPoint:
+def random_infinity_point(params: LoopParams, rng) -> ProjPoint:
     ring = params.ring
-    x = ring.random_element(rng, min_valuation)
-    z = ring.random_element(rng, min_valuation)
-    return ProjPoint(ring, x, ring.one, z)
+    return ProjPoint(ring, ring.random_element(rng, 1), ring.one, ring.random_element(rng, 1))
 
 
-def _point_pool(params: LoopParams, rng, size: int = 4000):
-    """The whole loop up to 200,000 points, else ``size`` seeded random draws."""
+def _point_pool(params: LoopParams, rng):
+    """The whole loop up to 200,000 points, else 4,000 seeded random draws."""
     if params.cardinality() <= 200_000:
         return params.loop_points()
-    return list({random_loop_point(params, rng) for _ in range(size)})
+    return list({random_loop_point(params, rng) for _ in range(4000)})
 
 
-#: the largest table swept as byte rows: a row's entries must fit one byte each
+#: the largest table Light's test runs as byte rows: a row's entries must fit one byte each
 BYTE_ROWS_MAX = 256
-
-
-def _first_difference(a: bytes, b: bytes) -> int:
-    """Position of the first byte where ``a`` and ``b`` (equal lengths, unequal) differ."""
-    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return len(a) - 1 - (x.bit_length() - 1) // 8
 
 
 class CayleyIndex:
@@ -266,14 +259,15 @@ class CayleyIndex:
     ``(x, y, z)`` to its index.  Built once, it turns bulk law sweeps into
     lookups, which is what makes the exhaustive checks affordable.
 
-    Associativity is certified by Light's test from a generating set
-    (:meth:`associative`), n^2 lookups per generator; only a table that
-    fails it is swept over all n^3 triples, to name the first failing one.
-    Tables of at most ``BYTE_ROWS_MAX`` points are checked and swept as
-    ``bytes`` rows, one ``bytes.translate`` per row; larger ones as lists.
+    Every table is decided the same way: Light's test on a generating set
+    (:meth:`associative`, n^2 lookups per generator, run once and cached)
+    proves associativity, and with commuting generators the Moufang
+    identity; only a table it does not prove is swept over all n^3 triples
+    as lists, to name the first failing one.  Light's test runs as
+    ``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points.
     """
 
-    __slots__ = ("params", "points", "index", "table", "neg", "ident", "_cycles")
+    __slots__ = ("params", "points", "index", "table", "neg", "ident", "_cycles", "_light")
 
     def __init__(self, params: LoopParams, points):
         self.params = params
@@ -303,6 +297,7 @@ class CayleyIndex:
         self.neg = [at(neg(params, pt), f"-{pt!r}") for pt in pts]
         self.ident = at(identity(params), "the identity")
         self._cycles = {}
+        self._light = None  # (generators, verdict) of the default Light's test
 
     def multiples(self, i: int) -> list:
         """Indices of [0 * points[i], 1 * points[i], ...] up to its order, cached.
@@ -357,14 +352,18 @@ class CayleyIndex:
         In any finite magma the g with (x + g) + y = x + (g + y) for all x, y
         form a closed subset, so a generating set that passes proves all n^3
         triples.  ``gens`` must generate the table; by default
-        :meth:`generators` finds a set.  Costs n^2 lookups per generator: as
-        byte rows, one ``bytes.translate`` per (x, g), row (x + g) against
-        row g mapped through row x.
+        :meth:`generators` finds a set, and that set and the verdict are
+        kept for later calls.  Costs n^2 lookups per generator: as byte
+        rows, one ``bytes.translate`` per (x, g), row (x + g) against row g
+        mapped through row x.
         """
+        if gens is None:
+            if self._light is None:
+                gens = self.generators()
+                self._light = gens, self.associative(gens)
+            return self._light[1]
         table = self.table
         n = len(table)
-        if gens is None:
-            gens = self.generators()
         if n > BYTE_ROWS_MAX:
             return all(table[tx[g]] == [tx[c] for c in table[g]] for tx in table for g in gens)
         pad = bytes(BYTE_ROWS_MAX - n)
@@ -376,65 +375,36 @@ class CayleyIndex:
                     return False
         return True
 
+    def abelian(self) -> bool:
+        """Whether the table is associative and symmetric.
+
+        By :meth:`associative` and the k^2 lookups that show its generators
+        commute: every index is a word in them, so they commute with all.
+        """
+        if not self.associative():
+            return False
+        t, gens = self.table, self._light[0]
+        return all(t[g][h] == t[h][g] for g in gens for h in gens)
+
     def assoc_sweep(self):
         """First non-associative triple (i, j, c) of indices, or None.
 
-        None comes only from Light's test (:meth:`associative`).  A table
-        that fails it is swept over all n^3 triples for the first failing
-        one: as byte rows, the block of a fixed i is one comparison, row
-        (i + j) for every j, joined, against the whole table mapped through
-        row i.
+        None comes only from Light's test (:meth:`associative`); a table
+        that fails it is swept in full for the first failing triple.
         """
-        if self.associative():
-            return None
-        table = self.table
-        n = len(table)
-        if n > BYTE_ROWS_MAX:
-            return self._assoc_by_lists()
-        pad = bytes(BYTE_ROWS_MAX - n)
-        rows = [bytes(r) for r in table]
-        flat = b"".join(rows)  # flat[j*n + c] = j + c
-        for i, ti in enumerate(table):
-            lhs = b"".join([rows[k] for k in ti])  # (i + j) + c
-            rhs = flat.translate(rows[i] + pad)    # i + (j + c)
-            if lhs != rhs:
-                return (i, *divmod(_first_difference(lhs, rhs), n))
-        raise AssertionError("Light's test failed, yet every triple associates")
+        return None if self.associative() else self._assoc_by_lists()
 
     def moufang_sweep(self):
         """First triple (i, j, k) of indices breaking the Moufang identity
-        (P + (Q + R)) + R = ((P + R) + R) + Q, or None; full n^3 sweep.
+        (P + (Q + R)) + R = ((P + R) + R) + Q, or None.
 
-        As byte rows, a fixed (i, k) is one comparison over all j: column k
-        mapped through row i, then through column k, against row
-        ((i + k) + k).  The first failing j of each k is kept, so the triple
-        returned is the first in (i, j, k) order, as in the list sweep.
+        Every commutative semigroup satisfies it, so an :meth:`abelian`
+        table returns None at once; any other is swept in full.
         """
-        table = self.table
-        n = len(table)
-        if n > BYTE_ROWS_MAX:
-            return self._moufang_by_lists()
-        pad = bytes(BYTE_ROWS_MAX - n)
-        rows = [bytes(r) for r in table]
-        flat = b"".join(rows)
-        cols = [flat[k::n] for k in range(n)]  # cols[k][j] = j + k
-        col_maps = [c + pad for c in cols]
-        for i, ti in enumerate(table):
-            row_map = rows[i] + pad
-            first = None
-            for k, ck in enumerate(cols):
-                lhs = ck.translate(row_map).translate(col_maps[k])
-                rhs = rows[table[ti[k]][k]]
-                if lhs != rhs:
-                    j = _first_difference(lhs, rhs)
-                    if first is None or j < first[0]:
-                        first = (j, k)
-            if first is not None:
-                return (i, *first)
-        return None
+        return None if self.abelian() else self._moufang_by_lists()
 
     def _assoc_by_lists(self):
-        """:meth:`assoc_sweep` over the list table: for any size, and the reference."""
+        """The full sweep of :meth:`assoc_sweep`, and the reference for Light's test."""
         table = self.table
         n = len(table)
         for i in range(n):
@@ -450,7 +420,7 @@ class CayleyIndex:
         return None
 
     def _moufang_by_lists(self):
-        """:meth:`moufang_sweep` over the list table: for any size, and the reference."""
+        """The full sweep of :meth:`moufang_sweep`, and the reference for its shortcut."""
         t = self.table
         n = len(t)
         for i in range(n):
@@ -468,29 +438,31 @@ def _table_hit(cayley: CayleyIndex, bad):
     return None if bad is None else (None, [cayley.points[i] for i in bad])
 
 
-def _assoc_table(cayley: CayleyIndex, proofs: list):
-    """``exhaust`` of associativity over index tables, by :meth:`CayleyIndex.assoc_sweep`.
+def _table_law(cayley: CayleyIndex, proofs: list, law: str = "full-associative"):
+    """``exhaust`` of associativity, or of Moufang, over index tables.
 
     Appends to ``proofs`` how the table was decided: (generators, lookups)
-    when Light's test certified it, None when it was swept in full.
+    when Light's test proved it (:meth:`CayleyIndex.associative`, or
+    :meth:`CayleyIndex.abelian` for Moufang), None when it was swept in full.
     """
-    bad = cayley.assoc_sweep()
-    if bad is None:
-        k = len(cayley.generators())
-        proofs.append((k, k * len(cayley.table) ** 2))
+    if law == "moufang":
+        bad, proved = cayley.moufang_sweep(), cayley.abelian()
     else:
-        proofs.append(None)
+        bad, proved = cayley.assoc_sweep(), cayley.associative()
+    k = len(cayley._light[0])
+    proofs.append((k, k * len(cayley.table) ** 2) if proved else None)
     return _table_hit(cayley, bad)
 
 
-def _assoc_detail(proofs: list) -> str:
-    """The detail of a report decided by the tables in ``proofs`` (see _assoc_table)."""
+def _table_detail(proofs: list, law: str = "full-associative") -> str:
+    """The detail of a report decided by the tables in ``proofs`` (see _table_law)."""
     certs = [p for p in proofs if p]
     swept = len(proofs) - len(certs)
     parts = []
     if certs:
+        how = "Light's test and commuting generators" if law == "moufang" else "Light's test"
         on = f" on {len(certs)} tables" if len(certs) > 1 else ""
-        parts.append(f"Light's test{on}: {sum(g for g, _ in certs)} generators, "
+        parts.append(f"{how}{on}: {sum(g for g, _ in certs)} generators, "
                      f"{sum(k for _, k in certs):,} lookups")
     if swept:
         parts.append("full sweep" + (f" on {swept} tables" if swept > 1 else ""))
@@ -551,37 +523,33 @@ def _law_report_points(params, law, pts, budget, seed, cayley) -> LawReport:
     exhaustive triple sweeps run over.
     """
     width = 3 if law in ("full-associative", "moufang") else 2
-    first_bad = _law_breaker(params, law)
+    first_bad = _breaker(partial(_check_law, params, law))
     proofs = []
 
     def exhaust():
         if width == 2:
             return first_bad(product(params.loop_points(), repeat=2))
-        t = cayley()
-        if law == "full-associative":
-            return _assoc_table(t, proofs)
-        return _table_hit(t, t.moufang_sweep())
+        return _table_law(cayley(), proofs, law)
 
     rep = _sweep(law, budget, seed, _point_ce(params), space=params.cardinality() ** width,
                  weight=360 if law == "diassociative" else 1, exhaust=exhaust,
                  draws=_picks(pts, width), first_bad=first_bad)
-    rep.detail = _assoc_detail(proofs)
+    rep.detail = _table_detail(proofs, law)
     return rep
 
 
-def _law_report_power(params, pts, budget, seed, max_exp=200) -> LawReport:
-    def draws(rng):
+def _law_report_power(params, pts, budget, seed) -> LawReport:
+    def draws(rng):  # exponents in [-200, 200]
         n, randrange = len(pts), rng.randrange
         while True:
-            yield (pts[randrange(n)], randrange(-max_exp, max_exp + 1),
-                   randrange(-max_exp, max_exp + 1))
+            yield pts[randrange(n)], randrange(-200, 201), randrange(-200, 201)
 
     def encode(case):
         return {"points": _encode_points(params, case[:1]), "exponents": list(case[1:])}
 
     return _sweep("power-associative", budget, seed, encode,
                   weight=4 * max(params.ring.e, 8), draws=draws,
-                  first_bad=_law_breaker(params, "power-associative"))
+                  first_bad=_breaker(partial(_check_law, params, "power-associative")))
 
 
 def _law_report_latin(params, pts, budget, seed) -> LawReport:
@@ -814,6 +782,8 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
     def conv(a, b, c):
         return t[t[a][b]][nn[c]]
 
+    # own loops, not _breaker: a case costs under 1 us, so one more call each would show
+
     # P + (Q + R) == (P + Q) + R with Q, R at infinity
     translate_draws = _fiber_draws(params.q, s, (0, None, None))
 
@@ -975,10 +945,11 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
         proofs = []
         rep = _sweep("infinity-associativity", budget, seed, encode,
                      space=expected**3 if enumerable else None,
-                     exhaust=lambda: _assoc_table(CayleyIndex(params, inf_pts), proofs),
+                     exhaust=lambda: _table_law(CayleyIndex(params, inf_pts), proofs),
                      draws=_picks(inf_pts, 3) if enumerable else fresh(3),
-                     first_bad=_law_breaker(params, "full-associative"), rng=rng)
-        rep.detail = _assoc_detail(proofs)
+                     first_bad=_breaker(partial(_check_law, params, "full-associative")),
+                     rng=rng)
+        rep.detail = _table_detail(proofs)
         reports.append(rep)
     else:
         w = witness_inf(params)
@@ -991,10 +962,7 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
         s = add(params, a, b)
         return s.x == ring.add(a.x, b.x) and s.z == ring.add(a.z, b.z)
 
-    def non_additive(cases):
-        for k, (a, b) in enumerate(cases, 1):
-            if not additive(a, b):
-                return k, (a, b)
+    non_additive = _breaker(additive)
 
     def observe(cases):  # no theorem past e = 3: count, never fail
         counts.append(sum(additive(a, b) for a, b in cases))
@@ -1123,7 +1091,7 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
 
     def search():  # the seeded search for a non-associative triple
         rep = _sweep("full-associative", budget, seed, _point_ce(params), draws=_picks(pts, 3),
-                     first_bad=_law_breaker(params, "full-associative"))
+                     first_bad=_breaker(partial(_check_law, params, "full-associative")))
         if not rep.holds:
             return non_group("sampled-triple", rep.counterexample)
         return {"is_group": None, "order": n, "invariants": None,
@@ -1151,8 +1119,7 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     return search()
 
 
-def classify_group_loops(p_max: int = 17, size_max: int = 300, e_min: int = 2,
-                         seed: int = 0):
+def classify_group_loops(p_max: int = 17, size_max: int = 300, seed: int = 0):
     """Classify which loops over Z/p^e (e >= 2, p^e <= size_max) are groups.
 
     The parameter sweep covers every curve equation over the prime field,
@@ -1164,7 +1131,7 @@ def classify_group_loops(p_max: int = 17, size_max: int = 300, e_min: int = 2,
     records = []
     p = 5
     while p <= p_max:
-        e = e_min
+        e = 2
         while p**e <= size_max:
             ring = RingConfig.integer(p, e)
             for a in range(p):
@@ -1248,12 +1215,7 @@ def projection_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Reduction mod m is a loop homomorphism onto the residue curve."""
     rng = random.Random(seed)
     rp, proj = params.residue_params, params.project
-
-    def first_bad(cases):
-        for k, (a, b) in enumerate(cases, 1):
-            if add(rp, proj(a), proj(b)) != proj(add(params, a, b)):
-                return k, (a, b)
-
+    first_bad = _breaker(lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b)))
     return [_sweep("projection-homomorphism", budget, seed, _point_ce(params),
                    space=params.cardinality() ** 2,
                    exhaust=lambda: first_bad(product(params.loop_points(), repeat=2)),
@@ -1265,11 +1227,8 @@ def three_torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0
     """Hessian vanishing mod m detects exactly the residue 3-torsion."""
     from .loop_core import eval_H
 
-    def first_bad(cases):
-        for k, (pt,) in enumerate(cases, 1):
-            if eval_H(params, pt).is_unit() == (params.pi_order(pt) in (1, 3)):
-                return k, (pt,)
-
+    first_bad = _breaker(lambda pt: eval_H(params, pt).is_unit()
+                         != (params.pi_order(pt) in (1, 3)))
     return [_sweep("three-torsion-hessian", budget, seed, _point_ce(params),
                    space=params.cardinality(),
                    exhaust=lambda: first_bad(zip(params.loop_points())),
@@ -1332,19 +1291,15 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         size_ok = size_ok and len(pts) == expected
         encode = _point_ce(params, t=ring.payload_to_json(t))
 
-        def outside(cases):  # closure under the loop sum
-            for k, (a, b) in enumerate(cases, 1):
-                if not layer_membership(lay, add(params, a, b)):
-                    return k, (a, b)
-
+        closed = _breaker(lambda a, b: layer_membership(lay, add(params, a, b)))
         closure.append(_sweep("layer-closure", per_layer, seed, encode,
-                              draws=_picks(pts, 2), first_bad=outside,
+                              draws=_picks(pts, 2), first_bad=closed,
                               samples=min(per_layer, 2000), rng=rng))
         assoc.append(_sweep("layer-associativity", per_layer, seed, encode,
                             space=len(pts) ** 3,
-                            exhaust=lambda: _assoc_table(CayleyIndex(params, pts), proofs),
+                            exhaust=lambda: _table_law(CayleyIndex(params, pts), proofs),
                             draws=_picks(pts, 3), rng=rng,
-                            first_bad=_law_breaker(params, "full-associative")))
+                            first_bad=_breaker(partial(_check_law, params, "full-associative"))))
         gen = layer_infinity_generator(lay)
         if order_of(params, gen) != isz or not layer_membership(lay, gen):
             gen_ok = False
@@ -1358,7 +1313,7 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         LawReport("layer-cardinality", size_ok, None, isz, True, None,
                   detail=f"each layer has q * p^(e-1) = {expected} points"),
         _merge(closure),
-        _merge(assoc, _assoc_detail(proofs)),
+        _merge(assoc, _table_detail(proofs)),
         LawReport("layer-infinity-generator", gen_ok, None, isz, True, None,
                   detail=f"(p : 1 : Z_t) has order {isz} in every layer"),
         LawReport("layer-infinity-valuation", val_ok, None, val_checked, True, None,
@@ -1489,12 +1444,11 @@ def structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Sampled rank monotonicity: collapsing a pair never raises the rank."""
     rng = random.Random(seed)
 
-    def first_bad(cases):
-        for k, (p1, p2, p3) in enumerate(cases, 1):
-            r_triple = AssocMatrix(params, (p1, p2, p3)).rank()
-            if AssocMatrix(params, (p1, add(params, p2, p3))).rank() > r_triple:
-                return k, (p1, p2, p3)
+    def monotone(p1, p2, p3):
+        r_triple = AssocMatrix(params, (p1, p2, p3)).rank()
+        return AssocMatrix(params, (p1, add(params, p2, p3))).rank() <= r_triple
 
+    first_bad = _breaker(monotone)
     return [_sweep("rank-monotonicity", budget, seed, _point_ce(params),
                    draws=_picks(_point_pool(params, rng), 3), first_bad=first_bad,
                    samples=min(2000, budget), rng=rng)]

@@ -84,41 +84,16 @@ def stratify(params: LoopParams, pt: ProjPoint) -> RingElem:
 
 
 def layer_points(layer: Layer) -> list:
-    """All canonical points of the layer, q * p^(e-1) of them.
-
-    Enumerates fibers over the residue curve instead of the whole plane:
-    every layer point reduces to a residue-curve point, so it suffices to
-    filter the |m|^2 lifts of each.
-    """
-    params = layer.params
-    ring = params.ring
-    one = ring.one
-    zero = ring.zero
-    offsets = list(ring.ideal_elements())
-    out = []
-    for rpt in params.residue_points:
-        bx = ring.from_int(rpt.x)
-        bz = ring.from_int(rpt.z)
-        for dx in offsets:
-            x = ring.add(bx, dx)
-            for dz in offsets:
-                z = ring.add(bz, dz)
-                if layer.equation(x, one, z) == zero:
-                    out.append(ProjPoint(ring, x, one, z))
-    return out
+    """All canonical points of the layer, q * p^(e-1) of them, in the order
+    of ``loop_points()``: every layer point is a loop point."""
+    equation, zero = layer.equation, layer.params.ring.zero
+    return [pt for pt in layer.params.loop_points() if equation(pt.x, pt.y, pt.z) == zero]
 
 
 def layer_infinity_points(layer: Layer) -> list:
     """The layer's points over the residue identity."""
-    params = layer.params
-    ring = params.ring
-    one, zero = ring.one, ring.zero
-    return [
-        ProjPoint(ring, x, one, z)
-        for x in ring.ideal_elements()
-        for z in ring.ideal_elements()
-        if layer.equation(x, one, z) == zero
-    ]
+    equation, zero = layer.equation, layer.params.ring.zero
+    return [pt for pt in layer.params.infinity_points() if equation(pt.x, pt.y, pt.z) == zero]
 
 
 def layer_infinity_generator(layer: Layer) -> ProjPoint:

@@ -179,9 +179,17 @@ def forbidden_locus_check(params: LoopParams) -> bool:
 
 
 def fiber_points(params: LoopParams, pt: ProjPoint) -> list:
-    """All loop points with the same residue as ``pt``."""
-    target = params.project(pt)
-    return [q for q in params.loop_points() if params.project(q) == target]
+    """All loop points with the same residue as ``pt``.
+
+    ``loop_points()`` lists the fiber over the f-th residue point as the
+    index range f * |m|^2 ... (f + 1) * |m|^2 - 1, so this is one slice.
+    """
+    try:
+        f = params.residue_points.index(params.project(pt))
+    except ValueError:
+        raise PreconditionUnmet(f"{pt!r} is not a point of this loop") from None
+    s = params.ring.ideal_size ** 2
+    return params.loop_points()[f * s:f * s + s]
 
 
 def torsion_fiber(params: LoopParams, q: int, pt: ProjPoint) -> list:

@@ -1,15 +1,19 @@
-"""Index tables: Light's test and the byte-row sweeps against the list sweeps.
+"""Index tables: Light's test decides, the list sweeps name the failure.
 
-Associativity is certified by Light's test from a generating set, and only
-a table that fails it is swept in full.  Tables of at most
-``BYTE_ROWS_MAX`` points are checked and swept for associativity and the
-Moufang identity as ``bytes`` rows; larger ones, and the reference here,
-as lists.  Both must return the same first failing triple of indices, in
-(i, j, k) order, or None, and Light's test must agree with the full list
-sweep.
+Every table is decided the same way.  Light's test on a generating set
+proves associativity, and with commuting generators the Moufang identity
+(P + (Q + R)) + R = ((P + R) + R) + Q, which every commutative semigroup
+satisfies; only a table it does not prove is swept over all n^3 triples as
+lists, for the first failing triple in (i, j, k) order.  Light's test runs
+as ``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points, as lists
+above.  Its verdicts must agree with the full list sweeps, which are also
+the reference here, on both sides of that cutoff and on a table that is
+associative but not symmetric.
 """
 
 from __future__ import annotations
+
+from itertools import permutations, product
 
 import pytest
 
@@ -22,11 +26,23 @@ def params_for(p, e, a, b):
     return LoopParams(RingConfig.integer(p, e), a, b)
 
 
+def symmetric(table):
+    return table == [list(col) for col in zip(*table)]
+
+
 def assert_sweeps_match_lists(cayley):
     reference = cayley._assoc_by_lists()
     assert cayley.associative() == (reference is None)
+    assert cayley.abelian() == (reference is None and symmetric(cayley.table))
     assert cayley.assoc_sweep() == reference
     assert cayley.moufang_sweep() == cayley._moufang_by_lists()
+
+
+def index_table(table, ident):
+    """A CayleyIndex over a hand-written table, with no points behind it."""
+    cayley = CayleyIndex.__new__(CayleyIndex)
+    cayley.table, cayley.ident, cayley._cycles, cayley._light = table, ident, {}, None
+    return cayley
 
 
 def left_normed_closure(table, gens):
@@ -40,6 +56,7 @@ def left_normed_closure(table, gens):
 
 @pytest.mark.parametrize("inst", [(5, 2, 2, 1), (7, 2, 0, 2)])
 def test_byte_sweeps_match_lists_on_every_layer(inst):
+    """Light's test, as byte rows here, and both sweeps agree with the list sweeps."""
     params = params_for(*inst)
     for t in params.ring.ideal_elements():
         cayley = CayleyIndex(params, layer_points(Layer(params, t)))
@@ -54,6 +71,7 @@ def test_byte_sweeps_match_lists_on_every_layer(inst):
 @pytest.mark.parametrize("inst", [(5, 2, 4, 2), (7, 2, 0, 4), (5, 2, 3, 2), (5, 2, 2, 1),
                                   (5, 2, 1, 1), (7, 2, 1, 1), (7, 2, 4, 1)])
 def test_byte_sweeps_match_lists_on_whole_loops(inst):
+    """Light's test, as byte rows here, and both sweeps agree with the list sweeps."""
     params = params_for(*inst)
     cayley = CayleyIndex(params, params.loop_points())
     assert len(cayley.table) <= BYTE_ROWS_MAX
@@ -65,13 +83,11 @@ def test_byte_sweeps_match_lists_on_whole_loops(inst):
 
 def cyclic_table(n, corrupt=None):
     """An index table of Z/n, optionally with one cell (i, j) set to i + j + 1."""
-    cayley = CayleyIndex.__new__(CayleyIndex)
-    cayley.table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    cayley.ident = 0
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
     if corrupt:
         i, j = corrupt
-        cayley.table[i][j] = (i + j + 1) % n
-    return cayley
+        table[i][j] = (i + j + 1) % n
+    return index_table(table, 0)
 
 
 @pytest.mark.parametrize("n", [BYTE_ROWS_MAX, BYTE_ROWS_MAX + 1])
@@ -101,11 +117,8 @@ def nucleus_first_loop():
 def times_cyclic(cayley, m):
     """The index table of cayley x Z/m, index (a, k) at a * m + k."""
     t, n = cayley.table, len(cayley.table)
-    prod = CayleyIndex.__new__(CayleyIndex)
-    prod.table = [[t[a][b] * m + (k + l) % m for b in range(n) for l in range(m)]
-                  for a in range(n) for k in range(m)]
-    prod.ident = cayley.ident * m
-    return prod
+    return index_table([[t[a][b] * m + (k + l) % m for b in range(n) for l in range(m)]
+                        for a in range(n) for k in range(m)], cayley.ident * m)
 
 
 @pytest.mark.parametrize("m", [1, 2], ids=["bytes", "lists"])
@@ -138,3 +151,68 @@ def test_point_set_not_closed_under_the_loop_is_a_precondition_error():
     pts = params.loop_points()[:10]
     with pytest.raises(PreconditionUnmet, match=r"\+ .* is not among the points"):
         CayleyIndex(params, pts)
+
+
+def s3_table():
+    """The symmetric group S3 as composition of permutations of (0, 1, 2):
+    associative, not commutative."""
+    perms = list(permutations(range(3)))
+    table = [[perms.index(tuple(a[b[x]] for x in range(3))) for b in perms] for a in perms]
+    return index_table(table, perms.index((0, 1, 2)))
+
+
+def moufang_by_definition(t):
+    """The first (i, j, k) with (i + (j + k)) + k != ((i + k) + k) + j, or None."""
+    n = len(t)
+    return next(((i, j, k) for i, j, k in product(range(n), repeat=3)
+                 if t[t[i][t[j][k]]][k] != t[t[t[i][k]][k]][j]), None)
+
+
+def test_associative_table_that_is_not_symmetric_is_swept_for_moufang():
+    s3 = s3_table()
+    assert s3.associative() and not symmetric(s3.table)
+    assert not s3.abelian()
+    assert s3.moufang_sweep() is not None
+    assert s3.moufang_sweep() == moufang_by_definition(s3.table)
+    assert_sweeps_match_lists(s3)
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic_table(BYTE_ROWS_MAX + 1),
+                                  lambda: CayleyIndex(params_for(5, 2, 4, 2),
+                                                      params_for(5, 2, 4, 2).loop_points())],
+                         ids=["cyclic-257", "loop-5-2-4-2"])
+def test_abelian_table_is_not_swept_for_moufang(make, monkeypatch):
+    def refuse(self):
+        raise AssertionError("an associative, symmetric table was swept")
+
+    cayley = make()
+    monkeypatch.setattr(CayleyIndex, "_moufang_by_lists", refuse)
+    assert cayley.abelian()
+    assert cayley.moufang_sweep() is None
+
+
+def test_law_suite_runs_light_test_once_per_table(monkeypatch):
+    params = params_for(5, 2, 4, 2)
+    searches, search = [], CayleyIndex.generators
+
+    def counting_generators(self):
+        searches.append(len(self.table))
+        return search(self)
+
+    monkeypatch.setattr(CayleyIndex, "generators", counting_generators)
+    reports = law_suite(params, ("full-associative", "moufang"), budget=75**3, seed=0)
+    assert [r.holds for r in reports] == [True, True]
+    assert searches == [75]
+
+
+@pytest.mark.parametrize("inst, detail", [
+    ((5, 2, 4, 2), "Light's test and commuting generators: 3 generators, 16,875 lookups"),
+    ((5, 2, 2, 1), "full sweep"),
+])
+def test_moufang_report_names_its_method(inst, detail):
+    params = params_for(*inst)
+    n = params.cardinality()
+    (rep,) = law_suite(params, ("moufang",), budget=n**3, seed=0)
+    assert rep.exhaustive and rep.checked == n**3
+    assert rep.holds == (inst == (5, 2, 4, 2))
+    assert rep.detail == detail

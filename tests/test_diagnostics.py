@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -349,7 +350,8 @@ def certificate_by_homomorphism(params, budget=200_000, seed=0):
         rep = diagnostics._sweep("full-associative", budget, seed,
                                  diagnostics._point_ce(params),
                                  draws=diagnostics._picks(pts, 3),
-                                 first_bad=diagnostics._law_breaker(params, "full-associative"))
+                                 first_bad=diagnostics._breaker(partial(
+                                     diagnostics._check_law, params, "full-associative")))
         if not rep.holds:
             return non_group("sampled-triple", rep.counterexample)
         return {"is_group": None, "order": n, "invariants": None,

@@ -32,6 +32,7 @@ from elliptic_loops import (
     matrix_rank,
     neg,
     order_of,
+    plane_points,
     scalar_mul,
     sub,
     torsion_fiber,
@@ -187,6 +188,26 @@ def test_torsion_fiber_matches_filter_oracle():
             if scalar_mul(params, 7, pt) == identity(params)
         ]
         assert set(fiber) == set(oracle)
+
+
+@pytest.mark.parametrize("ring", [RingConfig.integer(5, 2), RingConfig.integer(5, 3),
+                                  RingConfig.truncated_poly(5, 2)],
+                         ids=["z25", "z125", "f5-t2"])
+def test_fiber_points_is_the_projection_filter(ring):
+    params = LoopParams(ring, 2, 1)
+    pts = params.loop_points()
+    s = ring.ideal_size ** 2
+    for base in pts[::s] + pts[s - 1::s]:  # first and last point of every fiber
+        target = params.project(base)
+        assert fiber_points(params, base) == [
+            pt for pt in pts if params.project(pt) == target]
+
+
+def test_fiber_points_of_a_point_off_the_loop_is_a_precondition_error():
+    params = params_for(5, 2, 2, 1)
+    off = next(pt for pt in plane_points(params.ring) if eval_F(params, pt).is_unit())
+    with pytest.raises(PreconditionUnmet, match="not a point of this loop"):
+        fiber_points(params, off)
 
 
 def test_difference_groups_are_z5_on_affine_fibers():
