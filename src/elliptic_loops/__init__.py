@@ -53,6 +53,7 @@ from .structure import (
     infinity_generators,
     matrix_rank,
     torsion_fiber,
+    torsion_geometry,
     torsion_line,
     triple_associates,
 )

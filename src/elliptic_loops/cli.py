@@ -27,7 +27,6 @@ from .layers import Layer, layer_report, stratify
 from .loop_core import (
     LoopParams,
     add,
-    identity,
     membership,
     order_of,
     scalar_mul,
@@ -35,12 +34,7 @@ from .loop_core import (
 )
 from .projective import ProjPoint
 from .ring import RingConfig
-from .structure import (
-    difference_group,
-    infinity_decompose,
-    torsion_fiber,
-    torsion_line,
-)
+from .structure import infinity_decompose, torsion_geometry
 
 
 def _params_from(args) -> LoopParams:
@@ -177,42 +171,22 @@ def cmd_layers(args) -> int:
 def cmd_torsion(args) -> int:
     params = _params_from(args)
     q = args.q if args.q is not None else params.q
-    ident = identity(params)
-    if args.point:
-        bases = _require_points(params, args, 1)
-    else:
-        seen = set()
-        bases = []
-        for pt in params.loop_points():
-            if scalar_mul(params, q, pt) != ident:
-                continue
-            rpt = params.project(pt)
-            if rpt in seen:
-                continue
-            seen.add(rpt)
-            bases.append(pt)
-    records = []
-    for base in bases:
-        fiber = torsion_fiber(params, q, base)
-        diffs = difference_group(params, q, base)
+    bases = _require_points(params, args, 1) if args.point else None
+    records, lines = [], []
+    for base, fiber, diffs, line in torsion_geometry(params, q, bases):
         rec = {
             "residue": params.project(base).to_json(),
             "fiber_size": len(fiber),
             "fiber": [pt.to_json() for pt in fiber],
             "difference_group_size": len(diffs),
         }
-        gen = next((d for d in diffs if order_of(params, d) == len(diffs)), None)
-        if gen is not None and params.project(base) != params.project(ident):
-            line = torsion_line(params, base, gen)
+        extra = ""
+        if line is not None:
             rec["line"] = [params.ring.payload_to_json(c) for c in line.line]
             if line.reduced_line is not None:
                 rec["reduced_line"] = list(line.reduced_line)
+                extra = f"  reduced line {tuple(rec['reduced_line'])}"
         records.append(rec)
-    lines = []
-    for rec in records:
-        extra = ""
-        if "reduced_line" in rec:
-            extra = f"  reduced line {tuple(rec['reduced_line'])}"
         lines.append(
             f"residue {rec['residue']}: fiber size {rec['fiber_size']}, "
             f"difference group size {rec['difference_group_size']}{extra}"

@@ -745,6 +745,12 @@ WITNESS_KINDS = {"A": witness_A, "B": witness_B, "inf": witness_inf}
 # ----------------------------------------------------------------------------
 
 
+#: the largest n^2 entries of a whole-loop index table the identities are swept over
+NILPOTENCY_TABLE_MAX = 8_000_000
+NILPOTENCY_CHECKS = ("translate-by-infinity-pair", "difference-across-fiber", "triple-in-fiber",
+                     "fiberwise-sum-exchange", "multiple-of-fiber-sum")
+
+
 def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
     """The five identities valid when m^2 = 0, checked over index tables.
 
@@ -759,7 +765,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
         raise NilpotencyTooHigh(
             f"these identities require nilpotency degree <= 2 (e = {ring.e})"
         )
-    if params.cardinality() ** 2 > 8_000_000:
+    if params.cardinality() ** 2 > NILPOTENCY_TABLE_MAX:
         raise PreconditionUnmet(
             f"loop of size {params.cardinality()} exceeds the index-table budget"
         )
@@ -958,26 +964,19 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
                                  detail="guaranteed non-associative from e = 6 on"))
 
     # coordinatewise addition (an isomorphism onto (m, +)^2 for e <= 3)
+    if e > 3:
+        return reports + [_skipped("infinity-coordinates-additive",
+                                   "not applicable: no theorem past e = 3")]
+
     def additive(a, b):
         s = add(params, a, b)
         return s.x == ring.add(a.x, b.x) and s.z == ring.add(a.z, b.z)
 
     non_additive = _breaker(additive)
-
-    def observe(cases):  # no theorem past e = 3: count, never fail
-        counts.append(sum(additive(a, b) for a, b in cases))
-
-    counts = []
-    rep = _sweep("infinity-coordinates-additive", budget, seed, encode,
-                 space=expected**2 if enumerable and e <= 3 else None,
-                 exhaust=lambda: non_additive(product(inf_pts, repeat=2)), draws=fresh(2),
-                 first_bad=non_additive if e <= 3 else observe,
-                 samples=None if e <= 3 else min(budget, 2000), rng=rng)
-    if counts:
-        rep.detail = (f"no theorem at e = {e}; observed additive on"
-                      f" {counts[0]}/{rep.checked} sampled pairs")
-    reports.append(rep)
-    return reports
+    return reports + [_sweep("infinity-coordinates-additive", budget, seed, encode,
+                             space=expected**2 if enumerable else None,
+                             exhaust=lambda: non_additive(product(inf_pts, repeat=2)),
+                             draws=fresh(2), first_bad=non_additive, rng=rng)]
 
 
 # ----------------------------------------------------------------------------
@@ -1266,16 +1265,20 @@ def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 
                    first_bad=first_bad)]
 
 
+LAYER_CHECKS = ("layer-cardinality", "layer-closure", "layer-associativity",
+                "layer-infinity-generator", "layer-infinity-valuation", "layer-group-isomorphism")
+
+
 def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Per-layer group facts: size, closure, associativity, infinity part."""
     from .layers import (Layer, all_layers, layer_infinity_generator,
                          layer_isomorphism_check, layer_membership, layer_points)
 
     ring = params.ring
-    if ring.kind != INTEGER_QUOTIENT:
-        return [_skipped("layers", "skipped: layer reports need an integer quotient")]
-    if params.q * ring.ideal_size**3 > 40 * budget:
-        return [_skipped("layers", "skipped: layer enumeration exceeds the budget")]
+    if ring.kind != INTEGER_QUOTIENT or params.q * ring.ideal_size**3 > 40 * budget:
+        why = ("layer reports need an integer quotient" if ring.kind != INTEGER_QUOTIENT
+               else "layer enumeration exceeds the budget")
+        return [_skipped(law, f"skipped: {why}") for law in LAYER_CHECKS]
     rng = random.Random(seed)
     isz = ring.ideal_size
     expected = params.q * isz
@@ -1338,7 +1341,8 @@ def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: i
 
     ring = params.ring
     if params.q * ring.ideal_size**3 > 40 * budget:
-        return [_skipped("hessian-closure", "skipped: layer enumeration exceeds the budget")]
+        return [_skipped(law, "skipped: layer enumeration exceeds the budget")
+                for law in ("combination-closure-layers", "combination-closure-hessian")]
     rng = random.Random(seed)
     # alpha*F + beta*H with (1, -t): zero set contains the layer
     pair_budget = min(2000, max(10, budget // (4 * max(1, ring.ideal_size))))
@@ -1354,12 +1358,14 @@ def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: i
                             draws=_picks(layer_points(Layer(params, t)), 2), first_bad=leaves,
                             samples=pair_budget, rng=rng))
     reports = [_merge(parts, "(F - t*H)(P1 + P2) = 0 on raw sums, every t")]
-    if count_projective(2, ring) <= 25_000:
-        ok, closed, zeros = hessian_closure_sweep(params, 0, 1)
-        reports.append(LawReport("combination-closure-hessian", ok, None, closed, True, None,
-                                 detail=f"zero set of H ({zeros} of {count_projective(2, ring)}"
-                                        f" plane points) closed under raw sums"))
-    return reports
+    plane = count_projective(2, ring)
+    if plane > 25_000:
+        return reports + [_skipped("combination-closure-hessian",
+                                   f"skipped: P^2(R) has {plane} points, over the 25,000 cap")]
+    ok, closed, zeros = hessian_closure_sweep(params, 0, 1)
+    return reports + [LawReport("combination-closure-hessian", ok, None, closed, True, None,
+                                detail=f"zero set of H ({zeros} of {plane}"
+                                       f" plane points) closed under raw sums")]
 
 
 def infinity_structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1378,50 +1384,40 @@ def infinity_structure_suite(params: LoopParams, budget: int = 200_000, seed: in
     return reports
 
 
+TORSION_CHECKS = ("torsion-fibers", "torsion-differences", "torsion-lines")
+
+
 def torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    """Fiberwise geometry of the q-torsion for e <= 2."""
-    from .structure import difference_group, torsion_fiber, torsion_line
+    """Fiberwise geometry of the q-torsion for e <= 2: one case per loop point.
+
+    The fibers of :func:`~elliptic_loops.structure.torsion_geometry` are
+    checked against the q-torsion grouped by projection.
+    """
+    from .structure import torsion_geometry
 
     ring = params.ring
     if ring.e > 2 or ring.kind != INTEGER_QUOTIENT:
-        return [_skipped("torsion-geometry", "skipped: needs an integer quotient with e <= 2")]
+        return [_skipped(law, "skipped: needs an integer quotient with e <= 2")
+                for law in TORSION_CHECKS]
+    if params.cardinality() > budget:
+        return [_skipped(law, "skipped: exceeds the budget") for law in TORSION_CHECKS]
     q = params.q
     ident = identity(params)
-    rident = params.project(ident)
-    pts = params.loop_points()
-    torsion = [pt for pt in pts if scalar_mul(params, q, pt) == ident]
     fibers = {}
-    for pt in torsion:
-        fibers.setdefault(params.project(pt), []).append(pt)
-    fiber_ok = True
-    line_ok = True
-    diff_ok = True
-    checked = 0
-    for rpt, fiber in fibers.items():
-        base = fiber[0]
-        recovered = torsion_fiber(params, q, base)
-        checked += 1
-        if set(recovered) != set(fiber):
-            fiber_ok = False
-        diffs = difference_group(params, q, base)  # asserts subgroup + translation
-        if rpt == rident:
-            continue
-        gen = next((d for d in diffs if order_of(params, d) == len(diffs)), None)
-        if gen is None:
-            continue  # difference group not cyclic: no single line carries it
-        tl = torsion_line(params, base, gen)
-        if not tl.degenerate and set(tl.coset) != set(fiber):
-            line_ok = False
-        if len(diffs) != len(fiber):
-            diff_ok = False
-    return [
-        LawReport("torsion-fibers", fiber_ok, None, checked, True, None,
-                  detail=f"{len(fibers)} fibers of the {q}-torsion"),
-        LawReport("torsion-differences", diff_ok, None, checked, True, None,
-                  detail="difference sets are subgroups translating onto fibers"),
-        LawReport("torsion-lines", line_ok, None, checked, True, None,
-                  detail="cyclic difference groups trace projective lines"),
-    ]
+    for pt in params.loop_points():
+        if scalar_mul(params, q, pt) == ident:
+            fibers.setdefault(params.project(pt), []).append(pt)
+    geometry = torsion_geometry(params, q, [fiber[0] for fiber in fibers.values()])
+    lined = [(fiber, diffs, line) for _, fiber, diffs, line in geometry if line is not None]
+    oks = (all(set(fiber) == set(fibers[params.project(base)])
+               for base, fiber, _, _ in geometry),
+           all(len(diffs) == len(fiber) for fiber, diffs, _ in lined),
+           all(line.degenerate or set(line.coset) == set(fiber) for fiber, _, line in lined))
+    details = (f"{len(fibers)} fibers of the {q}-torsion",
+               "difference sets are subgroups translating onto fibers",
+               "cyclic difference groups trace projective lines")
+    return [LawReport(law, ok, None, len(geometry), True, None, detail)
+            for law, ok, detail in zip(TORSION_CHECKS, oks, details)]
 
 
 def witness_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1463,10 +1459,13 @@ def congruence_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 
 def nilpotency_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    if params.ring.e > 2:
-        return [_skipped("low-nilpotency",
-                         f"skipped: identities need e <= 2 (e = {params.ring.e})")]
-    return low_nilpotency_suite(params, budget, seed)
+    """:func:`low_nilpotency_suite`, or one SKIP per identity where it does not run."""
+    n, e = params.cardinality(), params.ring.e
+    if e <= 2 and n**2 <= NILPOTENCY_TABLE_MAX:
+        return low_nilpotency_suite(params, budget, seed)
+    why = (f"identities need e <= 2 (e = {e})" if e > 2
+           else f"loop of size {n} exceeds the index-table budget")
+    return [_skipped(law, f"skipped: {why}") for law in NILPOTENCY_CHECKS]
 
 
 VERIFY_SUITES = {

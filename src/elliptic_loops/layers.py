@@ -19,11 +19,9 @@ from .loop_core import (
     LoopParams,
     _eval_f,
     _eval_h,
-    _multiples,
     add,
     order_of,
     raw_add,
-    scalar_mul,
 )
 from .projective import ProjPoint, plane_points
 from .ring import INTEGER_QUOTIENT, Payload, RingElem
@@ -99,47 +97,24 @@ def layer_infinity_points(layer: Layer) -> list:
 def layer_infinity_generator(layer: Layer) -> ProjPoint:
     """The point (p : 1 : Z_t) generating the layer's infinity part.
 
-    Z_t is the unique element of m with (F - t*H_F)(p, 1, Z_t) = 0; it is
-    found by Newton iteration from z = 0, where the z-derivative of the
-    layer equation is a unit congruent to -1.
+    Z_t is the unique element of m with g(Z_t) = 0, g(z) = (F - t*H_F)(p, 1, z).
+    As g'(z) = -1 mod m, each step z -> z + g(z) from z = 0 gains at least one
+    m-adic digit toward Z_t, so at most e evaluations of the layer equation
+    find it.
     """
-    params = layer.params
-    ring = params.ring
+    ring = layer.params.ring
     if ring.kind != INTEGER_QUOTIENT:
         raise PreconditionUnmet(
             "infinity generators are computed for integer quotients only"
         )
     u = ring.uniformizer()
-    t = layer.t
-    a, a2, b = params.a, params._a2, params.b
-    mul, addp, sub = ring.mul, ring.add, ring.sub
-
-    def g(z: Payload) -> Payload:
-        return layer.equation(u, ring.one, z)
-
-    def gprime(z: Payload) -> Payload:
-        # d/dz [F(u,1,z)] = 2Auz + 3Bz^2 - 1
-        fz = sub(
-            addp(ring.mul_int(2, mul(a, mul(u, z))), ring.mul_int(3, mul(b, mul(z, z)))),
-            ring.one,
-        )
-        # d/dz [H(u,1,z)] = -8(3Au^2 + 18Buz - 3A^2 z^2)
-        hz = ring.mul_int(
-            -8,
-            sub(
-                addp(ring.mul_int(3, mul(a, mul(u, u))), ring.mul_int(18, mul(b, mul(u, z)))),
-                ring.mul_int(3, mul(a2, mul(z, z))),
-            ),
-        )
-        return sub(fz, mul(t, hz))
-
     z = ring.zero
-    for _ in range(2 * ring.e + 2):
-        val = g(z)
+    for _ in range(ring.e):
+        val = layer.equation(u, ring.one, z)
         if val == ring.zero:
             return ProjPoint(ring, u, ring.one, z)
-        z = sub(z, mul(val, ring.inverse(gprime(z))))
-    raise PreconditionUnmet(f"Newton iteration failed to settle for {layer!r}")
+        z = ring.add(z, val)
+    raise PreconditionUnmet(f"the iteration for Z_t failed to settle for {layer!r}")
 
 
 def hessian_closure_sweep(params: LoopParams, alpha, beta, pairs=None) -> tuple:
@@ -199,13 +174,20 @@ def hessian_closure_check(params: LoopParams, alpha, beta, pairs=None) -> bool:
 def layer_isomorphism_check(layer: Layer) -> tuple:
     """Explicit isomorphism Z/p^(e-1) x E(F_p) -> L_t when gcd(q, 3p) = 1.
 
-    The infinity generator G supplies the first factor.  For the second, a
-    section of the reduction map is built by scaling any fiber lift by the
-    integer c with c = 0 mod p^(e-1) and c = 1 mod q, which kills the
-    infinity component without moving the residue point.  The map
-    (i, S) -> i*G + section(S) is then checked to be a bijection and a
-    homomorphism on every pair.  Returns (True, mapping) on success.
+    Everything is read off the layer's index table (:class:`CayleyIndex`,
+    one ``add`` per unordered pair).  The infinity generator G supplies the
+    first factor.  For the second, a section sigma of the reduction map
+    scales any fiber lift by the integer c with c = 0 mod p^(e-1) and
+    c = 1 mod q, which kills the infinity component without moving the
+    residue point.  The map phi(i, S) = i*G + sigma(S) is checked to be a
+    bijection.  It is a homomorphism because the table is an abelian group
+    (:meth:`CayleyIndex.abelian`) in which G has order p^(e-1) and
+    sigma(S1) + sigma(S2) = sigma(S1 + S2), the sum taken on the residue
+    curve (q^2 lookups).  Returns (True, phi) on success, and (False, None)
+    when a check fails or the layer is not closed under the law.
     """
+    from .diagnostics import CayleyIndex
+
     params = layer.params
     ring = params.ring
     q = params.q
@@ -215,71 +197,47 @@ def layer_isomorphism_check(layer: Layer) -> tuple:
             f"isomorphism check needs gcd(q, 3p) = 1; q = {q}, p = {ring.p}"
         )
     pts = layer_points(layer)
-    pt_set = set(pts)
     if len(pts) != q * pe1:
         return False, None
-
-    gen = layer_infinity_generator(layer)
-    if order_of(params, gen) != pe1:
+    try:
+        cayley = CayleyIndex(params, pts)
+    except PreconditionUnmet:
         return False, None
+    table = cayley.table
+    gen_multiples = cayley.multiples(cayley.index[layer_infinity_generator(layer).coords()])
 
     c = pe1 * pow(pe1, -1, q)  # 0 mod p^(e-1), 1 mod q
-    rp = params.residue_params
     section = {}
-    for pt in pts:
+    for i, pt in enumerate(pts):
         r = params.project(pt)
         if r not in section:
-            section[r] = scalar_mul(params, c, pt)
-    if len(section) != q:
+            section[r] = cayley.mul(i, c)
+    if len(gen_multiples) != pe1 or len(section) != q:
         return False, None
 
-    gen_multiples = _multiples(params, gen, pe1)
-
-    phi = {}
-    for i in range(pe1):
-        gi = gen_multiples[i]
-        for r, s in section.items():
-            phi[(i, r.coords())] = add(params, gi, s)
-
-    # bijection onto the layer
-    if set(phi.values()) != pt_set or len(phi) != len(pts):
+    phi = {(i, r.coords()): table[g][s]
+           for i, g in enumerate(gen_multiples) for r, s in section.items()}
+    if len(set(phi.values())) != len(pts) or not cayley.abelian():
         return False, None
-
-    # homomorphism on all pairs; the second factor adds on the residue curve
-    rkeys = list(section.keys())
-    radd = {}
-    for r1 in rkeys:
-        for r2 in rkeys:
-            radd[(r1.coords(), r2.coords())] = add(rp, r1, r2).coords()
-    for (i1, r1), v1 in phi.items():
-        for (i2, r2), v2 in phi.items():
-            target = phi[((i1 + i2) % pe1, radd[(r1, r2)])]
-            if add(params, v1, v2) != target:
-                return False, None
-    return True, phi
-
-
-def layer_group_structure(layer: Layer) -> tuple:
-    """Observed invariant factors (n1, n2) of the layer group, n1 | n2."""
-    params = layer.params
-    pts = layer_points(layer)
-    n = len(pts)
-    n2 = 1
-    for pt in pts:
-        o = order_of(params, pt)
-        if o > n2:
-            n2 = o
-    n1 = n // n2
-    return (n1, n2)
+    rp = params.residue_params
+    if any(table[s1][s2] != section[add(rp, r1, r2)]
+           for r1, s1 in section.items() for r2, s2 in section.items()):
+        return False, None
+    return True, {key: pts[k] for key, k in phi.items()}
 
 
 def layer_report(layer: Layer) -> dict:
-    """Summary record used by the command-line surface."""
+    """Summary record used by the command-line surface.
+
+    The observed invariant factors n1 | n2 of the layer group: n2 is the
+    largest point order, n1 = |L_t| / n2.
+    """
     params = layer.params
     ring = params.ring
     pts = layer_points(layer)
     gen = layer_infinity_generator(layer)
-    n1, n2 = layer_group_structure(layer)
+    n2 = max((order_of(params, pt) for pt in pts), default=1)
+    n1 = len(pts) // n2
     structure = f"Z/{n2}" if n1 == 1 else f"Z/{n1} x Z/{n2}"
     return {
         "t": ring.payload_to_json(layer.t),

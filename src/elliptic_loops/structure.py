@@ -22,7 +22,7 @@ from .loop_core import (
     _multiples,
     add,
     identity,
-    neg,
+    order_of,
     scalar_mul,
     sub,
 )
@@ -206,34 +206,60 @@ def difference_group(params: LoopParams, q: int, pt: ProjPoint):
     """D_{q/P}: pairwise differences of the torsion fiber.
 
     Verified to be a subgroup of the infinity part, and (when P itself is
-    q-torsion) to translate P exactly onto the fiber.  Nilpotency degree
+    q-torsion) to translate P exactly onto the fiber.  Building its index
+    table (:class:`CayleyIndex`, one ``add`` per unordered pair) checks that
+    the set holds the identity and is closed under negation and addition;
+    a set that is not a subgroup raises AssertionError.  Nilpotency degree
     at most 2 is required.
     """
+    from .diagnostics import CayleyIndex
+
     if params.ring.e > 2:
         raise NilpotencyTooHigh(
             f"difference groups are established for e <= 2 only (e = {params.ring.e})"
         )
     fiber = torsion_fiber(params, q, pt)
     diffs = {sub(params, a, b) for a in fiber for b in fiber}
-    ident = identity(params)
-    rident = params.project(ident)
+    rident = params.project(identity(params))
     if fiber:
-        if ident not in diffs:
-            raise AssertionError("difference set misses the identity")
+        try:
+            CayleyIndex(params, list(diffs))
+        except PreconditionUnmet as exc:
+            raise AssertionError(f"difference set is not a subgroup: {exc}") from exc
         for d in diffs:
             if params.project(d) != rident:
                 raise AssertionError(f"difference {d!r} is not at infinity")
-            if neg(params, d) not in diffs:
-                raise AssertionError(f"difference set not closed under negation at {d!r}")
-        for d1 in diffs:
-            for d2 in diffs:
-                if add(params, d1, d2) not in diffs:
-                    raise AssertionError("difference set not closed under addition")
         if pt in fiber:
             translate = {add(params, pt, d) for d in diffs}
             if translate != set(fiber):
                 raise AssertionError("P + D does not recover the torsion fiber")
     return diffs
+
+
+def torsion_geometry(params: LoopParams, q: int, bases=None) -> list:
+    """One record (P, L_{q/P}, D_{q/P}, line) per base point P, for e <= 2.
+
+    ``bases`` defaults to the first q-torsion point of each residue fiber,
+    in the order of ``loop_points()``.  ``line`` is the
+    :func:`torsion_line` of P's coset, drawn in the direction of a generator
+    of D_{q/P}; it is None over the residue identity and when D_{q/P} is not
+    cyclic, where no single line carries the fiber.
+    """
+    ident = identity(params)
+    if bases is None:
+        pts, s = params.loop_points(), params.ring.ideal_size ** 2
+        firsts = (next((pt for pt in pts[f:f + s] if scalar_mul(params, q, pt) == ident), None)
+                  for f in range(0, len(pts), s))
+        bases = [pt for pt in firsts if pt is not None]
+    records = []
+    for base in bases:
+        fiber = torsion_fiber(params, q, base)
+        diffs = difference_group(params, q, base)
+        gen = None if params.project(base) == params.project(ident) else next(
+            (d for d in diffs if order_of(params, d) == len(diffs)), None)
+        line = None if gen is None else torsion_line(params, base, gen)
+        records.append((base, fiber, diffs, line))
+    return records
 
 
 class TorsionLine:

@@ -18,6 +18,7 @@ import random
 from elliptic_loops import (
     CayleyIndex,
     Layer,
+    PreconditionUnmet,
     ProjPoint,
     RingConfig,
     add,
@@ -243,7 +244,7 @@ def test_criterion_07_layer_structure():
             # table construction fails otherwise)
             try:
                 cayley = CayleyIndex(params, pts)
-            except KeyError:
+            except PreconditionUnmet:
                 raise AssertionError(f"layer t={t} is not closed under addition")
             if e == 2:
                 assert cayley.assoc_sweep() is None  # 35^3 triples, exhaustive

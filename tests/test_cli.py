@@ -22,9 +22,14 @@ from elliptic_loops import (
     ProjPoint,
     RingConfig,
     add,
+    difference_group,
+    identity,
     infinity_decompose,
+    order_of,
     scalar_mul,
     stratify,
+    torsion_fiber,
+    torsion_line,
     validate_params,
 )
 from elliptic_loops.cli import run
@@ -216,6 +221,46 @@ def test_torsion_fibers_json(capsys):
     for rec in affine:
         assert rec["difference_group_size"] == 5
         assert len(rec["reduced_line"]) == 3
+
+
+def _torsion_records(params, q, bases):
+    """The ``torsion`` records built by direct calls (the command's former
+    pipeline, kept as its oracle)."""
+    ident = identity(params)
+    records = []
+    for base in bases:
+        fiber = torsion_fiber(params, q, base)
+        diffs = difference_group(params, q, base)
+        rec = {"residue": params.project(base).to_json(), "fiber_size": len(fiber),
+               "fiber": [pt.to_json() for pt in fiber], "difference_group_size": len(diffs)}
+        gen = next((d for d in diffs if order_of(params, d) == len(diffs)), None)
+        if gen is not None and params.project(base) != params.project(ident):
+            line = torsion_line(params, base, gen)
+            rec["line"] = [params.ring.payload_to_json(c) for c in line.line]
+            if line.reduced_line is not None:
+                rec["reduced_line"] = list(line.reduced_line)
+        records.append(rec)
+    return {"q": q, "fibers": records}
+
+
+@pytest.mark.parametrize("p,e,A,B", [(5, 2, 2, 1), (7, 2, 1, 1), (13, 2, 0, 6)])
+def test_torsion_with_points_and_with_q_matches_direct_calls(capsys, p, e, A, B):
+    params = params_for(p, e, A, B)
+    pts = params.loop_points()
+    picks = [pts[len(pts) // 3], pts[-1], pts[0]]
+    argv = ["torsion", "-p", str(p), "-e", str(e), "-A", str(A), "-B", str(B),
+            "--format", "json"]
+    for pt in picks:
+        argv += ["--point", f"{pt.x},{pt.y},{pt.z}"]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and json.loads(out) == _torsion_records(params, params.q, picks)
+    rc, out, _ = run_cli(capsys, *argv[:11], "--q", "3")
+    ident = identity(params)
+    firsts = {}
+    for pt in pts:
+        if scalar_mul(params, 3, pt) == ident:
+            firsts.setdefault(params.project(pt), pt)
+    assert rc == 0 and json.loads(out) == _torsion_records(params, 3, list(firsts.values()))
 
 
 # ----------------------------------------------------------------------------

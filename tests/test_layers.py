@@ -37,6 +37,7 @@ from elliptic_loops import (
     neg,
     order_of,
     plane_points,
+    scalar_mul,
     stratify,
 )
 from elliptic_loops import layers
@@ -182,6 +183,57 @@ def test_z_t_frozen_values():
     assert seen[10] == 75
 
 
+def _newton_z_t(lay):
+    """Z_t by Newton iteration with hand-derived derivatives of F and H_F (the
+    former implementation, kept as the oracle of the fixed-point iteration)."""
+    params = lay.params
+    ring = params.ring
+    u, t = ring.uniformizer(), lay.t
+    a, a2, b = params.a, params._a2, params.b
+    mul, addp, sub = ring.mul, ring.add, ring.sub
+
+    def gprime(z):
+        # d/dz [F(u,1,z)] = 2Auz + 3Bz^2 - 1
+        fz = sub(addp(ring.mul_int(2, mul(a, mul(u, z))), ring.mul_int(3, mul(b, mul(z, z)))),
+                 ring.one)
+        # d/dz [H(u,1,z)] = -8(3Au^2 + 18Buz - 3A^2 z^2)
+        hz = ring.mul_int(-8, sub(addp(ring.mul_int(3, mul(a, mul(u, u))),
+                                       ring.mul_int(18, mul(b, mul(u, z)))),
+                                  ring.mul_int(3, mul(a2, mul(z, z)))))
+        return sub(fz, mul(t, hz))
+
+    z = ring.zero
+    for _ in range(2 * ring.e + 2):
+        val = lay.equation(u, ring.one, z)
+        if val == ring.zero:
+            return z
+        z = sub(z, mul(val, ring.inverse(gprime(z))))
+    raise AssertionError(f"Newton iteration failed to settle for {lay!r}")
+
+
+@pytest.mark.parametrize("p,e,a,b", [
+    (5, 2, 2, 1), (5, 6, 2, 1), (5, 12, 2, 1), (7, 5, 0, 5), (7, 9, 1, 1), (13, 4, 0, 6),
+    (10007, 3, 1, 1), (10007, 12, 1, 1),
+])
+def test_z_t_fixed_point_matches_newton(p, e, a, b, monkeypatch):
+    params = params_for(p, e, a, b)
+    ring = params.ring
+    rng = random.Random(p * 100 + e)
+    ts = [0, ring.uniformizer()] + [ring.mul_int(p, rng.randrange(ring.ideal_size))
+                                    for _ in range(40)]
+    for t in ts:
+        lay = Layer(params, t)
+        z = _newton_z_t(lay)
+        evaluations = []
+        real = Layer.equation
+        monkeypatch.setattr(Layer, "equation",
+                            lambda self, *xyz: evaluations.append(xyz) or real(self, *xyz))
+        gen = layer_infinity_generator(lay)
+        monkeypatch.undo()
+        assert (gen.x, gen.y, gen.z) == (ring.uniformizer(), ring.one, z)
+        assert len(evaluations) <= e
+
+
 def test_layer_infinity_points_are_generator_multiples():
     params = params_for(5, 3, 2, 1)
     for t in (0, 5, 20):
@@ -230,6 +282,85 @@ def test_layer_isomorphism_when_gcd_q_3p_is_one():
     params32 = params_for(5, 2, 4, 2)
     with pytest.raises(PreconditionUnmet):
         layer_isomorphism_check(Layer(params32, 0))
+
+
+def _isomorphism_by_homomorphism(layer):
+    """The isomorphism check with one ``add`` per pair of points (the former
+    implementation, kept as the oracle of the index-table check)."""
+    params = layer.params
+    ring = params.ring
+    q, pe1 = params.q, ring.ideal_size
+    pts = layer_points(layer)
+    if len(pts) != q * pe1:
+        return False, None
+    gen = layer_infinity_generator(layer)
+    if order_of(params, gen) != pe1:
+        return False, None
+    c = pe1 * pow(pe1, -1, q)
+    section = {}
+    for pt in pts:
+        r = params.project(pt)
+        if r not in section:
+            section[r] = scalar_mul(params, c, pt)
+    if len(section) != q:
+        return False, None
+    gen_multiples = [scalar_mul(params, i, gen) for i in range(pe1)]
+    phi = {(i, r.coords()): add(params, gen_multiples[i], s)
+           for i in range(pe1) for r, s in section.items()}
+    if set(phi.values()) != set(pts) or len(phi) != len(pts):
+        return False, None
+    rp = params.residue_params
+    radd = {(r1.coords(), r2.coords()): add(rp, r1, r2).coords()
+            for r1 in section for r2 in section}
+    for (i1, r1), v1 in phi.items():
+        for (i2, r2), v2 in phi.items():
+            if add(params, v1, v2) != phi[((i1 + i2) % pe1, radd[(r1, r2)])]:
+                return False, None
+    return True, phi
+
+
+@pytest.mark.parametrize("p,e,a,b", [(5, 2, 2, 1), (7, 2, 1, 1), (11, 2, 2, 7)])
+def test_layer_isomorphism_matches_the_homomorphism_definition(p, e, a, b):
+    params = params_for(p, e, a, b)
+    for lay in all_layers(params):
+        ok, phi = layer_isomorphism_check(lay)
+        oracle = _isomorphism_by_homomorphism(lay)
+        assert ok and (ok, phi) == oracle
+        assert list(phi) == list(oracle[1])  # the same order of (i, S) too
+
+
+def test_layer_isomorphism_needs_an_abelian_table(monkeypatch):
+    params = params_for(5, 2, 2, 1)
+    monkeypatch.setattr(CayleyIndex, "abelian", lambda self: False)
+    assert layer_isomorphism_check(Layer(params, 5)) == (False, None)
+
+
+def test_layer_isomorphism_of_a_set_not_closed_is_false(monkeypatch):
+    params = params_for(5, 2, 2, 1)
+    lay = Layer(params, 5)
+    # one point swapped for a point of another layer: the same size, not closed
+    bad = layer_points(lay)[:-1] + layer_points(Layer(params, 10))[-1:]
+    with pytest.raises(PreconditionUnmet):
+        CayleyIndex(params, bad)
+    monkeypatch.setattr(layers, "layer_points", lambda layer: bad)
+    assert layer_isomorphism_check(lay) == (False, None)
+
+
+def test_layer_isomorphism_adds_once_per_unordered_pair(monkeypatch):
+    from elliptic_loops import diagnostics
+
+    params = params_for(5, 2, 2, 1)
+    calls = []
+    for module in (diagnostics, layers):
+        real = module.add
+        monkeypatch.setattr(module, "add",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    n, q = params.q * params.ring.ideal_size, params.q
+    for lay in all_layers(params):
+        calls.clear()
+        assert layer_isomorphism_check(lay)[0]
+        # the table, then q^2 sums on the residue curve
+        assert len(calls) <= n * (n + 1) // 2 + q * q
 
 
 def test_layer_report_shapes():

@@ -36,6 +36,7 @@ from elliptic_loops import (
     scalar_mul,
     sub,
     torsion_fiber,
+    torsion_geometry,
     torsion_line,
     triple_associates,
 )
@@ -235,6 +236,60 @@ def test_difference_group_translates_onto_fiber():
         diffs = difference_group(params, 7, base)
         fiber = torsion_fiber(params, 7, base)
         assert {add(params, base, d) for d in diffs} == set(fiber)
+
+
+def _brute_closed_group(params, diffs):
+    """The identity, negation and sum closures checked pair by pair (the
+    former implementation, kept as the oracle of the index-table check)."""
+    return (identity(params) in diffs
+            and all(neg(params, d) in diffs for d in diffs)
+            and all(add(params, d1, d2) in diffs for d1 in diffs for d2 in diffs))
+
+
+@pytest.mark.parametrize("p,e,a,b,q", [(5, 2, 2, 1, 7), (7, 2, 1, 1, 3), (5, 2, 4, 2, 3),
+                                       (11, 2, 2, 7, None)])
+def test_difference_groups_match_brute_force_closure(p, e, a, b, q):
+    params = params_for(p, e, a, b)
+    q = q or params.q
+    for base in params.loop_points()[::7]:
+        diffs = difference_group(params, q, base)
+        fiber = torsion_fiber(params, q, base)
+        assert diffs == {sub(params, x, y) for x in fiber for y in fiber}
+        assert not fiber or _brute_closed_group(params, diffs)
+
+
+def test_difference_set_that_is_not_a_subgroup_raises(monkeypatch):
+    from elliptic_loops import structure
+
+    params = params_for(5, 2, 2, 1)
+    g1, _ = infinity_generators(params)  # order 5: {0, g1, -g1} misses 2*g1
+    fake = [identity(params), g1]
+    assert not _brute_closed_group(params, {sub(params, x, y) for x in fake for y in fake})
+    monkeypatch.setattr(structure, "torsion_fiber", lambda params, q, pt: fake)
+    with pytest.raises(AssertionError, match="not a subgroup") as info:
+        difference_group(params, 7, identity(params))
+    assert isinstance(info.value.__cause__, PreconditionUnmet)
+
+
+@pytest.mark.parametrize("p,e,a,b,q", [(5, 2, 2, 1, 7), (7, 2, 1, 1, 3), (11, 2, 2, 7, None)])
+def test_torsion_geometry_default_bases_and_records(p, e, a, b, q):
+    params = params_for(p, e, a, b)
+    q = q or params.q
+    rident = params.project(identity(params))
+    firsts = {}
+    for pt in _torsion_points(params, q):
+        firsts.setdefault(params.project(pt), pt)
+    records = torsion_geometry(params, q)
+    assert [base for base, *_ in records] == list(firsts.values())
+    given = torsion_geometry(params, q, list(firsts.values())[::-1])
+    assert [rec[:3] for rec in given] == [rec[:3] for rec in records[::-1]]
+    for base, fiber, diffs, line in records:
+        assert fiber == torsion_fiber(params, q, base)
+        assert diffs == difference_group(params, q, base)
+        cyclic = any(order_of(params, d) == len(diffs) for d in diffs)
+        assert (line is None) == (params.project(base) == rident or not cyclic)
+        if line is not None:
+            assert line.base == base and set(line.coset) == set(fiber)
 
 
 def test_torsion_needs_low_nilpotency():

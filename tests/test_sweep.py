@@ -228,3 +228,81 @@ def test_integer_only_checks_report_on_polynomial_rings(suite):
     reports = verify_instance(LoopParams(poly, 2, 1), suite, budget=1_000, seed=0)
     skipped = [r for r in reports if r.detail == "not applicable: needs an integer quotient"]
     assert skipped and all(r.checked == 0 for r in skipped)
+
+
+# ---------------------------------------------------------------------------
+# one line per check at every budget, and no unbounded work inside verify
+# ---------------------------------------------------------------------------
+
+
+def test_verify_all_lists_the_same_checks_on_every_ring_and_budget():
+    names = {
+        (str(ring), budget): [r.law for r in verify_instance(LoopParams(ring, 2, 1), "all",
+                                                             budget=budget, seed=0)]
+        for ring in VERIFY_INSTANCES if ring.p == 5 for budget in (1, 1_000)
+    }
+    first = next(iter(names.values()))
+    assert len(names) == 6 and len(set(first)) == len(first)
+    assert all(listed == first for listed in names.values()), names
+
+
+def test_hessian_check_over_the_plane_cap_is_a_named_skip():
+    params = params_for(13, 2, 0, 6)  # P^2(Z/169) has 30,927 points
+    reports = verify_instance(params, "hessian-closure", budget=1_000, seed=0)
+    assert [r.law for r in reports] == ["combination-closure-layers",
+                                        "combination-closure-hessian"]
+    layers, hessian = reports
+    assert layers.holds and layers.checked > 0
+    assert hessian.checked == 0 and "30927" in hessian.detail and "25,000" in hessian.detail
+
+
+@pytest.mark.parametrize("inst,budget,runs", [
+    ((31, 2, 1, 3), 1_000, False),  # 39,401 points
+    ((5, 2, 2, 1), 174, False),
+    ((5, 2, 2, 1), 175, True),  # |L| = 175 one-point cases
+])
+def test_torsion_suite_runs_within_the_budget(inst, budget, runs):
+    reports = verify_instance(params_for(*inst), "torsion", budget=budget, seed=0)
+    assert [r.law for r in reports] == ["torsion-fibers", "torsion-differences",
+                                        "torsion-lines"]
+    assert all(r.holds for r in reports)
+    if runs:
+        assert all(r.checked == 7 and r.exhaustive for r in reports)  # q = 7 fibers
+    else:
+        assert all(r.checked == 0 and r.detail == "skipped: exceeds the budget"
+                   for r in reports)
+
+
+def test_low_nilpotency_over_the_table_cap_skips_inside_verify(capsys):
+    from elliptic_loops import PreconditionUnmet, low_nilpotency_suite
+    from elliptic_loops.cli import run
+
+    params = params_for(101, 2, 1, 1)  # 1,071,105 points
+    with pytest.raises(PreconditionUnmet, match="index-table budget"):
+        low_nilpotency_suite(params, budget=1_000)
+    assert run(["verify", "-p", "101", "-e", "2", "-A", "1", "-B", "1", "--suite", "all",
+                "--budget", "1000"]) == 0
+    skips = [line for line in capsys.readouterr().out.splitlines()
+             if "exceeds the index-table budget" in line]
+    assert [line.split()[:2] for line in skips] == [
+        ["SKIP", law] for law in ("translate-by-infinity-pair", "difference-across-fiber",
+                                  "triple-in-fiber", "fiberwise-sum-exchange",
+                                  "multiple-of-fiber-sum")]
+
+
+def test_additivity_past_e3_is_not_applicable_and_draws_nothing(monkeypatch):
+    from elliptic_loops import diagnostics
+
+    params = params_for(5, 4, 2, 1)
+    reports = {r.law: r for r in verify_instance(params, "infinity", budget=1_000, seed=0)}
+    additive = reports["infinity-coordinates-additive"]
+    assert additive.holds and additive.checked == 0
+    assert additive.detail == "not applicable: no theorem past e = 3"
+    # the sampled bijection draws fresh points at infinity, associativity picks
+    # from the enumerated part, and the additivity check draws none
+    draws = []
+    real = diagnostics.random_infinity_point
+    monkeypatch.setattr(diagnostics, "random_infinity_point",
+                        lambda *args: draws.append(args) or real(*args))
+    verify_instance(params, "infinity", budget=1_000, seed=0)
+    assert len(draws) == reports["infinity-coordinate-bijection"].checked
