@@ -15,7 +15,6 @@ from .ring import INTEGER_QUOTIENT, TRUNCATED_POLYNOMIAL, RingConfig, RingElem
 from .projective import ProjPoint, count_projective, normalize, plane_points, proj_equal
 from .loop_core import (
     LoopParams,
-    LoopPoint,
     add,
     eval_F,
     eval_H,
@@ -38,7 +37,6 @@ from .layers import (
     layer_membership,
     layer_points,
     layer_report,
-    matching_curve_shift,
     stratify,
 )
 from .structure import (

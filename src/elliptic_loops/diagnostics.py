@@ -13,10 +13,10 @@ infinity, and the classification of the parameter pairs whose loops are
 honest groups.
 
 Every check that can either sweep its whole case space or draw seeded
-cases runs through one runner, :func:`_sweep`: it sweeps exhaustively
-when the case space, weighted by the cost of one case, fits the budget,
-and otherwise draws cases with the seed.  A check supplies only its
-space, its draws, its condition and its counterexample encoding.
+cases runs through one runner, :func:`_sweep`: it sweeps exhaustively when
+the case space, weighted by the cost of one case, fits the budget or is
+no larger than the sample, and otherwise draws cases with the seed.  A
+check supplies its space, draws, condition and counterexample encoding.
 """
 
 from __future__ import annotations
@@ -107,24 +107,25 @@ def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, dra
            first_bad=None, samples=None, rng=None, detail="") -> LawReport:
     """Run one check over its whole case space if that fits the budget, else on draws.
 
-    Exhaustive iff ``space * weight <= budget`` (``space`` counts the cases,
-    None if there is no exhaustive path; ``weight`` is the cost of one case):
-    then ``exhaust()`` runs and the report counts the whole space, even when
-    it stops at a counterexample.  Otherwise ``first_bad`` runs on the first
-    ``samples`` (default ``max(1, budget // weight)``) of ``draws(rng)``, an
-    endless generator, and the report counts the draws made, the failing one
-    included; without ``draws`` the check is left out (None).  ``first_bad``
+    Exhaustive iff ``space * weight <= budget``, or ``space <= samples`` so
+    that no more cases are drawn than the space holds (``space`` counts the
+    cases, None if there is no exhaustive path; ``weight`` is the cost of one
+    case): then ``exhaust()`` runs and the report counts the whole space, even
+    when it stops at a counterexample.  Otherwise ``first_bad`` runs on the
+    first ``samples`` (default ``max(1, budget // weight)``) of ``draws(rng)``,
+    an endless generator, and the report counts the draws made, the failing
+    one included; without ``draws`` the check is left out (None).  ``first_bad``
     and ``exhaust`` return ``(k, case)`` for the k-th failing case (``exhaust``
     may give any k), or None; ``encode(case)`` is the counterexample.  ``rng``
     is the stream the checks of one suite share; by default a fresh one.
     """
-    if space is not None and space * weight <= budget:
+    if samples is None:
+        samples = max(1, budget // weight)
+    if space is not None and (space * weight <= budget or space <= samples):
         hit, checked, exhaustive = exhaust(), space, True
     elif draws is None:
         return None
     else:
-        if samples is None:
-            samples = max(1, budget // weight)
         hit = first_bad(islice(draws(rng or random.Random(seed)), samples))
         checked, exhaustive = (samples if hit is None else hit[0]), False
     return LawReport(law, hit is None, None if hit is None else encode(hit[1]),
@@ -261,10 +262,10 @@ class CayleyIndex:
 
     Every table is decided the same way: Light's test on a generating set
     (:meth:`associative`, n^2 lookups per generator, run once and cached)
-    proves associativity, and with commuting generators the Moufang
-    identity; only a table it does not prove is swept over all n^3 triples
-    as lists, to name the first failing one.  Light's test runs as
-    ``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points.
+    proves associativity, or names a failing triple, and with commuting
+    generators proves the Moufang identity; only a Moufang table it does
+    not prove is swept over all n^3 triples as lists.  Light's test runs
+    as ``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points.
     """
 
     __slots__ = ("params", "points", "index", "table", "neg", "ident", "_cycles", "_light")
@@ -352,28 +353,34 @@ class CayleyIndex:
         In any finite magma the g with (x + g) + y = x + (g + y) for all x, y
         form a closed subset, so a generating set that passes proves all n^3
         triples.  ``gens`` must generate the table; by default
-        :meth:`generators` finds a set, and that set and the verdict are
-        kept for later calls.  Costs n^2 lookups per generator: as byte
-        rows, one ``bytes.translate`` per (x, g), row (x + g) against row g
-        mapped through row x.
+        :meth:`generators` finds a set, and that set and the test's failing
+        triple (:meth:`assoc_sweep`) are kept for later calls.  Costs n^2
+        lookups per generator: as byte rows, one ``bytes.translate`` per
+        (x, g), row g mapped through row x against row (x + g).
         """
+        return self._light_test(gens) is None
+
+    def _light_test(self, gens=None):
+        """The first (x, g, y), by x and then g in ``gens``, with
+        (x + g) + y != x + (g + y), or None: see :meth:`associative`."""
         if gens is None:
             if self._light is None:
                 gens = self.generators()
-                self._light = gens, self.associative(gens)
+                self._light = gens, self._light_test(gens)
             return self._light[1]
         table = self.table
         n = len(table)
-        if n > BYTE_ROWS_MAX:
-            return all(table[tx[g]] == [tx[c] for c in table[g]] for tx in table for g in gens)
-        pad = bytes(BYTE_ROWS_MAX - n)
-        rows = [bytes(r) for r in table]
-        for tx, rx in zip(table, rows):
-            x_map = rx + pad
+        rows = maps = table
+        image = lambda row, tx: [tx[c] for c in row]
+        if n <= BYTE_ROWS_MAX:  # row x as a bytes.translate map, padded to 256
+            rows = [bytes(r) for r in table]
+            maps, image = [r + bytes(BYTE_ROWS_MAX - n) for r in rows], bytes.translate
+        for x, (tx, x_map) in enumerate(zip(table, maps)):
             for g in gens:
-                if rows[tx[g]] != rows[g].translate(x_map):
-                    return False
-        return True
+                lhs, rhs = rows[tx[g]], image(rows[g], x_map)
+                if lhs != rhs:
+                    return x, g, next(y for y in range(n) if lhs[y] != rhs[y])
+        return None
 
     def abelian(self) -> bool:
         """Whether the table is associative and symmetric.
@@ -387,12 +394,12 @@ class CayleyIndex:
         return all(t[g][h] == t[h][g] for g in gens for h in gens)
 
     def assoc_sweep(self):
-        """First non-associative triple (i, j, c) of indices, or None.
+        """A non-associative triple (i, j, c) of indices, or None.
 
-        None comes only from Light's test (:meth:`associative`); a table
-        that fails it is swept in full for the first failing triple.
+        Both come from Light's test (:meth:`associative`): its first failing
+        triple, or None when it proves the table associative.
         """
-        return None if self.associative() else self._assoc_by_lists()
+        return self._light_test()
 
     def moufang_sweep(self):
         """First triple (i, j, k) of indices breaking the Moufang identity
@@ -402,22 +409,6 @@ class CayleyIndex:
         table returns None at once; any other is swept in full.
         """
         return None if self.abelian() else self._moufang_by_lists()
-
-    def _assoc_by_lists(self):
-        """The full sweep of :meth:`assoc_sweep`, and the reference for Light's test."""
-        table = self.table
-        n = len(table)
-        for i in range(n):
-            ti = table[i]
-            for j in range(n):
-                tj = table[j]
-                lhs = table[ti[j]]
-                rhs = [ti[c] for c in tj]
-                if lhs != rhs:
-                    for c in range(n):
-                        if lhs[c] != rhs[c]:
-                            return (i, j, c)
-        return None
 
     def _moufang_by_lists(self):
         """The full sweep of :meth:`moufang_sweep`, and the reference for its shortcut."""
@@ -433,40 +424,33 @@ class CayleyIndex:
         return None
 
 
-def _table_hit(cayley: CayleyIndex, bad):
-    """An ``exhaust`` result from a sweep's triple of indices (or None)."""
-    return None if bad is None else (None, [cayley.points[i] for i in bad])
-
-
 def _table_law(cayley: CayleyIndex, proofs: list, law: str = "full-associative"):
     """``exhaust`` of associativity, or of Moufang, over index tables.
 
-    Appends to ``proofs`` how the table was decided: (generators, lookups)
-    when Light's test proved it (:meth:`CayleyIndex.associative`, or
-    :meth:`CayleyIndex.abelian` for Moufang), None when it was swept in full.
+    Appends to ``proofs`` (generators, lookups) when Light's test decided the
+    table (up to its failing triple; with :meth:`CayleyIndex.abelian` for
+    Moufang), None when a Moufang table was swept in full.
     """
-    if law == "moufang":
-        bad, proved = cayley.moufang_sweep(), cayley.abelian()
-    else:
-        bad, proved = cayley.assoc_sweep(), cayley.associative()
-    k = len(cayley._light[0])
-    proofs.append((k, k * len(cayley.table) ** 2) if proved else None)
-    return _table_hit(cayley, bad)
+    bad = cayley.moufang_sweep() if law == "moufang" else cayley.assoc_sweep()
+    gens, n = cayley._light[0], len(cayley.table)
+    if law == "moufang" and not cayley.abelian():
+        proofs.append(None)
+    else:  # n lookups per (x, g) up to Light's failing triple, if any
+        pairs = n * len(gens) if bad is None else bad[0] * len(gens) + gens.index(bad[1]) + 1
+        proofs.append((len(gens), pairs * n))
+    return None if bad is None else (None, [cayley.points[i] for i in bad])
 
 
 def _table_detail(proofs: list, law: str = "full-associative") -> str:
     """The detail of a report decided by the tables in ``proofs`` (see _table_law)."""
-    certs = [p for p in proofs if p]
-    swept = len(proofs) - len(certs)
-    parts = []
-    if certs:
-        how = "Light's test and commuting generators" if law == "moufang" else "Light's test"
-        on = f" on {len(certs)} tables" if len(certs) > 1 else ""
-        parts.append(f"{how}{on}: {sum(g for g, _ in certs)} generators, "
-                     f"{sum(k for _, k in certs):,} lookups")
-    if swept:
-        parts.append("full sweep" + (f" on {swept} tables" if swept > 1 else ""))
-    return "; ".join(parts)
+    if None in proofs:  # a Moufang table that Light's test does not prove
+        return "full sweep"
+    if not proofs:  # sampled
+        return ""
+    how = "Light's test and commuting generators" if law == "moufang" else "Light's test"
+    on = f" on {len(proofs)} tables" if len(proofs) > 1 else ""
+    return (f"{how}{on}: {sum(g for g, _ in proofs)} generators, "
+            f"{sum(k for _, k in proofs):,} lookups")
 
 
 # ----------------------------------------------------------------------------
@@ -621,15 +605,16 @@ def replay(params: LoopParams, report) -> bool:
     if isinstance(report, LawReport):
         report = report.to_json()
     law, ce = report["law"], report["counterexample"]
+    known = LAW_NAMES + ("infinity-associativity", "layer-associativity")
+    if law not in known:
+        raise PreconditionUnmet(f"cannot replay a {law!r} report; replay knows {', '.join(known)}")
     if ce is None:
         raise PreconditionUnmet("report carries no counterexample to replay")
     case = _decode_points(params, ce["points"]) + ce.get("exponents", [])
-    if law in ("infinity-associativity", "layer-associativity"):
-        law = "full-associative"
     if ce.get("relation") == "row-collision":
         row = {add(params, case[0], q) for q in params.loop_points()}
         return len(row) != params.cardinality()
-    return not _check_law(params, law, *case)
+    return not _check_law(params, law if law in LAW_NAMES else "full-associative", *case)
 
 
 # ----------------------------------------------------------------------------
@@ -1265,6 +1250,12 @@ def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 
                    first_bad=first_bad)]
 
 
+def _layer_gate(params: LoopParams, budget: int, checks):
+    """One SKIP per check if all layers' q * |m|^3 points exceed 40 * budget, else None."""
+    if params.q * params.ring.ideal_size ** 3 > 40 * budget:
+        return [_skipped(law, "skipped: layer enumeration exceeds the budget") for law in checks]
+
+
 LAYER_CHECKS = ("layer-cardinality", "layer-closure", "layer-associativity",
                 "layer-infinity-generator", "layer-infinity-valuation", "layer-group-isomorphism")
 
@@ -1275,10 +1266,11 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
                          layer_isomorphism_check, layer_membership, layer_points)
 
     ring = params.ring
-    if ring.kind != INTEGER_QUOTIENT or params.q * ring.ideal_size**3 > 40 * budget:
-        why = ("layer reports need an integer quotient" if ring.kind != INTEGER_QUOTIENT
-               else "layer enumeration exceeds the budget")
-        return [_skipped(law, f"skipped: {why}") for law in LAYER_CHECKS]
+    if ring.kind != INTEGER_QUOTIENT:
+        return [_skipped(law, "skipped: layer reports need an integer quotient")
+                for law in LAYER_CHECKS]
+    if skips := _layer_gate(params, budget, LAYER_CHECKS):
+        return skips
     rng = random.Random(seed)
     isz = ring.ideal_size
     expected = params.q * isz
@@ -1340,9 +1332,9 @@ def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: i
     from .layers import Layer, hessian_closure_sweep, layer_points
 
     ring = params.ring
-    if params.q * ring.ideal_size**3 > 40 * budget:
-        return [_skipped(law, "skipped: layer enumeration exceeds the budget")
-                for law in ("combination-closure-layers", "combination-closure-hessian")]
+    if skips := _layer_gate(params, budget, ("combination-closure-layers",
+                                             "combination-closure-hessian")):
+        return skips
     rng = random.Random(seed)
     # alpha*F + beta*H with (1, -t): zero set contains the layer
     pair_budget = min(2000, max(10, budget // (4 * max(1, ring.ideal_size))))
@@ -1460,12 +1452,10 @@ def congruence_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 def nilpotency_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """:func:`low_nilpotency_suite`, or one SKIP per identity where it does not run."""
-    n, e = params.cardinality(), params.ring.e
-    if e <= 2 and n**2 <= NILPOTENCY_TABLE_MAX:
+    try:
         return low_nilpotency_suite(params, budget, seed)
-    why = (f"identities need e <= 2 (e = {e})" if e > 2
-           else f"loop of size {n} exceeds the index-table budget")
-    return [_skipped(law, f"skipped: {why}") for law in NILPOTENCY_CHECKS]
+    except (NilpotencyTooHigh, PreconditionUnmet) as exc:
+        return [_skipped(law, f"skipped: {exc}") for law in NILPOTENCY_CHECKS]
 
 
 VERIFY_SUITES = {

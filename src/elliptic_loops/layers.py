@@ -246,22 +246,3 @@ def layer_report(layer: Layer) -> dict:
         "infinity_order": order_of(params, gen),
         "group_structure": structure,
     }
-
-
-def matching_curve_shift(layer: Layer):
-    """Search for (alpha, beta) in m^2 with L_t = E_{A+alpha, B+beta}(R).
-
-    Layers are observed to coincide with curves for small instances; this
-    is reported as an observation, not asserted as a theorem.  Returns the
-    first matching pair of payloads, or None.
-    """
-    params = layer.params
-    ring = params.ring
-    target = set(layer_points(layer))
-    for da in ring.ideal_elements():
-        for db in ring.ideal_elements():
-            shifted = LoopParams(ring, ring.add(params.a, da), ring.add(params.b, db))
-            curve = set(layer_points(Layer(shifted, ring.zero)))
-            if curve == target:
-                return (da, db)
-    return None

@@ -151,10 +151,6 @@ class LoopParams:
         """Order of the reduction pi(P) on the residue curve, cached."""
         return self.residue_order(self.project(pt))
 
-    def all_residue_three_torsion(self) -> bool:
-        """True when every residue point is killed by 3."""
-        return all(self.residue_order(r) in (1, 3) for r in self.residue_points)
-
     def loop_points(self) -> list:
         """All q * |m|^2 points, lifted fiberwise over the residue curve.
 
@@ -424,45 +420,3 @@ def lift_affine(params: LoopParams, pt: ProjPoint, alpha) -> RingElem:
     x3 = mul(mul(x, x), x)
     beta = sub(sub(sub(mul(y, y), x3), mul(ring.add(params.a, al), x)), params.b)
     return RingElem(ring, beta)
-
-
-class LoopPoint:
-    """Convenience wrapper binding a point to its loop.
-
-    Supports P + Q, -P, P - Q, n * P, abs-free order(), and equality.
-    The underlying canonical ProjPoint is the ``pt`` attribute.
-    """
-
-    __slots__ = ("params", "pt")
-
-    def __init__(self, params: LoopParams, pt: ProjPoint):
-        self.params = params
-        self.pt = pt
-
-    @classmethod
-    def of(cls, params: LoopParams, x, y, z) -> "LoopPoint":
-        return cls(params, params.point(x, y, z))
-
-    def __add__(self, other: "LoopPoint") -> "LoopPoint":
-        return LoopPoint(self.params, add(self.params, self.pt, other.pt))
-
-    def __sub__(self, other: "LoopPoint") -> "LoopPoint":
-        return LoopPoint(self.params, sub(self.params, self.pt, other.pt))
-
-    def __neg__(self) -> "LoopPoint":
-        return LoopPoint(self.params, neg(self.params, self.pt))
-
-    def __rmul__(self, n: int) -> "LoopPoint":
-        return LoopPoint(self.params, scalar_mul(self.params, n, self.pt))
-
-    def order(self) -> int:
-        return order_of(self.params, self.pt)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LoopPoint) and self.pt == other.pt
-
-    def __hash__(self) -> int:
-        return hash(self.pt)
-
-    def __repr__(self) -> str:
-        return f"LoopPoint{self.pt!r}"

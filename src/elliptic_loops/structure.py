@@ -203,14 +203,21 @@ def torsion_fiber(params: LoopParams, q: int, pt: ProjPoint) -> list:
 
 
 def difference_group(params: LoopParams, q: int, pt: ProjPoint):
-    """D_{q/P}: pairwise differences of the torsion fiber.
+    """D_{q/P}: pairwise differences of the torsion fiber, for e <= 2.
 
-    Verified to be a subgroup of the infinity part, and (when P itself is
-    q-torsion) to translate P exactly onto the fiber.  Building its index
-    table (:class:`CayleyIndex`, one ``add`` per unordered pair) checks that
-    the set holds the identity and is closed under negation and addition;
-    a set that is not a subgroup raises AssertionError.  Nilpotency degree
-    at most 2 is required.
+    Verified as in :func:`_checked_differences`: a subgroup of the infinity
+    part that (when P itself is q-torsion) translates P onto the fiber.
+    """
+    return _checked_differences(params, pt, torsion_fiber(params, q, pt))
+
+
+def _checked_differences(params: LoopParams, pt: ProjPoint, fiber: list):
+    """The checked difference set of P's torsion ``fiber``; e <= 2 only.
+
+    Its index table (:class:`CayleyIndex`, one ``add`` per unordered pair)
+    checks that the set holds the identity and is closed under negation and
+    addition.  A set that is not a subgroup, not at infinity, or (P in the
+    fiber) whose translate by P is not the fiber raises AssertionError.
     """
     from .diagnostics import CayleyIndex
 
@@ -218,7 +225,6 @@ def difference_group(params: LoopParams, q: int, pt: ProjPoint):
         raise NilpotencyTooHigh(
             f"difference groups are established for e <= 2 only (e = {params.ring.e})"
         )
-    fiber = torsion_fiber(params, q, pt)
     diffs = {sub(params, a, b) for a in fiber for b in fiber}
     rident = params.project(identity(params))
     if fiber:
@@ -240,10 +246,10 @@ def torsion_geometry(params: LoopParams, q: int, bases=None) -> list:
     """One record (P, L_{q/P}, D_{q/P}, line) per base point P, for e <= 2.
 
     ``bases`` defaults to the first q-torsion point of each residue fiber,
-    in the order of ``loop_points()``.  ``line`` is the
-    :func:`torsion_line` of P's coset, drawn in the direction of a generator
-    of D_{q/P}; it is None over the residue identity and when D_{q/P} is not
-    cyclic, where no single line carries the fiber.
+    in the order of ``loop_points()``; each base's fiber is built once.
+    ``line`` is the :func:`torsion_line` of P's coset, drawn in the
+    direction of a generator of D_{q/P}; it is None over the residue
+    identity and when D_{q/P} is not cyclic, where no line carries the fiber.
     """
     ident = identity(params)
     if bases is None:
@@ -254,7 +260,7 @@ def torsion_geometry(params: LoopParams, q: int, bases=None) -> list:
     records = []
     for base in bases:
         fiber = torsion_fiber(params, q, base)
-        diffs = difference_group(params, q, base)
+        diffs = _checked_differences(params, base, fiber)
         gen = None if params.project(base) == params.project(ident) else next(
             (d for d in diffs if order_of(params, d) == len(diffs)), None)
         line = None if gen is None else torsion_line(params, base, gen)

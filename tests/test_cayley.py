@@ -1,14 +1,16 @@
-"""Index tables: Light's test decides, the list sweeps name the failure.
+"""Index tables: Light's test decides, and names its own failing triple.
 
 Every table is decided the same way.  Light's test on a generating set
-proves associativity, and with commuting generators the Moufang identity
-(P + (Q + R)) + R = ((P + R) + R) + Q, which every commutative semigroup
-satisfies; only a table it does not prove is swept over all n^3 triples as
-lists, for the first failing triple in (i, j, k) order.  Light's test runs
-as ``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points, as lists
-above.  Its verdicts must agree with the full list sweeps, which are also
-the reference here, on both sides of that cutoff and on a table that is
-associative but not symmetric.
+proves associativity or stops at its first failing triple (x, g, y), which
+``assoc_sweep`` reports; with commuting generators it also proves the
+Moufang identity (P + (Q + R)) + R = ((P + R) + R) + Q, which every
+commutative semigroup satisfies, and only a table it does not prove is
+swept over all n^3 triples as lists for Moufang.  Light's test runs as
+``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points, as lists
+above.  Its verdicts must agree with the full n^3 list sweeps kept here as
+the reference (``assoc_by_lists``), on both sides of that cutoff and on a
+table that is associative but not symmetric, and every triple it names
+must fail in the table.
 """
 
 from __future__ import annotations
@@ -30,11 +32,33 @@ def symmetric(table):
     return table == [list(col) for col in zip(*table)]
 
 
+def assoc_by_lists(table):
+    """The first (i, j, c) with (i + j) + c != i + (j + c), swept over all n^3
+    triples as lists: the reference for Light's test."""
+    n = len(table)
+    for i in range(n):
+        ti = table[i]
+        for j in range(n):
+            lhs = table[ti[j]]
+            rhs = [ti[c] for c in table[j]]
+            if lhs != rhs:
+                return i, j, next(c for c in range(n) if lhs[c] != rhs[c])
+    return None
+
+
+def fails(table, triple):
+    i, j, c = triple
+    return table[table[i][j]][c] != table[i][table[j][c]]
+
+
 def assert_sweeps_match_lists(cayley):
-    reference = cayley._assoc_by_lists()
+    """Light's verdicts agree with the list sweeps; any triple it names fails."""
+    reference = assoc_by_lists(cayley.table)
     assert cayley.associative() == (reference is None)
     assert cayley.abelian() == (reference is None and symmetric(cayley.table))
-    assert cayley.assoc_sweep() == reference
+    bad = cayley.assoc_sweep()
+    assert (bad is None) == (reference is None)
+    assert bad is None or (fails(cayley.table, bad) and bad[1] in cayley._light[0])
     assert cayley.moufang_sweep() == cayley._moufang_by_lists()
 
 
@@ -203,6 +227,26 @@ def test_law_suite_runs_light_test_once_per_table(monkeypatch):
     reports = law_suite(params, ("full-associative", "moufang"), budget=75**3, seed=0)
     assert [r.holds for r in reports] == [True, True]
     assert searches == [75]
+
+
+@pytest.mark.parametrize("inst", [(5, 2, 2, 1), (5, 2, 1, 1), (7, 2, 1, 1), (7, 2, 4, 1)])
+def test_non_group_counterexamples_are_light_tests_failing_triple(inst):
+    """Light's first failure on each non-group is (1, s, s), s = |m|^2, the
+    list sweep's first failure too, so the reports keep their triples."""
+    params = params_for(*inst)
+    p, n = params.ring.p, params.cardinality()
+    cayley = CayleyIndex(params, params.loop_points())
+    s = params.ring.ideal_size ** 2
+    gens = cayley.generators()
+    assert cayley.assoc_sweep() == (1, s, s) == assoc_by_lists(cayley.table)
+    assoc, moufang = law_suite(params, ("full-associative", "moufang"), budget=n**3, seed=0)
+    assert assoc.exhaustive and assoc.checked == n**3 and not assoc.holds
+    assert assoc.counterexample == {"points": [[0, 1, p], [0, 1, 1], [0, 1, 1]]}
+    # n lookups for each (x, g) tried: every generator at x = 0, then up to s at x = 1
+    tried = len(gens) + gens.index(s) + 1
+    assert assoc.detail == f"Light's test: {len(gens)} generators, {tried * n:,} lookups"
+    assert moufang.counterexample == {"points": [[0, 1, 0], [0, 1, p], [0, 1, 1]]}
+    assert moufang.detail == "full sweep"
 
 
 @pytest.mark.parametrize("inst, detail", [

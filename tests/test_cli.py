@@ -223,6 +223,13 @@ def test_torsion_fibers_json(capsys):
         assert len(rec["reduced_line"]) == 3
 
 
+def test_torsion_past_e2_is_a_precondition_error(capsys):
+    rc, out, err = run_cli(capsys, "torsion", "-p", "5", "-e", "3", "-A", "2", "-B", "1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "e <= 2" in err
+
+
 def _torsion_records(params, q, bases):
     """The ``torsion`` records built by direct calls (the command's former
     pipeline, kept as its oracle)."""

@@ -104,6 +104,18 @@ def test_passing_reports_have_nothing_to_replay(reference_reports):
                 replay(params, report)
 
 
+@pytest.mark.parametrize("law", ["projection-homomorphism", "layer-closure",
+                                 "rank-monotonicity", "triple-in-fiber"])
+def test_replay_names_a_law_it_cannot_replay(law):
+    params = params_for(5, 2, 2, 1)
+    points = diagnostics._encode_points(params, params.loop_points()[:3])
+    report = LawReport(law, False, {"points": points}, 1, False, 0)
+    with pytest.raises(PreconditionUnmet, match=f"cannot replay a '{law}' report") as raised:
+        replay(params, report)
+    assert all(known in str(raised.value)
+               for known in (*LAW_NAMES, "infinity-associativity", "layer-associativity"))
+
+
 def test_report_json_shape(reference_reports):
     _, reports = reference_reports
     for report in reports:

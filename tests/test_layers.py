@@ -33,7 +33,6 @@ from elliptic_loops import (
     layer_membership,
     layer_points,
     layer_report,
-    matching_curve_shift,
     neg,
     order_of,
     plane_points,
@@ -443,20 +442,6 @@ def test_hessian_closure_explicit_pairs_stop_at_first_failure(monkeypatch):
     assert hessian_closure_sweep(params, 1, 0, pairs) == (False, 1, None)
     with pytest.raises(PreconditionUnmet):
         hessian_closure_check(params, 1, 0, pairs[::-1])
-
-
-# ---------------------------------------------------------------------------
-# the layer <-> shifted-curve observation (recorded, not asserted as law)
-# ---------------------------------------------------------------------------
-
-
-def test_matching_curve_shift_observation():
-    params = params_for(5, 2, 2, 1)
-    # t = 0 is the curve itself
-    assert matching_curve_shift(Layer(params, 0)) == (0, 0)
-    # nonzero layers match no coefficient-shifted curve as point SETS:
-    # kept as a recorded observation about the implemented search
-    assert matching_curve_shift(Layer(params, 5)) is None
 
 
 def test_distinct_shifts_give_distinct_curves():

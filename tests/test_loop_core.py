@@ -20,7 +20,6 @@ from elliptic_loops import (
     Layer,
     LoopParams,
     PreconditionUnmet,
-    LoopPoint,
     ProjPoint,
     RingConfig,
     RingElem,
@@ -30,7 +29,6 @@ from elliptic_loops import (
     eval_H,
     identity,
     lift_affine,
-    matching_curve_shift,
     membership,
     neg,
     normalize,
@@ -448,17 +446,6 @@ def test_lift_affine_shifts_curve_exactly():
             assert lhs == rhs
 
 
-def test_loop_point_wrapper_ops():
-    params = params_for(5, 2, 2, 1)
-    pts = params.loop_points()
-    P, Q = LoopPoint(params, pts[3]), LoopPoint(params, pts[10])
-    assert (P + Q).pt == add(params, pts[3], pts[10])
-    assert (P - Q).pt == sub(params, pts[3], pts[10])
-    assert (-P).pt == neg(params, pts[3])
-    assert (7 * P).pt == scalar_mul(params, 7, pts[3])
-    assert P.order() == order_of(params, pts[3])
-
-
 def test_polynomial_ring_loop_matches_integer_counts():
     poly = LoopParams(RingConfig.truncated_poly(5, 2), 2, 1)
     ints = params_for(5, 2, 2, 1)
@@ -614,13 +601,3 @@ def test_packed_payload_coerces_like_its_coefficient_list():
     assert u + pack(t) == u + ring.elem(t)
     assert u - pack(t) == u - ring.elem(t)
     assert ring.elem(pack(t)) == ring.elem(t) == pack(t)
-
-
-def test_matching_curve_shift_returns_payloads():
-    ring = RingConfig.truncated_poly(5, 2)
-    params = LoopParams(ring, 2, 1)
-    shift = matching_curve_shift(Layer(params, ring.zero))
-    assert shift == (ring.zero, ring.zero)
-    assert all(type(v) is type(ring.zero) for v in shift)
-    assert repr(shift) == "((0, 0), (0, 0))"
-    assert matching_curve_shift(Layer(params, ring.uniformizer())) is None

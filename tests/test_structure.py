@@ -296,6 +296,33 @@ def test_torsion_needs_low_nilpotency():
     params = params_for(5, 3, 2, 1)
     with pytest.raises(NilpotencyTooHigh):
         difference_group(params, 7, identity(params))
+    with pytest.raises(NilpotencyTooHigh):
+        torsion_geometry(params, 7)
+
+
+def test_torsion_suite_builds_each_fiber_once(monkeypatch):
+    from elliptic_loops import diagnostics, structure
+
+    params = params_for(5, 2, 2, 1)
+    muls, bases = [], []
+    real_mul, real_fiber = structure.scalar_mul, structure.torsion_fiber
+
+    def counting_mul(*args):
+        muls.append(args[1])
+        return real_mul(*args)
+
+    def counting_fiber(params_, q, pt):
+        bases.append(pt)
+        return real_fiber(params_, q, pt)
+
+    monkeypatch.setattr(structure, "scalar_mul", counting_mul)
+    monkeypatch.setattr(diagnostics, "scalar_mul", counting_mul)
+    monkeypatch.setattr(structure, "torsion_fiber", counting_fiber)
+    reports = diagnostics.torsion_suite(params)
+    assert all(r.holds and r.checked == 7 for r in reports)
+    assert len(bases) == len(set(bases)) == 7  # one fiber per base, q = 7 bases
+    # 175 to group the 7-torsion in the suite, then 7 fibers of 25 points
+    assert len(muls) == 350
 
 
 # ---------------------------------------------------------------------------

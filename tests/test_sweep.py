@@ -1,7 +1,8 @@
 """The exhaustive-or-sampled runner behind every diagnostics check.
 
 The runner sweeps a check's whole case space when the space, weighted by
-the cost of one case, fits the budget, and otherwise draws seeded cases.
+the cost of one case, fits the budget, or when the space holds no more
+cases than would be drawn, and otherwise draws seeded cases.
 An exhaustive report counts the whole space, even when it stops at a
 counterexample; a sampled report counts the draws made, the failing one
 included.  The regressions below are checks that used to print PASS for
@@ -15,9 +16,10 @@ from itertools import count
 
 import pytest
 
-from elliptic_loops import LoopParams, RingConfig, law_suite, replay, verify_instance
+from elliptic_loops import (LoopParams, NilpotencyTooHigh, PreconditionUnmet, RingConfig,
+                            law_suite, low_nilpotency_suite, replay, verify_instance)
 from elliptic_loops import structure
-from elliptic_loops.diagnostics import _point_pool, _sweep
+from elliptic_loops.diagnostics import NILPOTENCY_CHECKS, _point_pool, _sweep
 
 
 def params_for(p, e, a, b):
@@ -59,6 +61,16 @@ def test_exhaustive_iff_weighted_space_fits_budget(space, weight, budget):
     assert report.holds
     assert report.exhaustive == (space * weight <= budget)
     assert report.checked == (space if report.exhaustive else max(1, budget // weight))
+
+
+@pytest.mark.parametrize("samples", [24, 25, 2000])
+def test_a_space_no_larger_than_the_samples_is_swept(samples):
+    # 25 cases of weight 50 do not fit a budget of 1,000, but drawing more
+    # than 25 cases would be more work than sweeping them all
+    report = _run(1000, space=25, weight=50, samples=samples)
+    assert report.holds
+    assert report.exhaustive == (samples >= 25)
+    assert report.checked == (25 if report.exhaustive else samples)
 
 
 def test_no_space_is_always_sampled():
@@ -158,12 +170,19 @@ def test_three_torsion_exhaustive_flag_matches_its_count(inst, budget):
     assert report.checked == min(budget, params.cardinality())
 
 
-@pytest.mark.parametrize("budget", [1_000, 10_000])
+@pytest.mark.parametrize("budget", [10, 1_000, 10_000])
 def test_infinity_bijection_reports_a_bad_decomposition(monkeypatch, budget):
-    # 25 points at infinity: budget 1,000 samples them, 10,000 sweeps them all
+    # 25 points at infinity: budget 10 draws 10 of them; 1,000 would draw
+    # 1,000, more than the 25 it sweeps instead, and 10,000 fits all 25
     params = params_for(5, 2, 2, 1)
     real = structure.infinity_decompose
     victim = params.point(5, 1, 10)
+    if budget == 10:  # the victim is the fifth point the sampled check draws
+        seen = []
+        monkeypatch.setattr(structure, "infinity_decompose",
+                            lambda params_, pt: seen.append(pt) or real(params_, pt))
+        verify_instance(params, "infinity", budget=budget, seed=0)
+        victim = seen[4]
 
     def broken(params_, pt):
         if pt == victim:
@@ -174,7 +193,8 @@ def test_infinity_bijection_reports_a_bad_decomposition(monkeypatch, budget):
     reports = {r.law: r for r in verify_instance(params, "infinity", budget=budget, seed=0)}
     bij = reports["infinity-coordinate-bijection"]
     assert not bij.holds
-    assert bij.exhaustive == (budget == 10_000)
+    assert bij.exhaustive == (budget >= 1_000)
+    assert bij.checked == (25 if bij.exhaustive else seen.index(victim) + 1)
     assert _decode(params, bij.counterexample["points"]) == [victim]
 
 
@@ -274,7 +294,6 @@ def test_torsion_suite_runs_within_the_budget(inst, budget, runs):
 
 
 def test_low_nilpotency_over_the_table_cap_skips_inside_verify(capsys):
-    from elliptic_loops import PreconditionUnmet, low_nilpotency_suite
     from elliptic_loops.cli import run
 
     params = params_for(101, 2, 1, 1)  # 1,071,105 points
@@ -288,6 +307,20 @@ def test_low_nilpotency_over_the_table_cap_skips_inside_verify(capsys):
         ["SKIP", law] for law in ("translate-by-infinity-pair", "difference-across-fiber",
                                   "triple-in-fiber", "fiberwise-sum-exchange",
                                   "multiple-of-fiber-sum")]
+
+
+@pytest.mark.parametrize("inst, error", [
+    ((5, 3, 2, 1), NilpotencyTooHigh),
+    ((101, 2, 1, 1), PreconditionUnmet),  # over the index-table cap
+])
+def test_low_nilpotency_skips_say_the_suites_own_reason(inst, error):
+    params = params_for(*inst)
+    with pytest.raises(error) as raised:
+        low_nilpotency_suite(params, budget=1_000)
+    reports = verify_instance(params, "low-nilpotency", budget=1_000, seed=0)
+    assert [r.law for r in reports] == list(NILPOTENCY_CHECKS)
+    assert all(r.holds and r.checked == 0 and not r.exhaustive
+               and r.detail == f"skipped: {raised.value}" for r in reports)
 
 
 def test_additivity_past_e3_is_not_applicable_and_draws_nothing(monkeypatch):
