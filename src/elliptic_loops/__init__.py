@@ -30,9 +30,7 @@ from .loop_core import (
 from .layers import (
     Layer,
     all_layers,
-    hessian_closure_check,
     layer_infinity_generator,
-    layer_infinity_points,
     layer_isomorphism_check,
     layer_membership,
     layer_points,

@@ -104,24 +104,25 @@ def _skipped(law: str, detail: str) -> LawReport:
 
 
 def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, draws=None,
-           first_bad=None, samples=None, rng=None, detail="") -> LawReport:
+           first_bad=None, samples=None, rng=None, tabled=False, detail="") -> LawReport:
     """Run one check over its whole case space if that fits the budget, else on draws.
 
-    Exhaustive iff ``space * weight <= budget``, or ``space <= samples`` so
-    that no more cases are drawn than the space holds (``space`` counts the
-    cases, None if there is no exhaustive path; ``weight`` is the cost of one
-    case): then ``exhaust()`` runs and the report counts the whole space, even
-    when it stops at a counterexample.  Otherwise ``first_bad`` runs on the
-    first ``samples`` (default ``max(1, budget // weight)``) of ``draws(rng)``,
-    an endless generator, and the report counts the draws made, the failing
-    one included; without ``draws`` the check is left out (None).  ``first_bad``
+    Exhaustive iff ``tabled`` (an index table decides the check), ``space *
+    weight <= budget``, or ``space <= samples`` so that no more cases are
+    drawn than the space holds (``space`` counts the cases, None if there is
+    no exhaustive path; ``weight`` is the cost of one case): then ``exhaust()``
+    runs and the report counts the whole space, even when it stops at a
+    counterexample.  Otherwise ``first_bad`` runs on the first ``samples``
+    (default ``max(1, budget // weight)``) of ``draws(rng)``, an endless
+    generator, and the report counts the draws made, the failing one
+    included; without ``draws`` the check is left out (None).  ``first_bad``
     and ``exhaust`` return ``(k, case)`` for the k-th failing case (``exhaust``
     may give any k), or None; ``encode(case)`` is the counterexample.  ``rng``
     is the stream the checks of one suite share; by default a fresh one.
     """
     if samples is None:
         samples = max(1, budget // weight)
-    if space is not None and (space * weight <= budget or space <= samples):
+    if space is not None and (tabled or space * weight <= budget or space <= samples):
         hit, checked, exhaustive = exhaust(), space, True
     elif draws is None:
         return None
@@ -451,6 +452,13 @@ def _table_detail(proofs: list, law: str = "full-associative") -> str:
     on = f" on {len(proofs)} tables" if len(proofs) > 1 else ""
     return (f"{how}{on}: {sum(g for g, _ in proofs)} generators, "
             f"{sum(k for _, k in proofs):,} lookups")
+
+
+def _table_pays(n: int, additions: int) -> bool:
+    """Whether an n-point index table, n(n+1)/2 additions to build, costs no more than the
+    ``additions`` of the samples it replaces: 4 a triple, 1 a closure pair.  Light's test's
+    lookups are not counted; they take under a tenth of the build's time."""
+    return n * (n + 1) // 2 <= additions
 
 
 # ----------------------------------------------------------------------------
@@ -868,9 +876,9 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
     """Structure checks for the points over the residue identity.
 
     Covers the cardinality p^(2(e-1)), the orders and independence of the
-    generating pair, the coordinate bijection, associativity (a theorem
-    for e <= 5, refuted by an explicit triple from e = 6 on), and the
-    coordinatewise-additive description valid for e <= 3.
+    generating pair, the coordinate bijection, associativity (a theorem for
+    e <= 5, decided by the index table where it pays (:func:`_table_pays`),
+    refuted by an explicit triple from e = 6 on), and additivity for e <= 3.
     """
     from .structure import infinity_decompose
 
@@ -936,6 +944,7 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
         proofs = []
         rep = _sweep("infinity-associativity", budget, seed, encode,
                      space=expected**3 if enumerable else None,
+                     tabled=_table_pays(expected, 4 * budget),
                      exhaust=lambda: _table_law(CayleyIndex(params, inf_pts), proofs),
                      draws=_picks(inf_pts, 3) if enumerable else fresh(3),
                      first_bad=_breaker(partial(_check_law, params, "full-associative")),
@@ -1261,9 +1270,14 @@ LAYER_CHECKS = ("layer-cardinality", "layer-closure", "layer-associativity",
 
 
 def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    """Per-layer group facts: size, closure, associativity, infinity part."""
-    from .layers import (Layer, all_layers, layer_infinity_generator,
-                         layer_isomorphism_check, layer_membership, layer_points)
+    """Per-layer group facts: size, closure, associativity, infinity part, isomorphism.
+
+    One index table per layer decides closure, associativity and the isomorphism
+    where it pays for its budget share's samples (:func:`_table_pays`), or where
+    the isomorphism applies and n^2 fits the budget; elsewhere those sample or skip.
+    """
+    from .layers import (Layer, layer_infinity_generator, layer_isomorphism_check,
+                         layer_membership, layer_points)
 
     ring = params.ring
     if ring.kind != INTEGER_QUOTIENT:
@@ -1275,7 +1289,10 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     isz = ring.ideal_size
     expected = params.q * isz
     per_layer = max(1, budget // max(1, isz))
-    size_ok = gen_ok = val_ok = True
+    iso = params.q % 3 != 0 and params.q % ring.p != 0
+    tabled = (_table_pays(expected, 4 * per_layer + min(per_layer, 2000))
+              or iso and expected ** 2 <= budget)
+    size_ok = gen_ok = val_ok = iso_ok = True
     closure, assoc, proofs = [], [], []
     val_checked = 0
     ident = identity(params)
@@ -1285,16 +1302,23 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         pts = layer_points(lay)
         size_ok = size_ok and len(pts) == expected
         encode = _point_ce(params, t=ring.payload_to_json(t))
-
-        closed = _breaker(lambda a, b: layer_membership(lay, add(params, a, b)))
-        closure.append(_sweep("layer-closure", per_layer, seed, encode,
-                              draws=_picks(pts, 2), first_bad=closed,
+        try:
+            cayley = CayleyIndex(params, pts) if tabled else None
+        except PreconditionUnmet:  # not closed: a pair sweep names a sum outside, assoc samples
+            cayley = None
+        members = set(pts)
+        closed = _breaker(lambda a, b: add(params, a, b) in members)
+        closure.append(_sweep("layer-closure", per_layer, seed, encode, space=len(pts) ** 2,
+                              tabled=tabled, draws=_picks(pts, 2), first_bad=closed,
+                              exhaust=lambda: None if cayley else closed(product(pts, repeat=2)),
                               samples=min(per_layer, 2000), rng=rng))
         assoc.append(_sweep("layer-associativity", per_layer, seed, encode,
-                            space=len(pts) ** 3,
-                            exhaust=lambda: _table_law(CayleyIndex(params, pts), proofs),
+                            space=None if cayley is None else len(pts) ** 3, tabled=True,
+                            exhaust=lambda: _table_law(cayley, proofs),
                             draws=_picks(pts, 3), rng=rng,
                             first_bad=_breaker(partial(_check_law, params, "full-associative"))))
+        if iso and tabled and iso_ok:
+            iso_ok = cayley is not None and layer_isomorphism_check(lay, cayley)[0]
         gen = layer_infinity_generator(lay)
         if order_of(params, gen) != isz or not layer_membership(lay, gen):
             gen_ok = False
@@ -1307,21 +1331,20 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     reports = [
         LawReport("layer-cardinality", size_ok, None, isz, True, None,
                   detail=f"each layer has q * p^(e-1) = {expected} points"),
-        _merge(closure),
+        _merge(closure, f"index table builds on {len(proofs)} of {isz} layers" if proofs else ""),
         _merge(assoc, _table_detail(proofs)),
         LawReport("layer-infinity-generator", gen_ok, None, isz, True, None,
                   detail=f"(p : 1 : Z_t) has order {isz} in every layer"),
         LawReport("layer-infinity-valuation", val_ok, None, val_checked, True, None,
                   detail="nonzero layer points at infinity have v(Z) > v(X)"),
     ]
-    if params.q % 3 == 0 or params.q % ring.p == 0:
+    if not iso:
         reports.append(_skipped("layer-group-isomorphism",
                                 f"not applicable: q = {params.q} divisible by 3 or by p"))
-    elif expected ** 2 > budget:
+    elif not tabled:
         reports.append(_skipped("layer-group-isomorphism", "skipped: exceeds the budget"))
     else:
-        ok_iso = all(layer_isomorphism_check(lay)[0] for lay in all_layers(params))
-        reports.append(LawReport("layer-group-isomorphism", ok_iso, None,
+        reports.append(LawReport("layer-group-isomorphism", iso_ok, None,
                                  isz * expected ** 2, True, None,
                                  detail=f"every layer = Z/{isz} x (residue curve)"))
     return reports

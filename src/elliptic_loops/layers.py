@@ -88,12 +88,6 @@ def layer_points(layer: Layer) -> list:
     return [pt for pt in layer.params.loop_points() if equation(pt.x, pt.y, pt.z) == zero]
 
 
-def layer_infinity_points(layer: Layer) -> list:
-    """The layer's points over the residue identity."""
-    equation, zero = layer.equation, layer.params.ring.zero
-    return [pt for pt in layer.params.infinity_points() if equation(pt.x, pt.y, pt.z) == zero]
-
-
 def layer_infinity_generator(layer: Layer) -> ProjPoint:
     """The point (p : 1 : Z_t) generating the layer's infinity part.
 
@@ -163,31 +157,19 @@ def hessian_closure_sweep(params: LoopParams, alpha, beta, pairs=None) -> tuple:
     return True, checked, size
 
 
-def hessian_closure_check(params: LoopParams, alpha, beta, pairs=None) -> bool:
-    """Whether the zero set of alpha*F + beta*H_F is closed under raw sums.
-
-    See :func:`hessian_closure_sweep`, which also reports the counts.
-    """
-    return hessian_closure_sweep(params, alpha, beta, pairs)[0]
-
-
-def layer_isomorphism_check(layer: Layer) -> tuple:
+def layer_isomorphism_check(layer: Layer, cayley) -> tuple:
     """Explicit isomorphism Z/p^(e-1) x E(F_p) -> L_t when gcd(q, 3p) = 1.
 
-    Everything is read off the layer's index table (:class:`CayleyIndex`,
-    one ``add`` per unordered pair).  The infinity generator G supplies the
-    first factor.  For the second, a section sigma of the reduction map
-    scales any fiber lift by the integer c with c = 0 mod p^(e-1) and
-    c = 1 mod q, which kills the infinity component without moving the
-    residue point.  The map phi(i, S) = i*G + sigma(S) is checked to be a
-    bijection.  It is a homomorphism because the table is an abelian group
-    (:meth:`CayleyIndex.abelian`) in which G has order p^(e-1) and
-    sigma(S1) + sigma(S2) = sigma(S1 + S2), the sum taken on the residue
-    curve (q^2 lookups).  Returns (True, phi) on success, and (False, None)
-    when a check fails or the layer is not closed under the law.
+    Everything is read off ``cayley``, the layer's index table, whose build
+    proved it closed.  The infinity generator G gives the first factor; for
+    the second, a section sigma of the reduction map scales any fiber lift by
+    the c with c = 0 mod p^(e-1) and c = 1 mod q, which kills the infinity
+    component and keeps the residue point.  phi(i, S) = i*G + sigma(S) is
+    checked to be a bijection, and is a homomorphism as the table is an
+    abelian group (:meth:`CayleyIndex.abelian`) in which G has order p^(e-1)
+    and sigma(S1) + sigma(S2) = sigma(S1 + S2) on the residue curve (q^2
+    additions).  Returns (True, phi) on success, else (False, None).
     """
-    from .diagnostics import CayleyIndex
-
     params = layer.params
     ring = params.ring
     q = params.q
@@ -196,14 +178,7 @@ def layer_isomorphism_check(layer: Layer) -> tuple:
         raise PreconditionUnmet(
             f"isomorphism check needs gcd(q, 3p) = 1; q = {q}, p = {ring.p}"
         )
-    pts = layer_points(layer)
-    if len(pts) != q * pe1:
-        return False, None
-    try:
-        cayley = CayleyIndex(params, pts)
-    except PreconditionUnmet:
-        return False, None
-    table = cayley.table
+    pts, table = cayley.points, cayley.table
     gen_multiples = cayley.multiples(cayley.index[layer_infinity_generator(layer).coords()])
 
     c = pe1 * pow(pe1, -1, q)  # 0 mod p^(e-1), 1 mod q
@@ -212,7 +187,7 @@ def layer_isomorphism_check(layer: Layer) -> tuple:
         r = params.project(pt)
         if r not in section:
             section[r] = cayley.mul(i, c)
-    if len(gen_multiples) != pe1 or len(section) != q:
+    if len(pts) != q * pe1 or len(gen_multiples) != pe1 or len(section) != q:
         return False, None
 
     phi = {(i, r.coords()): table[g][s]

@@ -202,17 +202,24 @@ def torsion_fiber(params: LoopParams, q: int, pt: ProjPoint) -> list:
     ]
 
 
+def _torsion_needs_e_at_most_2(params: LoopParams) -> None:
+    """Raise before any torsion work past e = 2, where the geometry has no theorem."""
+    if params.ring.e > 2:
+        raise NilpotencyTooHigh(f"torsion geometry needs e <= 2 (e = {params.ring.e})")
+
+
 def difference_group(params: LoopParams, q: int, pt: ProjPoint):
     """D_{q/P}: pairwise differences of the torsion fiber, for e <= 2.
 
     Verified as in :func:`_checked_differences`: a subgroup of the infinity
     part that (when P itself is q-torsion) translates P onto the fiber.
     """
+    _torsion_needs_e_at_most_2(params)
     return _checked_differences(params, pt, torsion_fiber(params, q, pt))
 
 
 def _checked_differences(params: LoopParams, pt: ProjPoint, fiber: list):
-    """The checked difference set of P's torsion ``fiber``; e <= 2 only.
+    """The checked difference set of P's torsion ``fiber`` (e <= 2).
 
     Its index table (:class:`CayleyIndex`, one ``add`` per unordered pair)
     checks that the set holds the identity and is closed under negation and
@@ -221,10 +228,6 @@ def _checked_differences(params: LoopParams, pt: ProjPoint, fiber: list):
     """
     from .diagnostics import CayleyIndex
 
-    if params.ring.e > 2:
-        raise NilpotencyTooHigh(
-            f"difference groups are established for e <= 2 only (e = {params.ring.e})"
-        )
     diffs = {sub(params, a, b) for a in fiber for b in fiber}
     rident = params.project(identity(params))
     if fiber:
@@ -251,6 +254,7 @@ def torsion_geometry(params: LoopParams, q: int, bases=None) -> list:
     direction of a generator of D_{q/P}; it is None over the residue
     identity and when D_{q/P} is not cyclic, where no line carries the fiber.
     """
+    _torsion_needs_e_at_most_2(params)
     ident = identity(params)
     if bases is None:
         pts, s = params.loop_points(), params.ring.ideal_size ** 2
@@ -323,10 +327,7 @@ def torsion_line(params: LoopParams, pt: ProjPoint, gen: ProjPoint) -> TorsionLi
     p) is computed and checked to cut the coset exactly out of the residue
     fiber.
     """
-    if params.ring.e > 2:
-        raise NilpotencyTooHigh(
-            f"torsion lines are established for e <= 2 only (e = {params.ring.e})"
-        )
+    _torsion_needs_e_at_most_2(params)
     ring = params.ring
     if pt.y != ring.one or not ring.is_unit(pt.z):
         raise PreconditionUnmet(f"base point {pt!r} must be affine of shape (X : 1 : Z)")

@@ -230,6 +230,19 @@ def test_torsion_past_e2_is_a_precondition_error(capsys):
     assert err.startswith("error:") and "e <= 2" in err
 
 
+def test_torsion_past_e2_fails_before_it_scans(capsys, monkeypatch):
+    from elliptic_loops import loop_core, structure
+
+    calls = []
+    for module in (loop_core, structure):
+        real = module.scalar_mul
+        monkeypatch.setattr(module, "scalar_mul",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    rc, _, err = run_cli(capsys, "torsion", "-p", "5", "-e", "4", "-A", "2", "-B", "1")
+    assert rc == 2 and "e <= 2" in err
+    assert calls == []
+
+
 def _torsion_records(params, q, bases):
     """The ``torsion`` records built by direct calls (the command's former
     pipeline, kept as its oracle)."""
@@ -305,7 +318,7 @@ def test_verify_prints_checks_of_nothing_as_skip(capsys):
 
 
 @pytest.mark.parametrize("suite, e, gated, budgets", [
-    ("layers", "2", "layer-group-isomorphism", ("1000", "200000")),
+    ("layers", "2", "layer-group-isomorphism", ("500", "200000")),
     ("infinity", "4", "forbidden-locus", ("1000", "20000")),
 ])
 def test_verify_prints_the_same_checks_at_any_budget(capsys, suite, e, gated, budgets):

@@ -278,8 +278,8 @@ def test_infinity_suite_e2_and_e3():
         assert all(r.holds for r in reports)
         by_name = {r.law: r for r in reports}
         assert by_name["infinity-cardinality"].checked == 5 ** (2 * (e - 1))
-        # 25^3 triples fit the budget at e = 2; 625^3 need the big acceptance budget
-        assert by_name["infinity-associativity"].exhaustive == (e == 2)
+        # the 625-point table's 195,625 additions are under the 1.2 M of sampled triples
+        assert by_name["infinity-associativity"].exhaustive
 
 
 def test_infinity_non_associative_from_e6():

@@ -25,10 +25,8 @@ from elliptic_loops import (
     all_layers,
     eval_F,
     eval_H,
-    hessian_closure_check,
     identity,
     layer_infinity_generator,
-    layer_infinity_points,
     layer_isomorphism_check,
     layer_membership,
     layer_points,
@@ -39,8 +37,8 @@ from elliptic_loops import (
     scalar_mul,
     stratify,
 )
-from elliptic_loops import layers
-from elliptic_loops.diagnostics import CayleyIndex
+from elliptic_loops import diagnostics, layers
+from elliptic_loops.diagnostics import CayleyIndex, layer_suite
 from elliptic_loops.layers import hessian_closure_sweep
 
 
@@ -244,7 +242,8 @@ def test_layer_infinity_points_are_generator_multiples():
         for _ in range(25):
             expected.add(acc)
             acc = add(params, acc, gen)
-        assert set(layer_infinity_points(lay)) == expected
+        rident = params.project(identity(params))
+        assert {pt for pt in layer_points(lay) if params.project(pt) == rident} == expected
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +270,21 @@ def test_one_layer_fully_associative_exhaustive():
         assert CayleyIndex(params, pts).assoc_sweep() is None
 
 
+def _table(layer):
+    return CayleyIndex(layer.params, layer_points(layer))
+
+
 def test_layer_isomorphism_when_gcd_q_3p_is_one():
     params = params_for(5, 2, 2, 1)
     for t in params.ring.ideal_elements():
-        ok, phi = layer_isomorphism_check(Layer(params, t))
+        lay = Layer(params, t)
+        ok, phi = layer_isomorphism_check(lay, _table(lay))
         assert ok
         assert len(phi) == 35
     # gcd(q, 3) != 1 on the q = 3 curve: precondition refused
-    params32 = params_for(5, 2, 4, 2)
+    lay32 = Layer(params_for(5, 2, 4, 2), 0)
     with pytest.raises(PreconditionUnmet):
-        layer_isomorphism_check(Layer(params32, 0))
+        layer_isomorphism_check(lay32, _table(lay32))
 
 
 def _isomorphism_by_homomorphism(layer):
@@ -322,7 +326,7 @@ def _isomorphism_by_homomorphism(layer):
 def test_layer_isomorphism_matches_the_homomorphism_definition(p, e, a, b):
     params = params_for(p, e, a, b)
     for lay in all_layers(params):
-        ok, phi = layer_isomorphism_check(lay)
+        ok, phi = layer_isomorphism_check(lay, _table(lay))
         oracle = _isomorphism_by_homomorphism(lay)
         assert ok and (ok, phi) == oracle
         assert list(phi) == list(oracle[1])  # the same order of (i, S) too
@@ -331,35 +335,76 @@ def test_layer_isomorphism_matches_the_homomorphism_definition(p, e, a, b):
 def test_layer_isomorphism_needs_an_abelian_table(monkeypatch):
     params = params_for(5, 2, 2, 1)
     monkeypatch.setattr(CayleyIndex, "abelian", lambda self: False)
-    assert layer_isomorphism_check(Layer(params, 5)) == (False, None)
-
-
-def test_layer_isomorphism_of_a_set_not_closed_is_false(monkeypatch):
-    params = params_for(5, 2, 2, 1)
     lay = Layer(params, 5)
-    # one point swapped for a point of another layer: the same size, not closed
-    bad = layer_points(lay)[:-1] + layer_points(Layer(params, 10))[-1:]
+    assert layer_isomorphism_check(lay, _table(lay)) == (False, None)
+
+
+def _not_closed(params):
+    """Layer 5's points with one swapped for a point of layer 10: the same size, not closed."""
+    return layer_points(Layer(params, 5))[:-1] + layer_points(Layer(params, 10))[-1:]
+
+
+def test_layer_isomorphism_of_a_set_not_closed_is_false():
+    params = params_for(5, 2, 2, 1)
     with pytest.raises(PreconditionUnmet):
-        CayleyIndex(params, bad)
+        CayleyIndex(params, _not_closed(params))
+
+
+def test_layer_suite_names_the_pair_leaving_a_set_not_closed(monkeypatch):
+    params = params_for(5, 2, 2, 1)
+    bad = _not_closed(params)
     monkeypatch.setattr(layers, "layer_points", lambda layer: bad)
-    assert layer_isomorphism_check(lay) == (False, None)
+    reports = {r.law: r for r in layer_suite(params, 200_000, 0)}
+    closure = reports["layer-closure"]
+    assert not closure.holds and closure.exhaustive
+    a, b = diagnostics._decode_points(params, closure.counterexample["points"])
+    assert a in bad and b in bad and add(params, a, b) not in bad
+    assert not reports["layer-group-isomorphism"].holds
 
 
 def test_layer_isomorphism_adds_once_per_unordered_pair(monkeypatch):
-    from elliptic_loops import diagnostics
-
     params = params_for(5, 2, 2, 1)
     calls = []
-    for module in (diagnostics, layers):
-        real = module.add
-        monkeypatch.setattr(module, "add",
-                            lambda *args, real=real: calls.append(args) or real(*args))
-    n, q = params.q * params.ring.ideal_size, params.q
+    real = layers.add
+    monkeypatch.setattr(layers, "add", lambda *args: calls.append(args) or real(*args))
+    q = params.q
     for lay in all_layers(params):
+        cayley = _table(lay)
         calls.clear()
-        assert layer_isomorphism_check(lay)[0]
-        # the table, then q^2 sums on the residue curve
-        assert len(calls) <= n * (n + 1) // 2 + q * q
+        assert layer_isomorphism_check(lay, cayley)[0]
+        # on a given table, only the q^2 sums on the residue curve
+        assert len(calls) == q * q
+        assert all(args[0] is params.residue_params for args in calls)
+
+
+def test_layer_suite_reads_every_table_check_off_one_table_per_layer(monkeypatch):
+    params = params_for(5, 2, 2, 1)
+    builds, scans = [], []
+    real_init, real_points = CayleyIndex.__init__, layers.layer_points
+    monkeypatch.setattr(CayleyIndex, "__init__",
+                        lambda self, *a: builds.append(a) or real_init(self, *a))
+    monkeypatch.setattr(layers, "layer_points", lambda lay: scans.append(lay) or real_points(lay))
+    reports = {r.law: r for r in layer_suite(params, 200_000, 0)}
+    assert len(builds) == len(scans) == 5  # one table and one scan per layer
+    n = params.q * params.ring.ideal_size
+    for law, space in (("layer-closure", n ** 2), ("layer-associativity", n ** 3),
+                       ("layer-group-isomorphism", n ** 2)):
+        assert reports[law].holds and reports[law].exhaustive
+        assert reports[law].checked == 5 * space
+    assert reports["layer-closure"].detail == "index table builds on 5 of 5 layers"
+
+
+def test_layer_suite_samples_where_no_table_pays(monkeypatch):
+    params = params_for(5, 2, 1, 1)  # 45 points a layer: 1,035 additions a table
+    builds = []
+    real_init = CayleyIndex.__init__
+    monkeypatch.setattr(CayleyIndex, "__init__",
+                        lambda self, *a: builds.append(a) or real_init(self, *a))
+    reports = {r.law: r for r in layer_suite(params, 1_000, 0)}
+    assert builds == []
+    for law in ("layer-closure", "layer-associativity"):
+        assert reports[law].holds and not reports[law].exhaustive
+        assert reports[law].checked == 1_000  # 200 cases in each of 5 layers
 
 
 def test_layer_report_shapes():
@@ -395,9 +440,9 @@ def test_layer_group_structure_against_order_statistics():
 def test_hessian_closure_for_f_h_and_layer_combinations():
     params = params_for(5, 2, 2, 1)
     ring = params.ring
-    assert hessian_closure_check(params, 1, 0)
-    assert hessian_closure_check(params, 0, 1)
-    assert hessian_closure_check(params, 1, RingElem(ring, ring.neg(ring.from_int(5))))
+    assert hessian_closure_sweep(params, 1, 0)[0]
+    assert hessian_closure_sweep(params, 0, 1)[0]
+    assert hessian_closure_sweep(params, 1, RingElem(ring, ring.neg(ring.from_int(5))))[0]
 
 
 def test_hessian_closure_rejects_non_annihilating_pairs():
@@ -406,7 +451,7 @@ def test_hessian_closure_rejects_non_annihilating_pairs():
     good = ProjPoint.of(ring, 0, 1, 0)
     bad = ProjPoint.of(ring, 1, 1, 1)
     with pytest.raises(PreconditionUnmet):
-        hessian_closure_check(params, 1, 0, [(good, bad)])
+        hessian_closure_sweep(params, 1, 0, [(good, bad)])
 
 
 def test_hessian_closure_unordered_sweep_matches_ordered_pairs():
@@ -427,7 +472,7 @@ def test_hessian_closure_checks_each_distinct_point_once(monkeypatch):
     calls = []
     real = layers._eval_f
     monkeypatch.setattr(layers, "_eval_f", lambda *a: calls.append(a) or real(*a))
-    assert hessian_closure_check(params, 1, 0, [(u, v), (v, u), (u, u)] * 10)
+    assert hessian_closure_sweep(params, 1, 0, [(u, v), (v, u), (u, u)] * 10)[0]
     assert len(calls) == 2 + 30  # the two inputs once, then one sum per pair
 
 
@@ -441,7 +486,7 @@ def test_hessian_closure_explicit_pairs_stop_at_first_failure(monkeypatch):
     pairs = [(good, good), (good, bad)]
     assert hessian_closure_sweep(params, 1, 0, pairs) == (False, 1, None)
     with pytest.raises(PreconditionUnmet):
-        hessian_closure_check(params, 1, 0, pairs[::-1])
+        hessian_closure_sweep(params, 1, 0, pairs[::-1])
 
 
 def test_distinct_shifts_give_distinct_curves():
