@@ -36,7 +36,6 @@ from .loop_core import (
     neg,
     order_of,
     scalar_mul,
-    sub,
 )
 from .projective import ProjPoint, count_projective, plane_points
 from .ring import INTEGER_QUOTIENT, RingConfig, RingElem, _is_prime
@@ -93,9 +92,10 @@ def _decode_points(params: LoopParams, coords) -> list:
     return [params.point(dec(c[0]), dec(c[1]), dec(c[2])) for c in coords]
 
 
-def _point_ce(params: LoopParams, **fixed):
-    """Counterexample encoder of a case of points, after the ``fixed`` entries."""
-    return lambda case: {**fixed, "points": _encode_points(params, case)}
+def _point_ce(params: LoopParams, pts=None, **fixed):
+    """Counterexample encoder of a case of points, or of indices into ``pts``, after ``fixed``."""
+    at = pts.__getitem__ if pts else None
+    return lambda case: {**fixed, "points": _encode_points(params, map(at, case) if at else case)}
 
 
 def _skipped(law: str, detail: str) -> LawReport:
@@ -426,7 +426,7 @@ class CayleyIndex:
 
 
 def _table_law(cayley: CayleyIndex, proofs: list, law: str = "full-associative"):
-    """``exhaust`` of associativity, or of Moufang, over index tables.
+    """``exhaust`` of associativity, or of Moufang, over an index table; cases are indices.
 
     Appends to ``proofs`` (generators, lookups) when Light's test decided the
     table (up to its failing triple; with :meth:`CayleyIndex.abelian` for
@@ -439,7 +439,7 @@ def _table_law(cayley: CayleyIndex, proofs: list, law: str = "full-associative")
     else:  # n lookups per (x, g) up to Light's failing triple, if any
         pairs = n * len(gens) if bad is None else bad[0] * len(gens) + gens.index(bad[1]) + 1
         proofs.append((len(gens), pairs * n))
-    return None if bad is None else (None, [cayley.points[i] for i in bad])
+    return None if bad is None else (None, bad)
 
 
 def _table_detail(proofs: list, law: str = "full-associative") -> str:
@@ -448,7 +448,8 @@ def _table_detail(proofs: list, law: str = "full-associative") -> str:
         return "full sweep"
     if not proofs:  # sampled
         return ""
-    how = "Light's test and commuting generators" if law == "moufang" else "Light's test"
+    how = {"moufang": "Light's test and commuting generators",
+           "diassociative": "implied by associativity, Light's test"}.get(law, "Light's test")
     on = f" on {len(proofs)} tables" if len(proofs) > 1 else ""
     return (f"{how}{on}: {sum(g for g, _ in proofs)} generators, "
             f"{sum(k for _, k in proofs):,} lookups")
@@ -456,8 +457,8 @@ def _table_detail(proofs: list, law: str = "full-associative") -> str:
 
 def _table_pays(n: int, additions: int) -> bool:
     """Whether an n-point index table, n(n+1)/2 additions to build, costs no more than the
-    ``additions`` of the samples it replaces: 4 a triple, 1 a closure pair.  Light's test's
-    lookups are not counted; they take under a tenth of the build's time."""
+    ``additions`` of the samples it replaces: 4 a triple, 3 or more a law case, 1 a closure
+    pair.  Light's test's lookups are not counted; they take under a tenth of the build's time."""
     return n * (n + 1) // 2 <= additions
 
 
@@ -466,126 +467,70 @@ def _table_pays(n: int, additions: int) -> bool:
 # ----------------------------------------------------------------------------
 
 
-def _word_set(params, p, q):
-    words = [
-        identity(params), p, q, add(params, p, q), add(params, p, p),
-        add(params, q, q), neg(params, p), neg(params, q), sub(params, p, q),
-    ]
-    return list(dict.fromkeys(words))
+#: the largest n^2 entries of a whole-loop index table (the laws', the low-nilpotency suite's)
+LOOP_TABLE_MAX = 8_000_000
+TRIPLE_LAWS = ("full-associative", "moufang")
 
 
-def _check_law(params, law, p, q, r=None) -> bool:
+def _law_holds(ops, law, p, q, r=None) -> bool:
     """Whether the law holds at the pair (p, q), or at the triple (p, q, r).
 
+    ``ops`` is (plus, neg, mul, zero) over the elements, with ``mul(k, p)``
+    the k-th multiple: points, or the indices of one :class:`CayleyIndex`
+    (:func:`_ops`), so each law is stated once.
     For power-associativity q and r are the exponents; for unique
     solvability this checks that X = Q - P solves P + X = Q.
     """
+    plus, minus, mul, zero = ops
     if law == "alternative":
-        return add(params, p, add(params, p, q)) == add(params, add(params, p, p), q)
+        return plus(p, plus(p, q)) == plus(plus(p, p), q)
     if law == "jordan":
-        pp = add(params, p, p)
-        return add(params, pp, add(params, p, q)) == add(params, p, add(params, q, pp))
-    if law == "diassociative":
-        words = _word_set(params, p, q)
+        pp = plus(p, p)
+        return plus(pp, plus(p, q)) == plus(p, plus(q, pp))
+    if law == "diassociative":  # on the words of <p, q>, with each a + b made once
+        words = list(dict.fromkeys([zero, p, q, plus(p, q), plus(p, p), plus(q, q),
+                                    minus(p), minus(q), plus(p, minus(q))]))
         for a in words:
             for b in words:
-                ab = add(params, a, b)
+                ab = plus(a, b)
                 for c in words:
-                    if add(params, ab, c) != add(params, a, add(params, b, c)):
+                    if plus(ab, c) != plus(a, plus(b, c)):
                         return False
         return True
     if law == "full-associative":
-        return add(params, add(params, p, q), r) == add(params, p, add(params, q, r))
+        return plus(plus(p, q), r) == plus(p, plus(q, r))
     if law == "moufang":
-        lhs = add(params, add(params, p, add(params, q, r)), r)
-        rhs = add(params, add(params, add(params, p, r), r), q)
-        return lhs == rhs
+        return plus(plus(p, plus(q, r)), r) == plus(plus(plus(p, r), r), q)
     if law == "power-associative":
-        lhs = add(params, scalar_mul(params, q, p), scalar_mul(params, r, p))
-        return lhs == scalar_mul(params, q + r, p)
+        return plus(mul(q, p), mul(r, p)) == mul(q + r, p)
     if law == "latin-square":
-        return add(params, p, sub(params, q, p)) == q
+        return plus(p, plus(q, minus(p))) == q
     raise ValueError(law)
 
 
-def _law_report_points(params, law, pts, budget, seed, cayley) -> LawReport:
-    """A law on pairs, or on triples (full-associative, moufang) of points.
-
-    ``cayley()`` gives the index tables of the whole loop, which the
-    exhaustive triple sweeps run over.
-    """
-    width = 3 if law in ("full-associative", "moufang") else 2
-    first_bad = _breaker(partial(_check_law, params, law))
-    proofs = []
-
-    def exhaust():
-        if width == 2:
-            return first_bad(product(params.loop_points(), repeat=2))
-        return _table_law(cayley(), proofs, law)
-
-    rep = _sweep(law, budget, seed, _point_ce(params), space=params.cardinality() ** width,
-                 weight=360 if law == "diassociative" else 1, exhaust=exhaust,
-                 draws=_picks(pts, width), first_bad=first_bad)
-    rep.detail = _table_detail(proofs, law)
-    return rep
+def _ops(params: LoopParams, cayley: CayleyIndex = None):
+    """The ``ops`` of :func:`_law_holds` over points, or over the indices of ``cayley``."""
+    if cayley is None:
+        return (*(partial(f, params) for f in (add, neg, scalar_mul)), identity(params))
+    t, mul = cayley.table, cayley.mul
+    return lambda a, b: t[a][b], cayley.neg.__getitem__, lambda k, i: mul(i, k), cayley.ident
 
 
-def _law_report_power(params, pts, budget, seed) -> LawReport:
-    def draws(rng):  # exponents in [-200, 200]
-        n, randrange = len(pts), rng.randrange
-        while True:
-            yield pts[randrange(n)], randrange(-200, 201), randrange(-200, 201)
-
-    def encode(case):
-        return {"points": _encode_points(params, case[:1]), "exponents": list(case[1:])}
-
-    return _sweep("power-associative", budget, seed, encode,
-                  weight=4 * max(params.ring.e, 8), draws=draws,
-                  first_bad=_breaker(partial(_check_law, params, "power-associative")))
-
-
-def _law_report_latin(params, pts, budget, seed) -> LawReport:
-    """Unique solvability: rows are bijections and the inverse-shift solves.
-
-    Existence of a solution to P + X = Q is checked through weak
-    associativity (X = Q - P works), uniqueness through row injectivity.
-    A case is one cell (P, Q); cells come a whole row at a time, and a row
-    is checked for collisions at its last cell.
-    """
-    def first_bad(cases, n=len(pts)):
-        row = set()
-        for k, (p, q) in enumerate(cases, 1):
-            row.add(add(params, p, q))
-            if not _check_law(params, "latin-square", p, q):
-                return k, (p, q)
-            if k % n == 0:
-                if len(row) != n:
-                    return k, (p,)
-                row = set()
-
-    def draws(rng):
-        while True:
-            p = pts[rng.randrange(len(pts))]
-            for q in pts:
-                yield p, q
-
-    def encode(case):
-        return {"points": _encode_points(params, case),
-                "relation": "solution" if len(case) == 2 else "row-collision"}
-
-    n = params.cardinality()
-    return _sweep("latin-square", budget, seed, encode, space=n * n,
-                  exhaust=lambda: first_bad(product(params.loop_points(), repeat=2), n),
-                  draws=draws, first_bad=first_bad,
-                  samples=max(1, budget // (2 * len(pts))) * len(pts))
+def _check_law(params, law, p, q, r=None) -> bool:
+    """:func:`_law_holds` over points."""
+    return _law_holds(_ops(params), law, p, q, r)
 
 
 def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int = 0):
     """Run the requested laws (all seven by default) and report.
 
-    Exhaustive sweeps are used whenever the constrained case count fits
-    the budget; otherwise cases are drawn with the given seed, so two runs
-    with identical arguments produce identical reports.
+    A law is swept exhaustively when its case count fits the budget, else on
+    draws from the seed.  The whole loop's index table is built where it pays
+    for the samples (at least 3 additions each) or a triple law's n^3 fits the
+    budget; it decides every case of alternative, jordan, latin-square and
+    full-associative, of moufang when abelian and of diassociative when
+    associative (a group is diassociative), and the rest run over its indices
+    on the same draws.
     """
     if laws is None:
         laws = LAW_NAMES
@@ -595,16 +540,66 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     if unknown:
         raise ValueError(f"unknown laws: {sorted(unknown)}; expected {LAW_NAMES}")
     pts = _point_pool(params, random.Random(seed))
-    # one whole-loop index per call, built when the first triple sweep needs it
-    cayley = functools.cache(lambda: CayleyIndex(params, params.loop_points()))
+    n, pool = params.cardinality(), len(pts)
+    weights = {"diassociative": 360, "power-associative": 4 * max(params.ring.e, 8)}
+    samples = {law: max(1, budget // weights.get(law, 1)) for law in laws}
+    if "latin-square" in samples:  # whole rows of cells, two additions each
+        samples["latin-square"] = max(1, budget // (2 * pool)) * pool
+    cayley = None
+    if pool == n and (n * n <= LOOP_TABLE_MAX and _table_pays(n, 3 * sum(samples.values()))
+                      or n ** 3 <= budget and not set(laws).isdisjoint(TRIPLE_LAWS)):
+        cayley = CayleyIndex(params, pts)
+    ops, dom = _ops(params, cayley), range(n) if cayley else pts
+    plus = ops[0]
+    points = _point_ce(params, pts if cayley else None)
+    every = lambda: dom if pool == n else params.loop_points()  # the loop, as the pool's elements
+
+    def power_draws(rng):  # exponents in [-200, 200]
+        while True:
+            yield dom[rng.randrange(pool)], rng.randrange(-200, 201), rng.randrange(-200, 201)
+
+    def latin_draws(rng):  # a whole row of cells at a time
+        while True:
+            p = dom[rng.randrange(pool)]
+            for q in dom:
+                yield p, q
+
+    def latin_bad(cases, row_len=pool):  # each row's sums are distinct: checked at its end
+        row = set()
+        for k, (p, q) in enumerate(cases, 1):
+            row.add(plus(p, q))
+            if not _law_holds(ops, "latin-square", p, q):
+                return k, (p, q)
+            if k % row_len == 0:
+                if len(row) != row_len:
+                    return k, (p,)
+                row = set()
+
     reports = []
     for law in laws:
-        if law == "power-associative":
-            reports.append(_law_report_power(params, pts, budget, seed))
+        width, proofs, encode = 3 if law in TRIPLE_LAWS else 2, [], points
+        space, tabled, draws = n ** width, cayley is not None, _picks(dom, width)
+        first_bad = _breaker(partial(_law_holds, ops, law))
+        exhaust = lambda: first_bad(product(every(), repeat=width))
+        if law in TRIPLE_LAWS or law == "diassociative" and tabled and cayley.associative():
+            exhaust = partial(_table_law, cayley, proofs, law)
+            space = space if tabled else None  # only a table sweeps a triple law
+            tabled = tabled and (law != "moufang" or cayley.abelian())
+        elif law == "diassociative":
+            tabled = False
+        elif law == "power-associative":
+            space, draws = None, power_draws
+            encode = lambda case: {**points(case[:1]), "exponents": list(case[1:])}
         elif law == "latin-square":
-            reports.append(_law_report_latin(params, pts, budget, seed))
-        else:
-            reports.append(_law_report_points(params, law, pts, budget, seed, cayley))
+            first_bad, draws = latin_bad, latin_draws
+            exhaust = lambda: latin_bad(product(every(), repeat=2), n)
+            encode = lambda case: {**points(case),
+                                   "relation": "solution" if len(case) == 2 else "row-collision"}
+        rep = _sweep(law, budget, seed, encode, space=space, weight=weights.get(law, 1),
+                     exhaust=exhaust, draws=draws, first_bad=first_bad, samples=samples[law],
+                     tabled=tabled)
+        rep.detail = _table_detail(proofs, law)
+        reports.append(rep)
     return reports
 
 
@@ -738,8 +733,6 @@ WITNESS_KINDS = {"A": witness_A, "B": witness_B, "inf": witness_inf}
 # ----------------------------------------------------------------------------
 
 
-#: the largest n^2 entries of a whole-loop index table the identities are swept over
-NILPOTENCY_TABLE_MAX = 8_000_000
 NILPOTENCY_CHECKS = ("translate-by-infinity-pair", "difference-across-fiber", "triple-in-fiber",
                      "fiberwise-sum-exchange", "multiple-of-fiber-sum")
 
@@ -758,7 +751,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
         raise NilpotencyTooHigh(
             f"these identities require nilpotency degree <= 2 (e = {ring.e})"
         )
-    if params.cardinality() ** 2 > NILPOTENCY_TABLE_MAX:
+    if params.cardinality() ** 2 > LOOP_TABLE_MAX:
         raise PreconditionUnmet(
             f"loop of size {params.cardinality()} exceeds the index-table budget"
         )
@@ -878,7 +871,8 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
     Covers the cardinality p^(2(e-1)), the orders and independence of the
     generating pair, the coordinate bijection, associativity (a theorem for
     e <= 5, decided by the index table where it pays (:func:`_table_pays`),
-    refuted by an explicit triple from e = 6 on), and additivity for e <= 3.
+    refuted by an explicit triple from e = 6 on), and additivity for e <= 3,
+    read off the same table when it is built.
     """
     from .structure import infinity_decompose
 
@@ -939,13 +933,15 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
                     for name in ("infinity-generator-orders", "infinity-generator-independence",
                                  "infinity-coordinate-bijection")]
 
-    # associativity
+    # one index table, where it pays for the sampled associativity triples
+    tabled = e <= 5 and enumerable and _table_pays(expected, 4 * budget)
+    cayley = CayleyIndex(params, inf_pts) if tabled else None
     if e <= 5:
         proofs = []
-        rep = _sweep("infinity-associativity", budget, seed, encode,
-                     space=expected**3 if enumerable else None,
-                     tabled=_table_pays(expected, 4 * budget),
-                     exhaust=lambda: _table_law(CayleyIndex(params, inf_pts), proofs),
+        rep = _sweep("infinity-associativity", budget, seed,
+                     _point_ce(params, inf_pts if tabled else None),
+                     space=expected**3 if tabled else None, tabled=True,
+                     exhaust=lambda: _table_law(cayley, proofs),
                      draws=_picks(inf_pts, 3) if enumerable else fresh(3),
                      first_bad=_breaker(partial(_check_law, params, "full-associative")),
                      rng=rng)
@@ -962,15 +958,17 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
         return reports + [_skipped("infinity-coordinates-additive",
                                    "not applicable: no theorem past e = 3")]
 
-    def additive(a, b):
-        s = add(params, a, b)
-        return s.x == ring.add(a.x, b.x) and s.z == ring.add(a.z, b.z)
+    def non_additive(cases):  # cases (a, b, a + b), sums read off the table when there is one
+        for k, (a, b, s) in enumerate(cases, 1):
+            if s.x != ring.add(a.x, b.x) or s.z != ring.add(a.z, b.z):
+                return k, (a, b)
 
-    non_additive = _breaker(additive)
-    return reports + [_sweep("infinity-coordinates-additive", budget, seed, encode,
-                             space=expected**2 if enumerable else None,
-                             exhaust=lambda: non_additive(product(inf_pts, repeat=2)),
-                             draws=fresh(2), first_bad=non_additive, rng=rng)]
+    return reports + [_sweep(
+        "infinity-coordinates-additive", budget, seed, encode,
+        space=expected**2 if tabled else None, tabled=True, first_bad=non_additive, rng=rng,
+        exhaust=lambda: non_additive((a, b, inf_pts[k]) for a, row in zip(inf_pts, cayley.table)
+                                     for b, k in zip(inf_pts, row)),
+        draws=lambda rng: ((a, b, add(params, a, b)) for a, b in fresh(2)(rng)))]
 
 
 # ----------------------------------------------------------------------------
@@ -1312,7 +1310,8 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
                               tabled=tabled, draws=_picks(pts, 2), first_bad=closed,
                               exhaust=lambda: None if cayley else closed(product(pts, repeat=2)),
                               samples=min(per_layer, 2000), rng=rng))
-        assoc.append(_sweep("layer-associativity", per_layer, seed, encode,
+        assoc.append(_sweep("layer-associativity", per_layer, seed,
+                            _point_ce(params, cayley and pts, t=ring.payload_to_json(t)),
                             space=None if cayley is None else len(pts) ** 3, tabled=True,
                             exhaust=lambda: _table_law(cayley, proofs),
                             draws=_picks(pts, 3), rng=rng,

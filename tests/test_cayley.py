@@ -20,7 +20,8 @@ from itertools import permutations, product
 import pytest
 
 from elliptic_loops import CayleyIndex, LoopParams, PreconditionUnmet, RingConfig
-from elliptic_loops.diagnostics import BYTE_ROWS_MAX, law_suite
+from elliptic_loops import loop_core
+from elliptic_loops.diagnostics import BYTE_ROWS_MAX, law_suite, laws_suite
 from elliptic_loops.layers import Layer, layer_points
 
 
@@ -168,6 +169,25 @@ def test_law_suite_builds_the_whole_loop_index_once(monkeypatch):
     reports = law_suite(params, ("full-associative", "moufang"), budget=175**3, seed=0)
     assert [r.exhaustive for r in reports] == [True, True]
     assert built == [175]
+    # all seven laws on a group: the 75-point table's 2,850 additions are all the
+    # suite makes, and it decides every law but power-associativity's samples
+    group, adds = params_for(5, 2, 4, 2), [0]
+    canonical = loop_core._add_canonical
+
+    def counting_add(*args):
+        adds[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(loop_core, "_add_canonical", counting_add)
+    reports = law_suite(group, budget=200_000, seed=7)
+    assert built == [175, 75] and adds[0] == 75 * 76 // 2 == 2_850
+    assert all(r.holds for r in reports)
+    assert [r.law for r in reports if not r.exhaustive] == ["power-associative"]
+    # the laws suite at budget 1,000 draws 31 power-associativity cases and six
+    # rows of 75 latin-square cells: 1,443 additions at 3 a case, under 2,850
+    reports = laws_suite(group, budget=1_000, seed=7)
+    assert built == [175, 75]
+    assert [(r.checked, r.exhaustive) for r in reports] == [(31, False), (450, False)]
 
 
 def test_point_set_not_closed_under_the_loop_is_a_precondition_error():

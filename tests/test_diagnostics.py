@@ -142,6 +142,60 @@ def test_laws_on_polynomial_ring():
     assert all(r.holds for r in reports)
 
 
+def counting_builds(monkeypatch) -> list:
+    """The point counts of the index tables built from here on."""
+    built, init = [], CayleyIndex.__init__
+
+    def counting_init(self, params, points):
+        built.append(len(points))
+        init(self, params, points)
+
+    monkeypatch.setattr(CayleyIndex, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("ring, a, b", [(RingConfig.integer(5, 2), 2, 1),
+                                        (RingConfig.integer(5, 2), 4, 2),
+                                        (RingConfig.truncated_poly(5, 2), 2, 1)],
+                         ids=["Z/25-2-1", "Z/25-4-2", "F_5[t]/(t^2)-2-1"])
+def test_each_law_is_stated_once_for_points_and_indices(ring, a, b):
+    """Every law over a whole-loop table's indices agrees with the same law
+    over points, the oracle, on seeded pairs, triples and exponent pairs."""
+    params = LoopParams(ring, a, b)
+    pts = params.loop_points()
+    ops = diagnostics._ops(params, CayleyIndex(params, pts))
+    n, rng = len(pts), random.Random(11)
+    verdicts = set()
+    for law in LAW_NAMES:
+        for _ in range(8 if law == "diassociative" else 40):
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            if law == "power-associative":  # a point and two exponents
+                case, on_points = (i, j - 200, k - 200), (pts[i], j - 200, k - 200)
+            else:
+                case = (i, j, k) if law in diagnostics.TRIPLE_LAWS else (i, j)
+                on_points = [pts[c] for c in case]
+            verdict = diagnostics._law_holds(ops, law, *case)
+            assert verdict == diagnostics._check_law(params, law, *on_points), (law, case)
+            verdicts.add(verdict)
+    assert verdicts == ({True} if (a, b) == (4, 2) else {True, False})
+
+
+@pytest.mark.parametrize("inst, laws, budget", [
+    ((5, 2, 4, 2), ("power-associative",), 200_000),
+    ((5, 2, 2, 1), ("moufang", "diassociative"), 20_000),
+])
+def test_the_whole_loop_table_changes_no_sampled_report(inst, laws, budget, monkeypatch):
+    """Over the table's indices the samples make the same draws as over points."""
+    params = params_for(*inst)
+    built = counting_builds(monkeypatch)
+    tabled = law_suite(params, laws, budget=budget, seed=7)
+    monkeypatch.setattr(diagnostics, "_table_pays", lambda n, additions: False)
+    on_points = law_suite(params, laws, budget=budget, seed=7)
+    assert built == [params.cardinality()]  # only the first run has a table
+    assert not any(r.exhaustive for r in tabled)
+    assert [r.to_json() for r in tabled] == [r.to_json() for r in on_points]
+
+
 # ---------------------------------------------------------------------------
 # Cayley tables
 # ---------------------------------------------------------------------------
@@ -280,6 +334,38 @@ def test_infinity_suite_e2_and_e3():
         assert by_name["infinity-cardinality"].checked == 5 ** (2 * (e - 1))
         # the 625-point table's 195,625 additions are under the 1.2 M of sampled triples
         assert by_name["infinity-associativity"].exhaustive
+
+
+@pytest.mark.parametrize("inst, tabled", [((7, 2, 0, 2), True), ((7, 2, 1, 1), True),
+                                           ((5, 3, 2, 1), False)])
+def test_infinity_additivity_is_read_off_the_infinity_table(inst, tabled, monkeypatch):
+    # at budget 1,000 the 49-point parts' tables (1,225 additions) pay for the
+    # 4,000 additions of sampled triples, the 625-point part's does not
+    params = params_for(*inst)
+    built, building, outside = [], [False], [0]
+    init, counted = CayleyIndex.__init__, diagnostics.add
+
+    def marking_init(self, params, points):
+        building[0] = True
+        init(self, params, points)
+        building[0] = False
+        built.append(len(points))
+
+    def counting_add(*args):
+        outside[0] += not building[0]
+        return counted(*args)
+
+    monkeypatch.setattr(CayleyIndex, "__init__", marking_init)
+    monkeypatch.setattr(diagnostics, "add", counting_add)
+    reports = {r.law: r for r in infinity_suite(params, budget=1_000, seed=0)}
+    additive = reports["infinity-coordinates-additive"]
+    assert additive.holds and additive.exhaustive == tabled
+    assert built == ([params.ring.ideal_size ** 2] if tabled else [])
+    if tabled:  # every sum of all n^2 pairs is read off the table
+        assert additive.checked == params.ring.ideal_size ** 4
+        assert outside[0] == 0
+    else:
+        assert additive.checked == 1_000 and outside[0] >= 5_000  # 4 a triple, 1 a pair
 
 
 def test_infinity_non_associative_from_e6():
@@ -489,14 +575,20 @@ def test_verify_instance_rejects_budget_below_one():
             verify_instance(params, "laws", budget=budget)
 
 
-@pytest.mark.parametrize("law", ["full-associative", "moufang"])
-def test_triple_laws_sample_a_pool_that_is_not_the_loop(law):
-    # 5^5 (2,1) has 2.7 M points, so the laws draw from a 5,000-point pool;
-    # a budget above the pool's n^3 must not build index tables over it
+@pytest.mark.parametrize("law", LAW_NAMES)
+def test_triple_laws_sample_a_pool_that_is_not_the_loop(law, monkeypatch):
+    # 5^5 (2,1) has 2.7 M points, so the laws draw from a pool of at most 4,000
+    # points; no budget, not even one above the pool's n^3, builds an index
+    # table over it.  The five laws that fail stop at a counterexample even at
+    # 10^12; the two that hold run at a budget that ends.
     params = params_for(5, 5, 2, 1)
-    (report,) = law_suite(params, (law,), budget=10**12, seed=0)
-    assert not report.holds and not report.exhaustive
-    assert replay(params, report)
+    built = counting_builds(monkeypatch)
+    holds = LAW_EXPECTATIONS[law]
+    (report,) = law_suite(params, (law,), budget=2_000 if holds else 10**12, seed=0)
+    assert built == []
+    assert report.holds == holds and not report.exhaustive
+    if not holds:
+        assert replay(params, report)
 
 
 def test_reported_counts_match_the_work_done():
