@@ -259,7 +259,8 @@ class CayleyIndex:
     ``table[i][j]`` is the index of points[i] + points[j]; ``neg[i]`` the
     index of -points[i]; ``index`` maps a point's coordinate triple
     ``(x, y, z)`` to its index.  Built once, it turns bulk law sweeps into
-    lookups, which is what makes the exhaustive checks affordable.
+    lookups, which is what makes the exhaustive checks affordable.  The law is odd in Y, so
+    each sum i + j also fills -i + -j: ((n+1)/2)^2 additions on odd sets closed under negation.
 
     Every table is decided the same way: Light's test on a generating set
     (:meth:`associative`, n^2 lookups per generator, run once and cached)
@@ -284,19 +285,24 @@ class CayleyIndex:
                 raise PreconditionUnmet(f"{why} = {pt!r} is not among the points: "
                                         "the set is not closed under the loop") from None
 
-        n = len(pts)
-        table = [[0] * n for _ in range(n)]
+        n, negs = len(pts), [neg(params, pt) for pt in pts]
+        mirror = [idx.get((m.x, m.y, m.z)) for m in negs]  # None: -P is outside
+        table = [[None] * n for _ in range(n)]
         for i, a in enumerate(pts):
-            row = table[i]
+            row, ni = table[i], mirror[i]
             for j in range(i, n):
+                if row[j] is not None:  # filled as the negative of an earlier sum
+                    continue
                 s = add(params, a, pts[j])
                 try:
                     k = idx[s.x, s.y, s.z]
                 except KeyError:
                     k = at(s, f"{a!r} + {pts[j]!r}")  # raises: the sum is outside
                 row[j] = table[j][i] = k
+                if None not in (ni, mirror[j], mirror[k]):  # -i + -j = -k: the law is odd in Y
+                    table[ni][mirror[j]] = table[mirror[j]][ni] = mirror[k]
         self.table = table
-        self.neg = [at(neg(params, pt), f"-{pt!r}") for pt in pts]
+        self.neg = [at(m, f"-{pt!r}") for m, pt in zip(negs, pts)]
         self.ident = at(identity(params), "the identity")
         self._cycles = {}
         self._light = None  # (generators, verdict) of the default Light's test
@@ -448,6 +454,8 @@ def _table_detail(proofs: list, law: str = "full-associative") -> str:
         return "full sweep"
     if not proofs:  # sampled
         return ""
+    if law in LOOKUP_LAWS:
+        return f"index table: {sum(k for _, k in proofs):,} lookups"
     how = {"moufang": "Light's test and commuting generators",
            "diassociative": "implied by associativity, Light's test"}.get(law, "Light's test")
     on = f" on {len(proofs)} tables" if len(proofs) > 1 else ""
@@ -456,10 +464,10 @@ def _table_detail(proofs: list, law: str = "full-associative") -> str:
 
 
 def _table_pays(n: int, additions: int) -> bool:
-    """Whether an n-point index table, n(n+1)/2 additions to build, costs no more than the
+    """Whether an n-point index table, ((n+1)/2)^2 additions to build, costs no more than the
     ``additions`` of the samples it replaces: 4 a triple, 3 or more a law case, 1 a closure
-    pair.  Light's test's lookups are not counted; they take under a tenth of the build's time."""
-    return n * (n + 1) // 2 <= additions
+    pair.  Light's test's lookups are not counted; they take at most a fifth of the build's time."""
+    return ((n + 1) // 2) ** 2 <= additions
 
 
 # ----------------------------------------------------------------------------
@@ -470,6 +478,7 @@ def _table_pays(n: int, additions: int) -> bool:
 #: the largest n^2 entries of a whole-loop index table (the laws', the low-nilpotency suite's)
 LOOP_TABLE_MAX = 8_000_000
 TRIPLE_LAWS = ("full-associative", "moufang")
+LOOKUP_LAWS = {"alternative": 4, "jordan": 5, "latin-square": 4}  # a table's lookups a pair
 
 
 def _law_holds(ops, law, p, q, r=None) -> bool:
@@ -595,6 +604,11 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
             exhaust = lambda: latin_bad(product(every(), repeat=2), n)
             encode = lambda case: {**points(case),
                                    "relation": "solution" if len(case) == 2 else "row-collision"}
+        if tabled and law in LOOKUP_LAWS:  # the table's lookups, up to a failing pair
+            def exhaust(run=exhaust, per=LOOKUP_LAWS[law]):
+                hit = run()
+                proofs.append((0, per * (n * n if hit is None else hit[0])))
+                return hit
         rep = _sweep(law, budget, seed, encode, space=space, weight=weights.get(law, 1),
                      exhaust=exhaust, draws=draws, first_bad=first_bad, samples=samples[law],
                      tabled=tabled)
@@ -1055,7 +1069,7 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     """Decide whether the loop is a group, with an explicit reason.
 
     Groups are certified by an isomorphism with Z/n1 x Z/n2, read off the
-    whole loop's index table (one ``add`` per unordered pair): a basis
+    whole loop's index table (((n+1)/2)^2 additions, see CayleyIndex): a basis
     G1, G2 of orders n1, n2 with n1 * n2 = n is searched, and the map
     (i, j) -> i*G1 + j*G2 is checked to be a bijection, which proves that
     G1 and G2 generate the loop.  Light's test on {G1, G2}

@@ -278,18 +278,18 @@ def identity(params: LoopParams) -> ProjPoint:
 
 
 def _add_canonical(params: LoopParams, x1, z1, x2, z2) -> tuple:
-    """Reduced law for two canonical points (x : 1 : z)."""
+    """Reduced law for two canonical points (x : 1 : z); only T2, x3 and z3 are reduced."""
     M = params.ring.mod
     a, a2, b3 = params.a, params._a2, params._b3
-    xx = x1 * x2 % M
-    zz = z1 * z2 % M
-    xz = (x1 * z2 + x2 * z1) % M
+    xx = x1 * x2
+    zz = z1 * z2
+    xz = x1 * z2 + x2 * z1
     sx = x1 + x2
     sz = z1 + z2
-    q1 = (1 - a * xz - b3 * zz) % M
-    q2 = (a2 * zz - a * xx - b3 * xz) % M
-    q3 = (a * zz + 3 * xx) % M
-    q4 = (a * xz + b3 * zz + 1) % M
+    q1 = 1 - a * xz - b3 * zz
+    q2 = a2 * zz - a * xx - b3 * xz
+    q3 = a * zz + 3 * xx
+    q4 = a * xz + b3 * zz + 1
     t2 = (q1 * q4 - q2 * q3) % M
     try:
         inv = pow(t2, -1, M)

@@ -58,14 +58,15 @@ class Poly(int):
     multiply as ints, which is exact polynomial arithmetic in Z[t] while
     every digit d_i below t^e stays in |d_i| < 2^(k-1); digits from t^e up
     are discarded by the reduction and may be anything.  The law's largest
-    such digit is in T2 = Q1 Q4 - Q2 Q3 on canonical inputs: the Q's have
-    digits below 4 e^2 (p-1)^3, and a product digit below t^e sums at most
-    e terms, so |d_i| < 32 e^5 (p-1)^6.  Hence
+    such digit is in T2 = Q1 Q4 - Q2 Q3, raw or canonical: the unreduced Q's
+    have digits below 4 e^2 (p-1)^3, and a product digit below t^e sums at
+    most e terms, so |d_i| < 32 e^5 (p-1)^6.  Hence
 
         k = 6 bitlen(p) + 5 bitlen(e) + 6,
 
-    which puts 2^(k-1) above that bound; F, H and the canonical law stay
-    far below it.  ``repr`` and ``str`` show the coefficient tuple.
+    which puts 2^(k-1) above that bound; F, H and each canonical x3 or z3
+    numerator times T2's inverse (below 16 e^4 (p-1)^5) stay under it.
+    ``repr`` and ``str`` show the coefficient tuple.
     """
 
     __slots__ = ()

@@ -15,11 +15,12 @@ must fail in the table.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+import re
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from elliptic_loops import CayleyIndex, LoopParams, PreconditionUnmet, RingConfig
+from elliptic_loops import CayleyIndex, LoopParams, PreconditionUnmet, ProjPoint, RingConfig
 from elliptic_loops import loop_core
 from elliptic_loops.diagnostics import BYTE_ROWS_MAX, law_suite, laws_suite
 from elliptic_loops.layers import Layer, layer_points
@@ -169,8 +170,9 @@ def test_law_suite_builds_the_whole_loop_index_once(monkeypatch):
     reports = law_suite(params, ("full-associative", "moufang"), budget=175**3, seed=0)
     assert [r.exhaustive for r in reports] == [True, True]
     assert built == [175]
-    # all seven laws on a group: the 75-point table's 2,850 additions are all the
-    # suite makes, and it decides every law but power-associativity's samples
+    # all seven laws on a group: the 75-point table's 38^2 = 1,444 additions (one
+    # per unordered pair up to negation) are all the suite makes, and it decides
+    # every law but power-associativity's samples
     group, adds = params_for(5, 2, 4, 2), [0]
     canonical = loop_core._add_canonical
 
@@ -180,11 +182,11 @@ def test_law_suite_builds_the_whole_loop_index_once(monkeypatch):
 
     monkeypatch.setattr(loop_core, "_add_canonical", counting_add)
     reports = law_suite(group, budget=200_000, seed=7)
-    assert built == [175, 75] and adds[0] == 75 * 76 // 2 == 2_850
+    assert built == [175, 75] and adds[0] == 38 ** 2 == 1_444
     assert all(r.holds for r in reports)
     assert [r.law for r in reports if not r.exhaustive] == ["power-associative"]
     # the laws suite at budget 1,000 draws 31 power-associativity cases and six
-    # rows of 75 latin-square cells: 1,443 additions at 3 a case, under 2,850
+    # rows of 75 latin-square cells: 1,443 additions at 3 a case, under 1,444
     reports = laws_suite(group, budget=1_000, seed=7)
     assert built == [175, 75]
     assert [(r.checked, r.exhaustive) for r in reports] == [(31, False), (450, False)]
@@ -194,6 +196,59 @@ def test_point_set_not_closed_under_the_loop_is_a_precondition_error():
     params = params_for(5, 2, 2, 1)
     pts = params.loop_points()[:10]
     with pytest.raises(PreconditionUnmet, match=r"\+ .* is not among the points"):
+        CayleyIndex(params, pts)
+
+
+def table_by_pairs(params, pts):
+    """One ``add`` per unordered pair: the reference for the mirrored build.
+    Returns the table, or the first pair (i, j), j >= i, whose sum is outside."""
+    idx = {pt: i for i, pt in enumerate(pts)}
+    table = [[None] * len(pts) for _ in pts]
+    for i, j in combinations_with_replacement(range(len(pts)), 2):
+        k = idx.get(loop_core.add(params, pts[i], pts[j]))
+        if k is None:
+            return i, j
+        table[i][j] = table[j][i] = k
+    return table
+
+
+def mirrored_sets():
+    """Sets closed under negation: two whole loops, an infinity part, a layer."""
+    z52, poly = params_for(5, 2, 2, 1), LoopParams(RingConfig.truncated_poly(5, 2), 2, 1)
+    inf, lay = params_for(7, 2, 0, 2), params_for(5, 3, 2, 1)
+    return [(z52, z52.loop_points()), (poly, poly.loop_points()),
+            (inf, inf.infinity_points()), (lay, layer_points(Layer(lay, 5)))]
+
+
+@pytest.mark.parametrize("params, pts", mirrored_sets(), ids=["Z/25", "F5[t]/(t^2)",
+                                                              "infinity-7-2-0-2", "layer-5-3"])
+def test_mirrored_build_matches_one_add_per_pair(params, pts, monkeypatch):
+    """-P + -Q = -(P + Q) fills half the table: ((n+1)/2)^2 additions, the same table."""
+    reference = table_by_pairs(params, pts)
+    adds, canonical = [0], loop_core._add_canonical
+
+    def counting_add(*args):
+        adds[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(loop_core, "_add_canonical", counting_add)
+    cayley = CayleyIndex(params, pts)
+    n = len(pts)
+    assert n % 2 == 1 and sorted(cayley.neg) == list(range(n))
+    assert adds[0] == ((n + 1) // 2) ** 2 < n * (n + 1) // 2
+    assert cayley.table == reference
+
+
+def test_mirrored_build_names_the_first_pair_outside():
+    """Only pairs whose sum lies in the set are mirrored, so a set closed under
+    negation but not under the loop fails at the per-pair build's first pair."""
+    params = params_for(5, 2, 2, 1)
+    inf = params.infinity_points()
+    extra = params.loop_points()[25:40:3]
+    pts = inf + extra + [loop_core.neg(params, pt) for pt in extra]
+    i, j = table_by_pairs(params, pts)
+    assert (i, j) == (1, len(inf))  # row 0 is built, partly by mirroring, before it fails
+    with pytest.raises(PreconditionUnmet, match=re.escape(f"{pts[i]!r} + {pts[j]!r} = ")):
         CayleyIndex(params, pts)
 
 
@@ -280,3 +335,23 @@ def test_moufang_report_names_its_method(inst, detail):
     assert rep.exhaustive and rep.checked == n**3
     assert rep.holds == (inst == (5, 2, 4, 2))
     assert rep.detail == detail
+
+
+@pytest.mark.parametrize("inst", [(5, 2, 4, 2), (5, 2, 2, 1)], ids=["group", "non-group"])
+def test_lookup_laws_name_the_table_and_its_lookups(inst):
+    """alternative, jordan and latin-square read off the whole-loop table say so,
+    with 4, 5 and 4 lookups a pair up to the first failing pair; sampled, they say nothing."""
+    params = params_for(*inst)
+    n, group = params.cardinality(), inst == (5, 2, 4, 2)
+    index = CayleyIndex(params, params.loop_points()).index
+    reports = law_suite(params, ("alternative", "jordan", "latin-square"), budget=200_000, seed=7)
+    assert [r.holds for r in reports] == [group, group, True]
+    for rep, per in zip(reports, (4, 5, 4)):
+        assert rep.exhaustive and rep.checked == n * n
+        pairs = n * n
+        if not rep.holds:  # the pairs up to the failing one, in row order
+            i, j = (index[tuple(ProjPoint.from_json(params.ring, c).coords())]
+                    for c in rep.counterexample["points"])
+            pairs = i * n + j + 1
+        assert rep.detail == f"index table: {per * pairs:,} lookups"
+    assert [r.detail for r in laws_suite(params, budget=1_000, seed=7)] == ["", ""]

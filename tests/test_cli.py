@@ -318,7 +318,7 @@ def test_verify_prints_checks_of_nothing_as_skip(capsys):
 
 
 @pytest.mark.parametrize("suite, e, gated, budgets", [
-    ("layers", "2", "layer-group-isomorphism", ("500", "200000")),
+    ("layers", "2", "layer-group-isomorphism", ("300", "200000")),
     ("infinity", "4", "forbidden-locus", ("1000", "20000")),
 ])
 def test_verify_prints_the_same_checks_at_any_budget(capsys, suite, e, gated, budgets):

@@ -517,8 +517,9 @@ def test_group_certificate_adds_no_more_than_one_table_build(monkeypatch):
         diagnostics.witness_B(params)
     witness_adds, calls[0] = calls[0], 0
     assert group_certificate(params)["is_group"] is True
-    # order_of adds through loop_core, so only the table build and the basis count
-    assert calls[0] - witness_adds <= n * (n + 1) // 2 + n
+    # order_of adds through loop_core, so only the table build (one add per unordered
+    # pair up to negation) and the basis count
+    assert calls[0] - witness_adds <= ((n + 1) // 2) ** 2 + n
 
 
 def test_small_classification_sweep():

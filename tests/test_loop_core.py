@@ -535,6 +535,25 @@ def test_raw_add_kernel_matches_ring_ops_and_is_symmetric():
         assert non_primitive > 0  # the set exercises non-primitive sums too
 
 
+@pytest.mark.parametrize("ring", [RingConfig.integer(5, 3), RingConfig.truncated_poly(5, 2)],
+                         ids=repr)
+def test_law_is_odd_in_y(ring):
+    """-P + -Q = -(P + Q) exactly, on the canonical law and on raw_add: negating
+    Y1 and Y2 negates T1 and T3 and keeps T2, which the index tables' build uses."""
+    params = LoopParams(ring, 2, 1)
+    pts, rng = params.loop_points(), random.Random(11)
+    two = ring.from_int(2)
+    for _ in range(300):
+        p, q = rng.choice(pts), rng.choice(pts)
+        s = add(params, p, q)
+        assert add(params, neg(params, p), neg(params, q)) == neg(params, s)
+        # (2X : 2Y : 2Z) is no canonical form, so both sums go through raw_add
+        x, y, z = p.scaled(two)
+        assert add(params, ProjPoint(ring, x, y, z), q) == s
+        minus = ProjPoint(ring, x, ring.neg(y), z)
+        assert add(params, minus, neg(params, q)) == neg(params, s)
+
+
 @pytest.mark.parametrize("ring", [RingConfig.integer(5, 3), RingConfig.truncated_poly(5, 3)],
                          ids=repr)
 def test_canonical_add_matches_ring_ops(ring):
