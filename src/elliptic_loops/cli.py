@@ -199,17 +199,16 @@ def cmd_verify(args) -> int:
     params = _params_from(args)
     reports = verify_instance(params, args.suite, budget=args.budget, seed=args.seed)
     lines = []
-    marks = {"PASS": 0, "SKIP": 0, "FAIL": 0}
+    marks = {"pass": 0, "skipped": 0, "fail": 0}
     for r in reports:
-        # a check that inspected nothing holds vacuously: it is a skip, not a pass
-        mark = "FAIL" if not r.holds else "PASS" if r.checked else "SKIP"
-        marks[mark] += 1
+        marks[r.status] += 1
+        mark = {"pass": "PASS", "skipped": "SKIP", "fail": "FAIL"}[r.status]
         scope = "exhaustive" if r.exhaustive else "sampled" if r.checked else "none"
         detail = f"  [{r.detail}]" if r.detail else ""
         lines.append(f"{mark} {r.law:34s} checked={r.checked:<9} {scope}{detail}")
     ok = all(r.holds for r in reports)
-    lines.append(f"{'VERIFIED' if ok else 'FALSIFIED'}: {marks['PASS']} pass, "
-                 f"{marks['SKIP']} skip, {marks['FAIL']} fail")
+    lines.append(f"{'VERIFIED' if ok else 'FALSIFIED'}: {marks['pass']} pass, "
+                 f"{marks['skipped']} skip, {marks['fail']} fail")
     _emit(args, {"reports": [r.to_json() for r in reports], "verified": ok},
           "\n".join(lines))
     return 0 if ok else 1

@@ -67,9 +67,15 @@ class LawReport:
         self.seed = seed
         self.detail = detail
 
+    @property
+    def status(self) -> str:
+        """The verdict: pass, fail, or skipped when the check inspected nothing (vacuously true)."""
+        return "fail" if not self.holds else "pass" if self.checked else "skipped"
+
     def to_json(self) -> dict:
         return {
             "law": self.law,
+            "status": self.status,
             "holds": self.holds,
             "counterexample": self.counterexample,
             "checked": self.checked,

@@ -48,20 +48,48 @@ def _sqrt_table(p: int) -> dict:
     return roots
 
 
+def _cubic_has_root(p: int, a: int, b: int) -> bool:
+    """Whether f = x^3 + a x + b has a root mod p, i.e. gcd(x^p - x, f) != 1.
+
+    x^p mod f comes by square-and-multiply on c0 + c1 x + c2 x^2, the gcd
+    by Euclid's algorithm (H. Cohen, GTM 138, section 1.6).
+    """
+    def mul(u, v):  # reduced by x^3 = -a x - b and x^4 = -a x^2 - b x
+        (u0, u1, u2), (v0, v1, v2) = u, v
+        c3, c4 = u1 * v2 + u2 * v1, u2 * v2
+        return [(u0 * v0 - b * c3) % p, (u0 * v1 + u1 * v0 - a * c3 - b * c4) % p,
+                (u0 * v2 + u1 * v1 + u2 * v0 - a * c4) % p]
+
+    r = [1, 0, 0]
+    for bit in bin(p)[2:]:
+        r = mul(mul(r, r), [0, 1, 0]) if bit == "1" else mul(r, r)
+    u, v = [b % p, a % p, 0, 1], [r[0], (r[1] - 1) % p, r[2]]  # constant term first
+    while any(v):
+        while not v[-1]:
+            v.pop()
+        while len(u) >= len(v):  # u <- u mod v
+            c, k = u.pop() * pow(v[-1], -1, p), len(u) - len(v) + 1
+            for i in range(len(v) - 1):
+                u[k + i] = (u[k + i] - c * v[i]) % p
+        u, v = v, u
+    return len(u) > 1
+
+
 class LoopParams:
-    """Validated parameters (R, A, B) plus cached residue-curve data.
+    """Validated parameters (R, A, B) plus the residue curve, listed on first use.
 
     Constructed through :func:`validate_params`.  The residue curve
-    E: y^2 = x^3 + ab x + bb over F_p is stored both as affine pairs and
+    E: y^2 = x^3 + ab x + bb over F_p is listed both as affine pairs and
     as canonical points of the e = 1 loop over Z/p, which carries the
     same addition law and is used for all order bookkeeping downstairs.
-    That loop enumerates the curve; every other loop shares its lists.
+    That loop enumerates the curve when ``q`` or a list is first read;
+    every other loop shares its lists.
     """
 
     __slots__ = (
-        "ring", "a", "b", "delta", "q",
+        "ring", "a", "b", "delta",
         "_a2", "_b3",
-        "residue_pairs", "residue_points", "residue_params",
+        "_lists", "residue_params",
         "_orders", "_points", "_identity",
     )
 
@@ -71,8 +99,7 @@ class LoopParams:
         self.a = a
         self.b = b
         self._orders = {}
-        self._points = None
-        self._identity = None
+        self._points = self._identity = self._lists = None
         self._a2 = ring.mul(a, a)
         self._b3 = ring.mul_int(3, b)
 
@@ -87,21 +114,33 @@ class LoopParams:
 
         if ring.e == 1 and ring.kind == INTEGER_QUOTIENT:
             self.residue_params = self
-            self._enumerate_residue_curve()
+            if _cubic_has_root(ring.p, a, b):
+                raise EvenOrder(
+                    f"residue curve y^2 = x^3 + {a}x + {b} over F_{ring.p} has a"
+                    f" point with y = 0, so its order is even"
+                )
         else:
-            # Z/p carries the residue curve; enumerate it there, once
-            rp = LoopParams(ring.residue_ring(), ring.residue(a), ring.residue(b))
-            self.residue_params = rp
-            self.q = rp.q
-            self.residue_pairs = rp.residue_pairs
-            self.residue_points = rp.residue_points
+            # Z/p carries the residue curve; check it there, once
+            self.residue_params = LoopParams(ring.residue_ring(), ring.residue(a), ring.residue(b))
 
-    def _enumerate_residue_curve(self) -> None:
+    def _curve(self) -> tuple:
+        """(residue_pairs, residue_points), listed on the residue loop on first use."""
+        rp = self.residue_params
+        if rp._lists is None:
+            rp._lists = rp._enumerate_residue_curve()
+        return rp._lists
+
+    residue_pairs = property(lambda self: self._curve()[0], doc="Affine points (x, y) of E.")
+    residue_points = property(lambda self: self._curve()[1],
+                              doc="The identity, then the canonical form of each pair.")
+    q = property(lambda self: len(self._curve()[0]) + 1, doc="|E(F_p)|.")
+
+    def _enumerate_residue_curve(self) -> tuple:
         """Affine points of y^2 = x^3 + A x + B over F_p and their loop points.
 
         Only the e = 1 integer loop runs this; every other loop shares the
-        lists of its residue loop.  Each affine (x, y) has y != 0, so its
-        canonical form is (x y^-1 : 1 : y^-1).
+        lists of its residue loop.  Each affine (x, y) has y != 0 (odd
+        order), so its canonical form is (x y^-1 : 1 : y^-1).
         """
         p = self.ring.p
         ra, rb = self.a, self.b
@@ -109,19 +148,11 @@ class LoopParams:
         pairs = []
         pts = [identity(self)]
         for x in range(p):
-            f = (x * x * x + ra * x + rb) % p
-            if f == 0:
-                raise EvenOrder(
-                    f"residue curve y^2 = x^3 + {ra}x + {rb} over F_{p} has a"
-                    f" point with y = 0, so its order is even"
-                )
-            for y in roots.get(f, ()):
+            for y in roots.get((x * x * x + ra * x + rb) % p, ()):
                 pairs.append((x, y))
                 yi = pow(y, -1, p)
                 pts.append(ProjPoint(self.ring, x * yi % p, 1, yi))
-        self.residue_pairs = pairs
-        self.residue_points = pts
-        self.q = len(pairs) + 1
+        return pairs, pts
 
     # -- point bookkeeping ---------------------------------------------------
 
@@ -202,7 +233,8 @@ def validate_params(ring: RingConfig, a, b) -> LoopParams:
     """Build LoopParams from ints (any ring) or payloads.
 
     Raises SingularCurve when the discriminant is not a unit and EvenOrder
-    when the residue curve contains 2-torsion.
+    when the residue curve contains 2-torsion: x^3 + A x + B has a root mod
+    p, which a gcd with x^p - x decides without listing the curve.
     """
     return LoopParams(ring, a, b)
 

@@ -284,6 +284,44 @@ def test_torsion_with_points_and_with_q_matches_direct_calls(capsys, p, e, A, B)
 
 
 # ----------------------------------------------------------------------------
+# queries at a large p: no residue curve is listed
+# ----------------------------------------------------------------------------
+
+
+BIG = ("-p", "1000003", "-e", "2", "-A", "1", "-B", "1")
+
+
+@pytest.mark.parametrize("command, points, extra", [
+    ("add", ["0,1,1", "1000003,1,0"], []),
+    ("mul", ["0,1,1"], ["-n", "12345"]),
+    ("membership", ["0,1,1", "1000003,1,1000003"], []),
+    ("stratify", ["0,1,1"], []),
+    ("decompose", ["3000009,1,1000003"], []),
+])
+def test_large_p_queries_enumerate_no_residue_curve(capsys, monkeypatch, command, points, extra):
+    import tracemalloc
+
+    from elliptic_loops import loop_core
+
+    calls = []
+    real_table = loop_core._sqrt_table
+    monkeypatch.setattr(loop_core, "_sqrt_table", lambda p: calls.append(p) or real_table(p))
+    tracemalloc.start()
+    try:
+        params_for(1000003, 2, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # listing E(F_p) takes hundreds of MB here
+    argv = [command, *BIG, *extra]
+    for pt in points:
+        argv += ["--point", pt]
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert calls == []
+
+
+# ----------------------------------------------------------------------------
 # verification, witnesses, classification
 # ----------------------------------------------------------------------------
 
@@ -315,6 +353,27 @@ def test_verify_prints_checks_of_nothing_as_skip(capsys):
     )
     report = json.loads(out)["reports"][2]
     assert report["holds"] is True and report["checked"] == 0
+
+
+def test_verify_marks_read_the_report_status(capsys, monkeypatch):
+    from elliptic_loops import diagnostics
+    from elliptic_loops.diagnostics import LawReport
+
+    reports = [LawReport("checked-law", True, None, 3, True),
+               LawReport("vacuous-law", True, None, 0, False, None, "skipped: why"),
+               LawReport("broken-law", False, {"points": []}, 2, False, 0)]
+    assert [r.status for r in reports] == ["pass", "skipped", "fail"]
+    monkeypatch.setitem(diagnostics.VERIFY_SUITES, "laws", lambda params, **kw: reports)
+    argv = ("verify", "-p", "5", "-e", "2", "-A", "2", "-B", "1", "--suite", "laws")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 1
+    lines = out.strip().splitlines()
+    assert [line.split()[:2] for line in lines[:3]] == [
+        ["PASS", "checked-law"], ["SKIP", "vacuous-law"], ["FAIL", "broken-law"]]
+    assert lines[-1] == "FALSIFIED: 1 pass, 1 skip, 1 fail"
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 1
+    assert [r["status"] for r in json.loads(out)["reports"]] == ["pass", "skipped", "fail"]
 
 
 @pytest.mark.parametrize("suite, e, gated, budgets", [

@@ -362,10 +362,43 @@ def test_residue_curve_enumerated_once(monkeypatch, ring):
     monkeypatch.setattr(loop_core, "_sqrt_table", counting_table)
     params = LoopParams(ring, 2, 1)
     rp = params.residue_params
-    assert calls[0] == 1
+    assert calls[0] == 0  # the odd-order check enumerates nothing
     assert params.residue_pairs is rp.residue_pairs
     assert params.residue_points is rp.residue_points
     assert params.q == rp.q == 7
+    assert calls[0] == 1
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+@pytest.mark.parametrize("p", _primes(5, 200))
+def test_cubic_root_test_matches_a_root_scan(p):
+    for a in range(p):
+        roots = {-(x ** 3 + a * x) % p for x in range(p)}  # b with f(x) = 0 for some x
+        for b in range(p):
+            assert loop_core._cubic_has_root(p, a, b) == (b in roots), (p, a, b)
+
+
+@pytest.mark.parametrize("p", _primes(5, 50))
+def test_validation_error_class_at_every_residue(p):
+    rings = [RingConfig.integer(p, 1), RingConfig.integer(p, 2), RingConfig.truncated_poly(p, 2)]
+    for a in range(p):
+        for b in range(p):
+            if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+                expected = SingularCurve
+            elif any((x ** 3 + a * x + b) % p == 0 for x in range(p)):
+                expected = EvenOrder
+            else:
+                expected = None
+            for ring in rings:
+                try:
+                    LoopParams(ring, a, b)
+                    raised = None
+                except (SingularCurve, EvenOrder) as exc:
+                    raised = type(exc)
+                assert raised is expected, (ring, a, b)
 
 
 @pytest.mark.parametrize("p,e,a,b", [(5, 1, 2, 1), (7, 1, 0, 2), (13, 1, 0, 3), (11, 1, 2, 4)])
