@@ -5,8 +5,9 @@ points passed as comma-separated coordinates ``X,Y,Z`` (normalized on
 ingest).  Output is text by default and JSON with ``--format json``
 (``classify`` also offers CSV).  Exit codes follow the verification
 contract: 0 when the requested fact is verified or computed, 1 when it
-is falsified (a failed membership test, a failed suite, or a confirmed
-non-associativity witness), and 2 for usage or precondition errors.
+is falsified (a failed membership test, a failed suite, a confirmed
+non-associativity witness, or a construction that fails its own check),
+and 2 for usage or precondition errors.
 """
 
 from __future__ import annotations
@@ -351,6 +352,9 @@ def run(argv=None) -> int:
     except (EllipticLoopError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a construction failed its own check
+        print(f"falsified: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

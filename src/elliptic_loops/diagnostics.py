@@ -17,11 +17,13 @@ cases runs through one runner, :func:`_sweep`: it sweeps exhaustively when
 the case space, weighted by the cost of one case, fits the budget or is
 no larger than the sample, and otherwise draws cases with the seed.  A
 check supplies its space, draws, condition and counterexample encoding.
+That choice and every index table's are one rule, :func:`_affordable`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import random
 from functools import partial
@@ -109,14 +111,28 @@ def _skipped(law: str, detail: str) -> LawReport:
     return LawReport(law, True, None, 0, False, None, detail)
 
 
+#: the most entries, n^2, of any index table over a loop, a layer or an infinity part
+LOOP_TABLE_MAX = 8_000_000
+
+
+def _affordable(budget, sampled=0, *, cost=0, table=0) -> bool:
+    """The one rule for every exhaustive route: it runs when its ``cost`` in additions is at
+    most ``max(budget, sampled)``, ``sampled`` the additions of the draws it replaces.  An
+    n = ``table``-point :class:`CayleyIndex` adds ((n+1)/2)^2 (Light's test's lookups, at most a
+    fifth of the build's time, are not counted) and is never built over LOOP_TABLE_MAX entries."""
+    cost += ((table + 1) // 2) ** 2
+    return table * table <= LOOP_TABLE_MAX and cost <= max(budget, sampled)
+
+
 def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, draws=None,
            first_bad=None, samples=None, rng=None, tabled=False, detail="") -> LawReport:
     """Run one check over its whole case space if that fits the budget, else on draws.
 
-    Exhaustive iff ``tabled`` (an index table decides the check), ``space *
-    weight <= budget``, or ``space <= samples`` so that no more cases are
-    drawn than the space holds (``space`` counts the cases, None if there is
-    no exhaustive path; ``weight`` is the cost of one case): then ``exhaust()``
+    Exhaustive iff ``tabled`` (an index table decides the check) or, by
+    :func:`_affordable`, ``space * weight <= budget`` or ``space <= samples``
+    so that no more cases are drawn than the space holds (``space`` counts
+    the cases, None if there is no exhaustive path; ``weight`` is the cost
+    of one case): then ``exhaust()``
     runs and the report counts the whole space, even when it stops at a
     counterexample.  Otherwise ``first_bad`` runs on the first ``samples``
     (default ``max(1, budget // weight)``) of ``draws(rng)``, an endless
@@ -128,7 +144,7 @@ def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, dra
     """
     if samples is None:
         samples = max(1, budget // weight)
-    if space is not None and (tabled or space * weight <= budget or space <= samples):
+    if space is not None and (tabled or _affordable(budget, samples * weight, cost=space * weight)):
         hit, checked, exhaustive = exhaust(), space, True
     elif draws is None:
         return None
@@ -469,20 +485,11 @@ def _table_detail(proofs: list, law: str = "full-associative") -> str:
             f"{sum(k for _, k in proofs):,} lookups")
 
 
-def _table_pays(n: int, additions: int) -> bool:
-    """Whether an n-point index table, ((n+1)/2)^2 additions to build, costs no more than the
-    ``additions`` of the samples it replaces: 4 a triple, 3 or more a law case, 1 a closure
-    pair.  Light's test's lookups are not counted; they take at most a fifth of the build's time."""
-    return ((n + 1) // 2) ** 2 <= additions
-
-
 # ----------------------------------------------------------------------------
 # the seven loop laws
 # ----------------------------------------------------------------------------
 
 
-#: the largest n^2 entries of a whole-loop index table (the laws', the low-nilpotency suite's)
-LOOP_TABLE_MAX = 8_000_000
 TRIPLE_LAWS = ("full-associative", "moufang")
 LOOKUP_LAWS = {"alternative": 4, "jordan": 5, "latin-square": 4}  # a table's lookups a pair
 
@@ -540,9 +547,9 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     """Run the requested laws (all seven by default) and report.
 
     A law is swept exhaustively when its case count fits the budget, else on
-    draws from the seed.  The whole loop's index table is built where it pays
-    for the samples (at least 3 additions each) or a triple law's n^3 fits the
-    budget; it decides every case of alternative, jordan, latin-square and
+    draws from the seed.  The whole loop's index table is built where it is
+    :func:`_affordable` against the budget or the samples (at least 3
+    additions each); it decides every case of alternative, jordan, latin-square and
     full-associative, of moufang when abelian and of diassociative when
     associative (a group is diassociative), and the rest run over its indices
     on the same draws.
@@ -561,8 +568,7 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     if "latin-square" in samples:  # whole rows of cells, two additions each
         samples["latin-square"] = max(1, budget // (2 * pool)) * pool
     cayley = None
-    if pool == n and (n * n <= LOOP_TABLE_MAX and _table_pays(n, 3 * sum(samples.values()))
-                      or n ** 3 <= budget and not set(laws).isdisjoint(TRIPLE_LAWS)):
+    if pool == n and _affordable(budget, 3 * sum(samples.values()), table=n):
         cayley = CayleyIndex(params, pts)
     ops, dom = _ops(params, cayley), range(n) if cayley else pts
     plus = ops[0]
@@ -771,7 +777,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
         raise NilpotencyTooHigh(
             f"these identities require nilpotency degree <= 2 (e = {ring.e})"
         )
-    if params.cardinality() ** 2 > LOOP_TABLE_MAX:
+    if not _affordable(math.inf, table=params.cardinality()):  # capped, never priced
         raise PreconditionUnmet(
             f"loop of size {params.cardinality()} exceeds the index-table budget"
         )
@@ -783,9 +789,7 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
     s = ring.ideal_size ** 2  # fiber f is range(f * s, f * s + s): see _fiber_draws
     fibers = [range(f * s, f * s + s) for f in range(params.q)]
     inf = fibers[0]
-
-    def encode(case):  # cases hold indices into pts
-        return {"points": _encode_points(params, [pts[i] for i in case])}
+    encode = _point_ce(params, pts)  # cases hold indices into pts
 
     def sweep(name, first_bad, draws, space=None, cases=None, **kw):
         return _sweep(name, budget, seed, encode, space=space, exhaust=lambda: first_bad(cases()),
@@ -890,7 +894,7 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
 
     Covers the cardinality p^(2(e-1)), the orders and independence of the
     generating pair, the coordinate bijection, associativity (a theorem for
-    e <= 5, decided by the index table where it pays (:func:`_table_pays`),
+    e <= 5, decided by the index table where it is :func:`_affordable`,
     refuted by an explicit triple from e = 6 on), and additivity for e <= 3,
     read off the same table when it is built.
     """
@@ -953,8 +957,8 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
                     for name in ("infinity-generator-orders", "infinity-generator-independence",
                                  "infinity-coordinate-bijection")]
 
-    # one index table, where it pays for the sampled associativity triples
-    tabled = e <= 5 and enumerable and _table_pays(expected, 4 * budget)
+    # one index table, priced against the sampled associativity triples' 4 additions each
+    tabled = e <= 5 and enumerable and _affordable(budget, 4 * budget, table=expected)
     cayley = CayleyIndex(params, inf_pts) if tabled else None
     if e <= 5:
         proofs = []
@@ -968,10 +972,13 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
         rep.detail = _table_detail(proofs)
         reports.append(rep)
     else:
-        w = witness_inf(params)
-        reports.append(LawReport("infinity-associativity", False,
-                                 w.to_json(params), 1, True, None,
-                                 detail="guaranteed non-associative from e = 6 on"))
+        try:
+            w = witness_inf(params)
+            rep = LawReport("infinity-associativity", False, w.to_json(params), 1, True, None,
+                            detail="guaranteed non-associative from e = 6 on")
+        except AssertionError as exc:  # the witness associated: its construction failed
+            rep = LawReport("infinity-associativity", False, None, 1, True, None, str(exc))
+        reports.append(rep)
 
     # coordinatewise addition (an isomorphism onto (m, +)^2 for e <= 3)
     if e > 3:
@@ -1083,7 +1090,8 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     an abelian group (the law is symmetric), and the bijection an
     isomorphism.  Non-groups are certified by a concrete non-associative
     triple (a structured witness when one applies, a seeded search
-    otherwise).
+    otherwise); the seeded search also answers for a loop whose table is
+    over ``LOOP_TABLE_MAX`` entries.
     """
     n = params.cardinality()
 
@@ -1108,6 +1116,8 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
         return {"is_group": None, "order": n, "invariants": None,
                 "method": "undetermined", "checked": rep.checked}
 
+    if not _affordable(math.inf, table=n):  # capped, never priced
+        return search()
     orders = [order_of(params, pt) for pt in pts]
     n2 = max(orders)
     n1 = n // n2
@@ -1279,7 +1289,7 @@ def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 
 
 def _layer_gate(params: LoopParams, budget: int, checks):
     """One SKIP per check if all layers' q * |m|^3 points exceed 40 * budget, else None."""
-    if params.q * params.ring.ideal_size ** 3 > 40 * budget:
+    if not _affordable(40 * budget, cost=params.q * params.ring.ideal_size ** 3):
         return [_skipped(law, "skipped: layer enumeration exceeds the budget") for law in checks]
 
 
@@ -1291,8 +1301,8 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Per-layer group facts: size, closure, associativity, infinity part, isomorphism.
 
     One index table per layer decides closure, associativity and the isomorphism
-    where it pays for its budget share's samples (:func:`_table_pays`), or where
-    the isomorphism applies and n^2 fits the budget; elsewhere those sample or skip.
+    where it is :func:`_affordable` against the budget or its budget share's
+    samples; elsewhere those sample or skip.
     """
     from .layers import (Layer, layer_infinity_generator, layer_isomorphism_check,
                          layer_membership, layer_points)
@@ -1308,8 +1318,7 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     expected = params.q * isz
     per_layer = max(1, budget // max(1, isz))
     iso = params.q % 3 != 0 and params.q % ring.p != 0
-    tabled = (_table_pays(expected, 4 * per_layer + min(per_layer, 2000))
-              or iso and expected ** 2 <= budget)
+    tabled = _affordable(budget, 4 * per_layer + min(per_layer, 2000), table=expected)
     size_ok = gen_ok = val_ok = iso_ok = True
     closure, assoc, proofs = [], [], []
     val_checked = 0
@@ -1441,7 +1450,10 @@ def torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     for pt in params.loop_points():
         if scalar_mul(params, q, pt) == ident:
             fibers.setdefault(params.project(pt), []).append(pt)
-    geometry = torsion_geometry(params, q, [fiber[0] for fiber in fibers.values()])
+    try:  # a fiber, difference group or line that fails its own check fails all three
+        geometry = torsion_geometry(params, q, [fiber[0] for fiber in fibers.values()])
+    except AssertionError as exc:
+        return [LawReport(law, False, None, 0, False, None, str(exc)) for law in TORSION_CHECKS]
     lined = [(fiber, diffs, line) for _, fiber, diffs, line in geometry if line is not None]
     oks = (all(set(fiber) == set(fibers[params.project(base)])
                for base, fiber, _, _ in geometry),
@@ -1462,6 +1474,9 @@ def witness_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
             w = fn(params)
         except PreconditionUnmet as exc:
             reports.append(_skipped(f"witness-{kind}", f"not applicable: {exc}"))
+            continue
+        except AssertionError as exc:  # the triple associated: the construction failed
+            reports.append(LawReport(f"witness-{kind}", False, None, 1, True, None, str(exc)))
             continue
         ok = w.lhs != w.rhs
         # the case space is the one constructed triple, so one case is all of it

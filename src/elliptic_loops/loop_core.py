@@ -30,6 +30,8 @@ associative; nothing in this module assumes associativity.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import (
     DegenerateSum,
     EvenOrder,
@@ -420,11 +422,16 @@ def order_of(params: LoopParams, pt: ProjPoint) -> int:
 
 
 def _order_by_addition(params: LoopParams, pt: ProjPoint) -> int:
-    """Least n >= 1 with n P = identity, by iterated addition."""
+    """Least n >= 1 with n P = identity, by iterated addition.
+
+    The loop holds q * |m|^2 points with q <= p + 1 + 2 sqrt(p) (Hasse), so
+    that bounds the walk without listing the residue curve to read q.
+    """
     o = identity(params)
     if pt == o:
         return 1
-    bound = params.cardinality() + 1
+    p = params.ring.p
+    bound = (p + 1 + isqrt(4 * p)) * params.ring.ideal_size ** 2 + 1
     acc = pt
     for n in range(2, bound + 1):
         acc = add(params, acc, pt)

@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from elliptic_loops import CayleyIndex, LoopParams, PreconditionUnmet, ProjPoint, RingConfig
-from elliptic_loops import loop_core
+from elliptic_loops import diagnostics, loop_core
 from elliptic_loops.diagnostics import BYTE_ROWS_MAX, law_suite, laws_suite
 from elliptic_loops.layers import Layer, layer_points
 
@@ -355,3 +355,99 @@ def test_lookup_laws_name_the_table_and_its_lookups(inst):
             pairs = i * n + j + 1
         assert rep.detail == f"index table: {per * pairs:,} lookups"
     assert [r.detail for r in laws_suite(params, budget=1_000, seed=7)] == ["", ""]
+
+
+# ---------------------------------------------------------------------------
+# which tables are built: one cost rule and one size cap
+# ---------------------------------------------------------------------------
+
+
+def old_law_table(params, laws, budget):
+    """The earlier whole-loop rule: the table pays for 3 additions a sample, under
+    the cap, or a triple law is asked for and n^3 fits the budget."""
+    n, e = params.cardinality(), params.ring.e
+    weights = {"diassociative": 360, "power-associative": 4 * max(e, 8)}
+    samples = {law: max(1, budget // weights.get(law, 1)) for law in laws}
+    if "latin-square" in samples:
+        samples["latin-square"] = max(1, budget // (2 * n)) * n
+    return (n * n <= diagnostics.LOOP_TABLE_MAX
+            and ((n + 1) // 2) ** 2 <= 3 * sum(samples.values())
+            or n ** 3 <= budget and not set(laws).isdisjoint(("full-associative", "moufang")))
+
+
+def old_infinity_table(params, budget):
+    """The earlier infinity rule: the table pays for 4 additions a sampled triple."""
+    n = params.ring.ideal_size ** 2
+    return params.ring.e <= 5 and ((n + 1) // 2) ** 2 <= 4 * budget
+
+
+def old_layer_table(params, budget):
+    """The earlier layer rule: the table pays for its budget share's samples, or
+    the isomorphism applies and n^2 fits the budget (behind the layer gate)."""
+    q, isz = params.q, params.ring.ideal_size
+    if q * isz ** 3 > 40 * budget:
+        return False
+    n, share = q * isz, max(1, budget // isz)
+    iso = q % 3 != 0 and q % params.ring.p != 0
+    return ((n + 1) // 2) ** 2 <= 4 * share + min(share, 2000) or iso and n * n <= budget
+
+
+class Built(Exception):
+    """Raised by a stubbed build, so a suite stops at the first table it builds."""
+
+
+def first_build(monkeypatch, run):
+    """The point count of the first index table ``run()`` builds, or None."""
+    def stop(self, params, points):
+        raise Built(len(points))
+
+    with monkeypatch.context() as m:
+        m.setattr(CayleyIndex, "__init__", stop)
+        try:
+            run()
+        except Built as built:
+            return built.args[0]
+    return None
+
+
+@pytest.mark.parametrize("inst", [(5, 2, 2, 1), (7, 2, 0, 2), (13, 2, 0, 6), (5, 3, 2, 1)],
+                         ids=["Z/25", "Z/49", "Z/169", "Z/125"])
+def test_every_table_the_earlier_rules_built_is_still_built(inst, monkeypatch):
+    params = params_for(*inst)
+    for budget in (1, 100, 1_000, 3_000, 10_000, 40_000, 200_000):
+        for laws in (diagnostics.LAW_NAMES, ("power-associative", "latin-square")):
+            if old_law_table(params, laws, budget):
+                built = first_build(monkeypatch, lambda: law_suite(params, laws, budget))
+                assert built == params.cardinality(), (laws, budget)
+        if old_infinity_table(params, budget):
+            built = first_build(monkeypatch, lambda: diagnostics.infinity_suite(params, budget))
+            assert built == params.ring.ideal_size ** 2, budget
+        if old_layer_table(params, budget):
+            built = first_build(monkeypatch, lambda: diagnostics.layer_suite(params, budget))
+            assert built == params.q * params.ring.ideal_size, budget
+
+
+@pytest.mark.parametrize("inst, n, run, sampled", [
+    ((5, 2, 2, 1), 175, lambda params: law_suite(params, ("moufang",), budget=175 ** 3),
+     "moufang"),
+    ((5, 2, 2, 1), 25, lambda params: diagnostics.infinity_suite(params, budget=50),
+     "infinity-associativity"),
+    ((5, 2, 2, 1), 35, lambda params: diagnostics.layer_suite(params, budget=2_000),
+     "layer-associativity"),
+    ((5, 2, 4, 2), 75, lambda params: [diagnostics.group_certificate(params, budget=1_000)],
+     None),
+], ids=["triple-law", "infinity", "layer", "group-certificate"])
+def test_no_table_is_built_above_the_cap(inst, n, run, sampled, monkeypatch):
+    """Each route would build its n-point table here, but the cap sits below n^2."""
+    params = params_for(*inst)
+    monkeypatch.setattr(diagnostics, "LOOP_TABLE_MAX", n * n - 1)
+    built, init = [], CayleyIndex.__init__
+    monkeypatch.setattr(CayleyIndex, "__init__",
+                        lambda self, params, pts: built.append(len(pts)) or init(self, params, pts))
+    answers = run(params)
+    assert built == []
+    if sampled is None:  # the group certificate answers with its seeded search
+        assert answers[0]["is_group"] is None and answers[0]["method"] == "undetermined"
+    else:
+        rep = next(r for r in answers if r.law == sampled)
+        assert rep.checked and not rep.exhaustive

@@ -223,6 +223,40 @@ def test_torsion_fibers_json(capsys):
         assert len(rec["reduced_line"]) == 3
 
 
+def test_a_witness_that_associates_prints_fail(capsys, monkeypatch):
+    """A construction that fails its own check is a FAIL line, not a traceback."""
+    from elliptic_loops import diagnostics
+
+    monkeypatch.setattr(diagnostics, "add", lambda params, a, b: identity(params))  # associative
+    rc, out, _ = run_cli(capsys, "verify", "-p", "5", "-e", "3", "-A", "2", "-B", "1",
+                         "--suite", "witnesses")
+    assert rc == 1
+    lines = out.splitlines()
+    for kind in "AB":
+        line = next(line for line in lines if line.startswith(f"FAIL witness-{kind} "))
+        assert f"[witness construction {kind} unexpectedly associated at" in line
+    assert lines[-1] == "FALSIFIED: 0 pass, 1 skip, 2 fail"
+
+
+def test_a_torsion_line_that_fails_its_check_prints_fail(capsys, monkeypatch):
+    from elliptic_loops import structure
+
+    def broken_line(*args):
+        raise AssertionError("coset point 0 deviates from the displacement law")
+
+    monkeypatch.setattr(structure, "torsion_line", broken_line)
+    instance = ("-p", "5", "-e", "2", "-A", "2", "-B", "1")
+    rc, out, _ = run_cli(capsys, "verify", *instance, "--suite", "torsion")
+    assert rc == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL torsion-")]
+    assert len(fails) == 3
+    assert all(line.endswith("[coset point 0 deviates from the displacement law]")
+               for line in fails)
+    rc, out, err = run_cli(capsys, "torsion", *instance)
+    assert (rc, out) == (1, "")
+    assert err == "falsified: coset point 0 deviates from the displacement law\n"
+
+
 def test_torsion_past_e2_is_a_precondition_error(capsys):
     rc, out, err = run_cli(capsys, "torsion", "-p", "5", "-e", "3", "-A", "2", "-B", "1")
     assert rc == 2

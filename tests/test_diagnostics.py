@@ -189,7 +189,9 @@ def test_the_whole_loop_table_changes_no_sampled_report(inst, laws, budget, monk
     params = params_for(*inst)
     built = counting_builds(monkeypatch)
     tabled = law_suite(params, laws, budget=budget, seed=7)
-    monkeypatch.setattr(diagnostics, "_table_pays", lambda n, additions: False)
+    affordable = diagnostics._affordable  # every other route decides as before
+    monkeypatch.setattr(diagnostics, "_affordable",
+                        lambda *args, table=0, **kw: not table and affordable(*args, **kw))
     on_points = law_suite(params, laws, budget=budget, seed=7)
     assert built == [params.cardinality()]  # only the first run has a table
     assert not any(r.exhaustive for r in tabled)
@@ -377,6 +379,17 @@ def test_infinity_non_associative_from_e6():
     assert assoc.counterexample is not None
     assert assoc.exhaustive and assoc.checked == 1  # the witness is the whole case space
     assert replay(params, assoc) is True
+
+
+def test_an_infinity_witness_that_associates_is_a_failed_check(monkeypatch):
+    """From e = 6 on, a witness triple that associates reports FAIL, not an error."""
+    params = params_for(5, 6, 2, 1)
+    g1, _ = diagnostics.infinity_generators(params)
+    monkeypatch.setattr(diagnostics, "infinity_generators", lambda params: (g1, identity(params)))
+    by_name = {r.law: r for r in infinity_suite(params, budget=10, seed=0)}
+    assoc = by_name["infinity-associativity"]
+    assert assoc.status == "fail" and assoc.counterexample is None
+    assert assoc.detail.startswith("witness construction inf unexpectedly associated")
 
 
 # ---------------------------------------------------------------------------

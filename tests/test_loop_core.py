@@ -336,6 +336,26 @@ def test_order_of_work_is_logarithmic(monkeypatch, capsys):
     assert 0 < calls[0] < 300
 
 
+def test_order_of_on_a_large_p_loop_lists_no_residue_curve(monkeypatch):
+    """The walk on the residue curve is bounded by Hasse, not by listing E(F_p)."""
+    def no_listing(p):
+        raise AssertionError("the residue curve was listed")
+
+    monkeypatch.setattr(loop_core, "_sqrt_table", no_listing)
+    params = params_for(100_003, 2, 1, 1)
+    pt = params.point(0, 1, 1)
+    n = order_of(params, pt)
+    ident = identity(params)
+    assert scalar_mul(params, n, pt) == ident
+    m, primes, d = n, set(), 2  # n is the least such multiple: no n / prime kills P
+    while d * d <= m:
+        while m % d == 0:
+            primes.add(d)
+            m //= d
+        d += 1
+    assert all(scalar_mul(params, n // ell, pt) != ident for ell in primes | {m} - {1})
+
+
 def test_order_of_refuses_a_p_tower_that_never_vanishes(monkeypatch):
     params = params_for(5, 2, 2, 1)
     pt = next(pt for pt in params.loop_points() if params.pi_order(pt) == 7)
