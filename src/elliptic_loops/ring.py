@@ -263,6 +263,13 @@ class RingConfig:
             return a % self.p
         return a & self.mod.mask
 
+    def digits(self, a: Payload) -> tuple:
+        """(r, d): the residue r = a mod m and the next m-adic digit d, both in
+        [0, p), so that a = r + pi * d modulo m^2 (pi the :meth:`uniformizer`)."""
+        if self.kind == INTEGER_QUOTIENT:
+            return a % self.p, a // self.p % self.p
+        return a & self.mod.mask, a >> self.mod.k & self.mod.mask
+
     def residue_ring(self) -> "RingConfig":
         """The residue field F_p presented as the integer quotient Z/p."""
         return RingConfig(INTEGER_QUOTIENT, self.p, 1)

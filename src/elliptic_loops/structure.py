@@ -221,10 +221,11 @@ def difference_group(params: LoopParams, q: int, pt: ProjPoint):
 def _checked_differences(params: LoopParams, pt: ProjPoint, fiber: list):
     """The checked difference set of P's torsion ``fiber`` (e <= 2).
 
-    Its index table (:class:`CayleyIndex`, one ``add`` per pair up to negation)
-    checks that the set holds the identity and is closed under negation and
-    addition.  A set that is not a subgroup, not at infinity, or (P in the
-    fiber) whose translate by P is not the fiber raises AssertionError.
+    Its index table (:class:`CayleyIndex`: at e = 2 one affine map of the offset
+    digits per pair of fibers, from at most five sums, else one ``add`` per pair
+    up to negation) checks that the set holds the identity and is closed under
+    negation and addition.  A set that is not a subgroup, not at infinity, or
+    (P in the fiber) whose translate by P is not the fiber raises AssertionError.
     """
     from .diagnostics import CayleyIndex
 

@@ -15,13 +15,15 @@ must fail in the table.
 
 from __future__ import annotations
 
+import random
 import re
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from elliptic_loops import CayleyIndex, LoopParams, PreconditionUnmet, ProjPoint, RingConfig
-from elliptic_loops import diagnostics, loop_core
+from elliptic_loops import diagnostics, loop_core, structure
+from elliptic_loops.errors import DegenerateSum, EllipticLoopError
 from elliptic_loops.diagnostics import BYTE_ROWS_MAX, law_suite, laws_suite
 from elliptic_loops.layers import Layer, layer_points
 
@@ -170,9 +172,10 @@ def test_law_suite_builds_the_whole_loop_index_once(monkeypatch):
     reports = law_suite(params, ("full-associative", "moufang"), budget=175**3, seed=0)
     assert [r.exhaustive for r in reports] == [True, True]
     assert built == [175]
-    # all seven laws on a group: the 75-point table's 38^2 = 1,444 additions (one
-    # per unordered pair up to negation) are all the suite makes, and it decides
-    # every law but power-associativity's samples
+    # all seven laws on a group: the 75-point table's 16 additions (its three
+    # fibers make four pairs up to negation, two of a fiber with itself at three
+    # sums, two at five) are all the suite makes, and it decides every law but
+    # power-associativity's samples
     group, adds = params_for(5, 2, 4, 2), [0]
     canonical = loop_core._add_canonical
 
@@ -182,11 +185,12 @@ def test_law_suite_builds_the_whole_loop_index_once(monkeypatch):
 
     monkeypatch.setattr(loop_core, "_add_canonical", counting_add)
     reports = law_suite(group, budget=200_000, seed=7)
-    assert built == [175, 75] and adds[0] == 38 ** 2 == 1_444
+    assert built == [175, 75] and adds[0] == 16
     assert all(r.holds for r in reports)
     assert [r.law for r in reports if not r.exhaustive] == ["power-associative"]
     # the laws suite at budget 1,000 draws 31 power-associativity cases and six
-    # rows of 75 latin-square cells: 1,443 additions at 3 a case, under 1,444
+    # rows of 75 latin-square cells: 1,443 additions at 3 a case, under the
+    # 38^2 = 1,444 a table is priced at
     reports = laws_suite(group, budget=1_000, seed=7)
     assert built == [175, 75]
     assert [(r.checked, r.exhaustive) for r in reports] == [(31, False), (450, False)]
@@ -213,17 +217,21 @@ def table_by_pairs(params, pts):
 
 
 def mirrored_sets():
-    """Sets closed under negation: two whole loops, an infinity part, a layer."""
+    """Sets closed under negation: two whole loops, an infinity part, a layer, and
+    the additions that build each.  At e = 2, five per pair of fibers up to
+    negation, three for a fiber with itself: the whole loops have seven fibers,
+    so 4 * 3 + 12 * 5 = 72, and the infinity part is one fiber.  At e = 3,
+    ((n+1)/2)^2."""
     z52, poly = params_for(5, 2, 2, 1), LoopParams(RingConfig.truncated_poly(5, 2), 2, 1)
     inf, lay = params_for(7, 2, 0, 2), params_for(5, 3, 2, 1)
-    return [(z52, z52.loop_points()), (poly, poly.loop_points()),
-            (inf, inf.infinity_points()), (lay, layer_points(Layer(lay, 5)))]
+    return [(z52, z52.loop_points(), 72), (poly, poly.loop_points(), 72),
+            (inf, inf.infinity_points(), 3), (lay, layer_points(Layer(lay, 5)), 88 ** 2)]
 
 
-@pytest.mark.parametrize("params, pts", mirrored_sets(), ids=["Z/25", "F5[t]/(t^2)",
-                                                              "infinity-7-2-0-2", "layer-5-3"])
-def test_mirrored_build_matches_one_add_per_pair(params, pts, monkeypatch):
-    """-P + -Q = -(P + Q) fills half the table: ((n+1)/2)^2 additions, the same table."""
+@pytest.mark.parametrize("params, pts, additions", mirrored_sets(),
+                         ids=["Z/25", "F5[t]/(t^2)", "infinity-7-2-0-2", "layer-5-3"])
+def test_mirrored_build_matches_one_add_per_pair(params, pts, additions, monkeypatch):
+    """-P + -Q = -(P + Q) fills half the table: at most ((n+1)/2)^2 additions, the same table."""
     reference = table_by_pairs(params, pts)
     adds, canonical = [0], loop_core._add_canonical
 
@@ -235,7 +243,7 @@ def test_mirrored_build_matches_one_add_per_pair(params, pts, monkeypatch):
     cayley = CayleyIndex(params, pts)
     n = len(pts)
     assert n % 2 == 1 and sorted(cayley.neg) == list(range(n))
-    assert adds[0] == ((n + 1) // 2) ** 2 < n * (n + 1) // 2
+    assert adds[0] == additions <= ((n + 1) // 2) ** 2 < n * (n + 1) // 2
     assert cayley.table == reference
 
 
@@ -250,6 +258,119 @@ def test_mirrored_build_names_the_first_pair_outside():
     assert (i, j) == (1, len(inf))  # row 0 is built, partly by mirroring, before it fails
     with pytest.raises(PreconditionUnmet, match=re.escape(f"{pts[i]!r} + {pts[j]!r} = ")):
         CayleyIndex(params, pts)
+
+
+# e = 2 loops of the benchmark's verify-suites and exhaustive-tables catalogs, as
+# (p, A, B) over Z/p^2, and the loops over F_5[t]/(t^2) and F_7[t]/(t^2)
+BLOCK_LOOPS = [(5, 1, 1), (5, 1, 4), (5, 2, 1), (5, 2, 4), (5, 3, 2), (5, 3, 3), (5, 4, 2),
+               (7, 0, 2), (7, 0, 4), (7, 0, 5), (7, 1, 1), (7, 2, 1), (11, 2, 7), (13, 0, 6),
+               ("t", 5, 2, 1), ("t", 7, 0, 2)]
+
+
+def block_loop(inst):
+    if inst[0] == "t":
+        return LoopParams(RingConfig.truncated_poly(inst[1], 2), *inst[2:])
+    return params_for(inst[0], 2, *inst[1:])
+
+
+def refuse_pairs(*args):
+    raise AssertionError("the per-pair build ran")
+
+
+def assert_built_by_blocks(params, pts, monkeypatch):
+    """The table of ``pts`` is one ``add`` per pair's, and no per-pair build ran."""
+    reference = table_by_pairs(params, pts)
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "_table_by_pairs", refuse_pairs)
+        assert CayleyIndex(params, pts).table == reference
+
+
+@pytest.mark.parametrize("inst", BLOCK_LOOPS, ids=str)
+def test_block_build_matches_one_add_per_pair(inst, monkeypatch):
+    """The whole loop, the infinity part and every layer, built block by block."""
+    params = block_loop(inst)
+    for pts in [params.loop_points(), params.infinity_points(),
+                *(layer_points(Layer(params, t)) for t in params.ring.ideal_elements())]:
+        assert_built_by_blocks(params, pts, monkeypatch)
+
+
+def test_block_build_on_torsion_differences_and_shuffled_points(monkeypatch):
+    """One fiber that is not full (of one point over the residue identity, else
+    five), and fibers whose members are not contiguous."""
+    params = params_for(5, 2, 2, 1)
+    records = structure.torsion_geometry(params, params.q)
+    assert sorted(len(diffs) for _, _, diffs, _ in records) == [1, 5, 5, 5, 5, 5, 5]
+    for _, _, diffs, _ in records:
+        assert_built_by_blocks(params, list(diffs), monkeypatch)
+    for pts in (list(params.loop_points()), layer_points(Layer(params, 5))):
+        random.Random(0).shuffle(pts)
+        assert_built_by_blocks(params, pts, monkeypatch)
+
+
+@pytest.mark.parametrize("inst", [(5, 2, 2, 1), (13, 2, 0, 6)])
+def test_residue_loop_is_built_by_pairs(inst, monkeypatch):
+    """At e = 1 every fiber is one point, so the blocks would share nothing:
+    the mirrored per-pair build runs, ((n+1)/2)^2 additions."""
+    params = params_for(*inst).residue_params
+    pts = params.loop_points()
+    reference = table_by_pairs(params, pts)
+    adds, canonical = [0], loop_core._add_canonical
+
+    def counting_add(*args):
+        adds[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(loop_core, "_add_canonical", counting_add)
+    assert CayleyIndex(params, pts).table == reference
+    assert adds[0] == ((len(pts) + 1) // 2) ** 2
+
+
+def build_error(params, pts, monkeypatch, blocks=True):
+    """(class, message) of the error building ``pts`` raises, with or without blocks."""
+    with monkeypatch.context() as m:
+        if not blocks:
+            m.setattr(diagnostics, "_table_by_blocks", lambda *args: None)
+        with pytest.raises(EllipticLoopError) as info:
+            CayleyIndex(params, pts)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("cut", ["fiber", "point"])
+def test_block_build_raises_the_per_pair_error_off_the_set(cut, monkeypatch):
+    """A sum leaves the set: for the infinity part and one affine fiber, which is
+    not closed under negation, into a fiber the set does not meet; for a layer
+    without its last point, onto a missing point of a fiber it meets."""
+    params = params_for(5, 2, 2, 1)
+    if cut == "fiber":
+        pts = params.infinity_points() + params.loop_points()[25:50]
+    else:
+        pts = layer_points(Layer(params, 5))[:-1]
+    err = build_error(params, pts, monkeypatch)
+    assert err[0] is PreconditionUnmet and " + " in err[1]
+    assert err == build_error(params, pts, monkeypatch, blocks=False)
+
+
+def test_block_build_raises_the_per_pair_error_on_a_degenerate_sum(monkeypatch):
+    """A fiber of canonical points off the loop, whose doubles have no unit T2."""
+    params = params_for(5, 2, 2, 1)
+    ring = params.ring
+
+    def degenerate_double(pt):
+        try:
+            loop_core.add(params, pt, pt)
+        except DegenerateSum:
+            return True
+        return False
+
+    x, z = next((x, z) for x in range(5) for z in range(5)
+                if degenerate_double(ProjPoint(ring, x, 1, z)))
+    pts = [ProjPoint(ring, x + 5 * u, 1, z + 5 * v) for u in range(5) for v in range(5)]
+    assert not any(loop_core.membership(params, pt) for pt in pts)
+    index = {pt.coords(): i for i, pt in enumerate(pts)}
+    assert diagnostics._table_by_blocks(params, pts, index, [None] * len(pts)) is None
+    err = build_error(params, pts, monkeypatch)
+    assert err[0] is DegenerateSum
+    assert err == build_error(params, pts, monkeypatch, blocks=False)
 
 
 def s3_table():
