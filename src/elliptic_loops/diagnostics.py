@@ -7,7 +7,8 @@ a replayable counterexample when one was found.
 
 The headline searches live here too: explicit witness triples that break
 associativity (three constructions with different preconditions), the
-suite of identities valid at nilpotency degree at most two, the infinity
+identities valid at nilpotency degree at most two, each decided exactly on
+tuples of fibers, where m^2 = 0 makes the law affine, the infinity
 part's group structure, the technical congruences for points at
 infinity, and the classification of the parameter pairs whose loops are
 honest groups.
@@ -22,12 +23,11 @@ That choice and every index table's are one rule, :func:`_affordable`.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import random
 from functools import partial
-from itertools import chain, islice, product, repeat
+from itertools import islice, product
 
 from .errors import DegenerateSum, EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
 from .loop_core import (
@@ -178,63 +178,6 @@ def _draws(width: int, draw):
 def _picks(pool, width: int):
     """Draws of ``width`` independent uniform members of ``pool``."""
     return _draws(width, lambda rng: rng.choice(pool))
-
-
-@functools.cache
-def _digit_maps(base: int):
-    """``bytes.translate`` arguments that turn random bytes into digits < ``base``:
-    each byte mod ``base``, with the bytes at or above the largest multiple of
-    ``base`` not above 256 deleted, so every digit is equally likely."""
-    keep = 256 - 256 % base
-    return bytes(b % base for b in range(256)), bytes(range(keep, 256))
-
-
-def _digits(rng, base: int, count: int):
-    """``count`` independent, exactly uniform digits in [0, ``base``) from ``rng``.
-
-    For ``base`` <= 256 they are rejection-sampled from ``rng.randbytes``, one
-    ``bytes.translate`` per block; above 256 each digit is one ``randrange``
-    (under the low-nilpotency size cap only the fiber digit at e = 1 is).
-    """
-    if base > 256:
-        randrange = rng.randrange
-        return [randrange(base) for _ in range(count)]
-    table, reject = _digit_maps(base)
-    out = b""
-    while len(out) < count:
-        need = count - len(out)
-        out += rng.randbytes(need * 256 // (256 - len(reject)) + 8).translate(table, reject)
-    return out[:count]
-
-
-_FIBER_BATCH_MAX = 4096
-
-
-def _fiber_draws(q: int, s: int, shape):
-    """Endless draws of cases of indices into ``loop_points()``, fiber by fiber.
-
-    ``loop_points()`` lists the q fibers of s = |m|^2 points each, residue
-    identity first, so fiber f is the index range f*s ... f*s + s - 1 and the
-    infinity fiber is ``range(s)``.  Slot c of a case lies in the case's
-    ``shape[c]``-th fiber, drawn uniformly, or in the infinity fiber when
-    ``shape[c]`` is None; each point is a uniform member of its fiber.  Cases
-    are decoded in batches, growing to ``_FIBER_BATCH_MAX``, from two digit
-    streams (:func:`_digits`): fibers in base q and offsets in base s.
-    """
-    n_fib = max(k for k in shape if k is not None) + 1
-    width = len(shape)
-
-    def draws(rng):
-        batch = 64
-        while True:
-            fibs = _digits(rng, q, n_fib * batch)
-            offs = _digits(rng, s, width * batch)
-            starts = [list(map(operator.mul, fibs[k::n_fib], repeat(s))) for k in range(n_fib)]
-            yield from zip(*[offs[c::width] if k is None
-                             else map(operator.add, starts[k], offs[c::width])
-                             for c, k in enumerate(shape)])
-            batch = min(2 * batch, _FIBER_BATCH_MAX)
-    return draws
 
 
 def _breaker(ok):
@@ -615,14 +558,16 @@ TRIPLE_LAWS = ("full-associative", "moufang")
 LOOKUP_LAWS = {"alternative": 4, "jordan": 5, "latin-square": 4}  # a table's lookups a pair
 
 
-def _law_holds(ops, law, p, q, r=None) -> bool:
-    """Whether the law holds at the pair (p, q), or at the triple (p, q, r).
+def _law_holds(ops, law, p, q, r=None, *more) -> bool:
+    """Whether the law holds at the pair (p, q), or at the triple (p, q, r) and ``more``.
 
     ``ops`` is (plus, neg, mul, zero) over the elements, with ``mul(k, p)``
     the k-th multiple: points, or the indices of one :class:`CayleyIndex`
     (:func:`_ops`), so each law is stated once.
     For power-associativity q and r are the exponents; for unique
-    solvability this checks that X = Q - P solves P + X = Q.
+    solvability this checks that X = Q - P solves P + X = Q.  The five
+    identities of :data:`NILPOTENCY_CHECKS` take their points in the slots
+    of :data:`FIBER_LAYOUTS`, and multiple-of-fiber-sum its multiplier last.
     """
     plus, minus, mul, zero = ops
     if law == "alternative":
@@ -640,7 +585,7 @@ def _law_holds(ops, law, p, q, r=None) -> bool:
                     if plus(ab, c) != plus(a, plus(b, c)):
                         return False
         return True
-    if law == "full-associative":
+    if law in ("full-associative", "translate-by-infinity-pair"):  # the latter: q, r at infinity
         return plus(plus(p, q), r) == plus(p, plus(q, r))
     if law == "moufang":
         return plus(plus(p, plus(q, r)), r) == plus(plus(plus(p, r), r), q)
@@ -648,6 +593,18 @@ def _law_holds(ops, law, p, q, r=None) -> bool:
         return plus(mul(q, p), mul(r, p)) == mul(q + r, p)
     if law == "latin-square":
         return plus(p, plus(q, minus(p))) == q
+    conv = lambda a, b, c: plus(plus(a, b), minus(c))  # (a + b) - c
+    if law == "difference-across-fiber":  # (P + R1) - (Q + R2) = (P - Q) + (R1 - R2)
+        (r2,) = more
+        return conv(p, r, plus(q, r2)) == plus(plus(p, minus(q)), plus(r, minus(r2)))
+    if law == "triple-in-fiber":  # (P + Q) - R = P + (Q - R)
+        return conv(p, q, r) == plus(p, plus(q, minus(r)))
+    if law == "fiberwise-sum-exchange":  # (P1+P2-P3) + (Q1+Q2-Q3) = (P1+Q1) + (P2+Q2) - (P3+Q3)
+        q1, q2, q3 = more
+        return plus(conv(p, q, r), conv(q1, q2, q3)) == conv(plus(p, q1), plus(q, q2), plus(r, q3))
+    if law == "multiple-of-fiber-sum":  # k(P1 + P2 - P3) = kP1 + kP2 - kP3
+        (k,) = more
+        return mul(k, conv(p, q, r)) == conv(mul(k, p), mul(k, q), mul(k, r))
     raise ValueError(law)
 
 
@@ -657,11 +614,6 @@ def _ops(params: LoopParams, cayley: CayleyIndex = None):
         return (*(partial(f, params) for f in (add, neg, scalar_mul)), identity(params))
     t, mul = cayley.table, cayley.mul
     return lambda a, b: t[a][b], cayley.neg.__getitem__, lambda k, i: mul(i, k), cayley.ident
-
-
-def _check_law(params, law, p, q, r=None) -> bool:
-    """:func:`_law_holds` over points."""
-    return _law_holds(_ops(params), law, p, q, r)
 
 
 def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int = 0):
@@ -755,7 +707,7 @@ def replay(params: LoopParams, report) -> bool:
     if isinstance(report, LawReport):
         report = report.to_json()
     law, ce = report["law"], report["counterexample"]
-    known = LAW_NAMES + ("infinity-associativity", "layer-associativity")
+    known = LAW_NAMES + NILPOTENCY_CHECKS + ("infinity-associativity", "layer-associativity")
     if law not in known:
         raise PreconditionUnmet(f"cannot replay a {law!r} report; replay knows {', '.join(known)}")
     if ce is None:
@@ -764,7 +716,10 @@ def replay(params: LoopParams, report) -> bool:
     if ce.get("relation") == "row-collision":
         row = {add(params, case[0], q) for q in params.loop_points()}
         return len(row) != params.cardinality()
-    return not _check_law(params, law if law in LAW_NAMES else "full-associative", *case)
+    if "multiplier" in ce:
+        case.append(ce["multiplier"])
+    law = "full-associative" if law.endswith("-associativity") else law
+    return not _law_holds(_ops(params), law, *case)
 
 
 # ----------------------------------------------------------------------------
@@ -883,15 +838,48 @@ WITNESS_KINDS = {"A": witness_A, "B": witness_B, "inf": witness_inf}
 NILPOTENCY_CHECKS = ("translate-by-infinity-pair", "difference-across-fiber", "triple-in-fiber",
                      "fiberwise-sum-exchange", "multiple-of-fiber-sum")
 
+#: each identity's points, slot by slot: 0 is the infinity fiber, i the i-th fiber of a tuple;
+#: multiple-of-fiber-sum's tuples carry its multiplier after their one fiber
+FIBER_LAYOUTS = {"translate-by-infinity-pair": (1, 0, 0), "difference-across-fiber": (1, 1, 0, 0),
+                 "triple-in-fiber": (1, 1, 1), "fiberwise-sum-exchange": (1, 1, 1, 2, 2, 2),
+                 "multiple-of-fiber-sum": (1, 1, 1)}
+
+
+def _fiber_probes(params: LoopParams, layout, tup) -> list:
+    """The cases, as indices into ``loop_points()``, that decide an identity on a fiber tuple.
+
+    ``loop_points()`` lists the q fibers of s = |m|^2 points each, residue
+    identity first, and its point f*s + u*|m| + v has offset digits (u, v)
+    over the first point f*s of fiber f (:meth:`RingConfig.digits`).  Slot c
+    lies in the fiber ``layout[c]`` names (:data:`FIBER_LAYOUTS`).  The base
+    case puts every slot at offset (0, 0); each other case moves one slot by
+    one unit step, in x (+|m|) or in z (+1).  At e = 1 a fiber is one point,
+    so the base case is all.  The tuple's entries after its fibers end
+    every case.
+    """
+    ring = params.ring
+    base, rest = [(0, *tup)[c] * ring.ideal_size ** 2 for c in layout], tup[max(layout):]
+    steps = (ring.ideal_size, 1) if ring.e == 2 else ()
+    return [(*base, *rest)] + [(*(b + step * (c == moved) for c, b in enumerate(base)), *rest)
+                               for moved in range(len(base)) for step in steps]
+
 
 def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
-    """The five identities valid when m^2 = 0, checked over index tables.
+    """The five identities valid when m^2 = 0, each decided exactly on whole fiber tuples.
 
-    Identities with a finite constrained case count are swept exhaustively
-    when they fit the budget; the two with unbounded or astronomically
-    large spaces (the six-point convolution and the integer-multiple
-    family) combine exhaustive small-parameter sweeps with seeded
-    sampling.
+    With m^2 = 0 the law on a pair of fibers is affine in the offset digits
+    (the first-order formal group; see :func:`_table_by_blocks`), and so is
+    negation, so both sides of an identity on k points are affine maps of
+    their 2k digits, into one fiber.  Two affine maps agree everywhere iff
+    they agree at one point and after each unit step: the 2k + 1 cases of
+    :func:`_fiber_probes`, evaluated over the whole loop's index table,
+    decide all |m|^(2k) cases of one fiber tuple.  multiple-of-fiber-sum
+    takes its multiplier from range(q |m|), which covers every integer, as
+    every order divides q |m|.  Each identity runs through :func:`_sweep`
+    with the fiber tuples as its space, weighted by the probes of one tuple
+    (eight times over for the multiplier's four table walks): all tuples when
+    that is affordable, else seeded ones.  ``checked`` counts the point cases
+    the decided tuples cover.
     """
     ring = params.ring
     if ring.e > 2:
@@ -904,104 +892,33 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
         )
     rng = random.Random(seed)
     pts = params.loop_points()
-    n_pts = len(pts)
-    cayley = CayleyIndex(params, pts)
-    t, nn = cayley.table, cayley.neg
-    s = ring.ideal_size ** 2  # fiber f is range(f * s, f * s + s): see _fiber_draws
-    fibers = [range(f * s, f * s + s) for f in range(params.q)]
-    inf = fibers[0]
-    encode = _point_ce(params, pts)  # cases hold indices into pts
+    ops = _ops(params, CayleyIndex(params, pts))
+    points, s = _point_ce(params, pts), ring.ideal_size ** 2
+    reports = []
+    for law in NILPOTENCY_CHECKS:
+        layout, holds, evaluated = FIBER_LAYOUTS[law], partial(_law_holds, ops, law), 0
+        dims, encode, weight = [range(params.q)] * max(layout), points, 1
+        if law == "multiple-of-fiber-sum":
+            dims = [*dims, range(params.q * ring.ideal_size)]
+            encode, weight = lambda case: {**points(case[:-1]), "multiplier": case[-1]}, 8
 
-    def sweep(name, first_bad, draws, space=None, cases=None, **kw):
-        return _sweep(name, budget, seed, encode, space=space, exhaust=lambda: first_bad(cases()),
-                      draws=draws, first_bad=first_bad, rng=rng, **kw)
+        def first_bad(tuples):
+            nonlocal evaluated
+            for k, (tup,) in enumerate(tuples, 1):
+                for case in _fiber_probes(params, layout, tup):
+                    evaluated += 1
+                    if not holds(*case):
+                        return k, case
 
-    def conv(a, b, c):
-        return t[t[a][b]][nn[c]]
-
-    # own loops, not _breaker: a case costs under 1 us, so one more call each would show
-
-    # P + (Q + R) == (P + Q) + R with Q, R at infinity
-    translate_draws = _fiber_draws(params.q, s, (0, None, None))
-
-    def translate_bad(cases):
-        for k, (i, q, r) in enumerate(cases, 1):
-            if t[i][t[q][r]] != t[t[i][q]][r]:
-                return k, (i, q, r)
-
-    # (P + R1) - (Q + R2) == (P - Q) + (R1 - R2) with pi(P) = pi(Q)
-    difference_draws = _fiber_draws(params.q, s, (0, 0, None, None))
-
-    def difference_bad(cases):
-        for k, (i, j, r1, r2) in enumerate(cases, 1):
-            if t[t[i][r1]][nn[t[j][r2]]] != t[t[i][nn[j]]][t[r1][nn[r2]]]:
-                return k, (i, j, r1, r2)
-
-    # (P + Q) - R == P + (Q - R) with pi(P) = pi(Q) = pi(R)
-    triple_draws = _fiber_draws(params.q, s, (0, 0, 0))
-
-    def triple_bad(cases):
-        for n, (i, j, k) in enumerate(cases, 1):
-            if t[t[i][j]][nn[k]] != t[i][t[j][nn[k]]]:
-                return n, (i, j, k)
-
-    # (P1+P2-P3) + (Q1+Q2-Q3) == (P1+Q1) + (P2+Q2) - (P3+Q3), fiberwise
-    exchange_draws = _fiber_draws(params.q, s, (0, 0, 0, 1, 1, 1))
-
-    def exchange_bad(cases):
-        for k, (p1, p2, p3, q1, q2, q3) in enumerate(cases, 1):
-            if t[conv(p1, p2, p3)][conv(q1, q2, q3)] != conv(t[p1][q1], t[p2][q2], t[p3][q3]):
-                return k, (p1, p2, p3, q1, q2, q3)
-
-    triple_space = sum(len(f) ** 3 for f in fibers)
-    reports = [
-        sweep("translate-by-infinity-pair", translate_bad, translate_draws,
-              n_pts * len(inf) ** 2, lambda: product(range(n_pts), inf, inf)),
-        sweep("difference-across-fiber", difference_bad, difference_draws,
-              sum(len(f) ** 2 for f in fibers) * len(inf) ** 2,
-              lambda: chain.from_iterable(product(f, f, inf, inf) for f in fibers)),
-        sweep("triple-in-fiber", triple_bad, triple_draws, triple_space,
-              lambda: chain.from_iterable(product(f, f, f) for f in fibers)),
-        sweep("fiberwise-sum-exchange", exchange_bad, exchange_draws,
-              detail="six-point space exceeds any exhaustive budget"),
-    ]
-
-    # m*(P1+P2-P3) == m*P1 + m*P2 - m*P3, fiberwise; exhaustive in the
-    # triple for a spread of multipliers when that fits four budgets, then
-    # sampled jointly
-    multipliers = sorted({0, 1, 2, 3, 5, 7, ring.p, 2 * ring.p + 1, n_pts - 1, n_pts + 2})
-
-    def multiple_all():
-        for m in multipliers:
-            mul_map = [cayley.mul(i, m) for i in range(n_pts)]
-            for fib in fibers:
-                for i in fib:
-                    for j in fib:
-                        tij = t[t[i][j]]
-                        for k in fib:
-                            if mul_map[tij[nn[k]]] != conv(mul_map[i], mul_map[j], mul_map[k]):
-                                return None, (m, i, j, k)
-
-    def multiple_draws(rng):
-        randrange, span = rng.randrange, 2 * n_pts
-        for case in triple_draws(rng):
-            yield randrange(-span, span), *case
-
-    def multiple_bad(cases):
-        mul = cayley.mul
-        for n, (m, i, j, k) in enumerate(cases, 1):
-            if mul(conv(i, j, k), m) != conv(mul(i, m), mul(j, m), mul(k, m)):
-                return n, (m, i, j, k)
-
-    def multiple_ce(case):
-        return {**encode(case[1:]), "multiplier": case[0]}
-
-    grid = _sweep("multiple-of-fiber-sum", 4 * budget, seed, multiple_ce,
-                  space=triple_space * len(multipliers), exhaust=multiple_all)
-    tail = _sweep("multiple-of-fiber-sum", budget, seed, multiple_ce, draws=multiple_draws,
-                  first_bad=multiple_bad, weight=8, rng=rng)
-    reports.append(_merge([r for r in (grid, tail) if r],
-                          f"exhaustive triples for multipliers {multipliers}" if grid else ""))
+        probes = len(_fiber_probes(params, layout, (0,) * len(dims)))
+        rep = _sweep(law, budget, seed, encode, space=math.prod(map(len, dims)),
+                     weight=probes * weight, exhaust=lambda: first_bad(zip(product(*dims))),
+                     draws=_draws(1, lambda rng: tuple(map(rng.choice, dims))),
+                     first_bad=first_bad, rng=rng)
+        tuples, rep.checked = rep.checked, rep.checked * s ** len(layout)
+        rep.detail = (f"affine probes: {evaluated:,} cases decide {tuples:,} "
+                      f"{'' if rep.exhaustive else 'seeded '}fiber tuples")
+        reports.append(rep)
     return reports
 
 
@@ -1088,7 +1005,7 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
                      space=expected**3 if tabled else None, tabled=True,
                      exhaust=lambda: _table_law(cayley, proofs),
                      draws=_picks(inf_pts, 3) if enumerable else fresh(3),
-                     first_bad=_breaker(partial(_check_law, params, "full-associative")),
+                     first_bad=_breaker(partial(_law_holds, _ops(params), "full-associative")),
                      rng=rng)
         rep.detail = _table_detail(proofs)
         reports.append(rep)
@@ -1231,7 +1148,7 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
 
     def search():  # the seeded search for a non-associative triple
         rep = _sweep("full-associative", budget, seed, _point_ce(params), draws=_picks(pts, 3),
-                     first_bad=_breaker(partial(_check_law, params, "full-associative")))
+                     first_bad=_breaker(partial(_law_holds, _ops(params), "full-associative")))
         if not rep.holds:
             return non_group("sampled-triple", rep.counterexample)
         return {"is_group": None, "order": n, "invariants": None,
@@ -1442,6 +1359,7 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     tabled = _affordable(budget, 4 * per_layer + min(per_layer, 2000), table=expected)
     size_ok = gen_ok = val_ok = iso_ok = True
     closure, assoc, proofs = [], [], []
+    associative = _breaker(partial(_law_holds, _ops(params), "full-associative"))
     val_checked = 0
     ident = identity(params)
     rident = params.project(ident)
@@ -1465,7 +1383,7 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
                             space=None if cayley is None else len(pts) ** 3, tabled=True,
                             exhaust=lambda: _table_law(cayley, proofs),
                             draws=_picks(pts, 3), rng=rng,
-                            first_bad=_breaker(partial(_check_law, params, "full-associative"))))
+                            first_bad=associative))
         if iso and tabled and iso_ok:
             iso_ok = cayley is not None and layer_isomorphism_check(lay, cayley)[0]
         gen = layer_infinity_generator(lay)
