@@ -13,6 +13,7 @@ and 2 for usage or precondition errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,8 +44,8 @@ def _params_from(args) -> LoopParams:
     return validate_params(ring, args.A, args.B)
 
 
-def _budget(text: str) -> int:
-    """A verification budget: an integer of at least 1."""
+def _positive_int(text: str) -> int:
+    """A count such as a budget or a torsion order: an integer of at least 1."""
     try:
         n = int(text)
     except ValueError:
@@ -277,7 +278,9 @@ def cmd_enumerate(args) -> int:
 # ----------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="elliptic-loops",
         description="Exact arithmetic and verification for elliptic loops over Z/p^e.",
@@ -318,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
                                        help="single layer parameter"))
     command("torsion", cmd_torsion, "q-torsion fibers and difference groups",
             [instance, points],
-            lambda sp: sp.add_argument("--q", type=int, default=None,
+            lambda sp: sp.add_argument("--q", type=_positive_int, default=None,
                                        help="torsion order (default: residue curve order)"))
     command("verify", cmd_verify, "run verification suites", [instance],
             lambda sp: (
                 sp.add_argument("--suite", default="all",
                                 choices=("all",) + tuple(sorted(VERIFY_SUITES))),
-                sp.add_argument("--budget", type=_budget, default=200_000),
+                sp.add_argument("--budget", type=_positive_int, default=200_000),
                 sp.add_argument("--seed", type=int, default=0),
             ))
     command("witness", cmd_witness, "construct a non-associativity witness",
@@ -345,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (EllipticLoopError, ValueError) as exc:

@@ -1326,7 +1326,13 @@ def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 
 
 
 def _layer_gate(params: LoopParams, budget: int, checks):
-    """One SKIP per check if all layers' q * |m|^3 points exceed 40 * budget, else None."""
+    """One SKIP per check if q * |m|^3 exceeds 40 * budget, else None.
+
+    q * |m|^3 is |m| times the size of all layers together: a fixed price for
+    the per-layer samples, tables and orders of the layer suites, not the cost
+    of listing the layers, which :func:`layers.layer_points` lifts in about
+    q * e * |m|^2 evaluations.
+    """
     if not _affordable(40 * budget, cost=params.q * params.ring.ideal_size ** 3):
         return [_skipped(law, "skipped: layer enumeration exceeds the budget") for law in checks]
 
@@ -1397,7 +1403,8 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
                     val_ok = False
     reports = [
         LawReport("layer-cardinality", size_ok, None, isz, True, None,
-                  detail=f"each layer has q * p^(e-1) = {expected} points"),
+                  detail=f"each layer has q * p^(e-1) = {expected} points: one Hensel"
+                         f" lift per offset in each of the q fibers"),
         _merge(closure, f"index table builds on {len(proofs)} of {isz} layers" if proofs else ""),
         _merge(assoc, _table_detail(proofs)),
         LawReport("layer-infinity-generator", gen_ok, None, isz, True, None,

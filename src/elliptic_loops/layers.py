@@ -5,7 +5,9 @@ points where F - t*H_F vanishes exactly (not merely modulo m).  The
 0-layer is the classical curve E_{A,B}(R).  Layers are abelian groups
 under the loop addition, they cover the loop, and their affine parts are
 pairwise disjoint; the affine part of a point with invertible Hessian
-value belongs to exactly one layer, recovered by :func:`stratify`.
+value belongs to exactly one layer, recovered by :func:`stratify`.  Each
+layer is smooth over R, so :func:`layer_points` lifts it fiber by fiber
+from the residue curve instead of searching the loop.
 
 Everything here is exact ring arithmetic; no layer result depends on a
 choice of representatives because F and H_F are homogeneous of the same
@@ -83,9 +85,53 @@ def stratify(params: LoopParams, pt: ProjPoint) -> RingElem:
 
 def layer_points(layer: Layer) -> list:
     """All canonical points of the layer, q * p^(e-1) of them, in the order
-    of ``loop_points()``: every layer point is a loop point."""
-    equation, zero = layer.equation, layer.params.ring.zero
-    return [pt for pt in layer.params.loop_points() if equation(pt.x, pt.y, pt.z) == zero]
+    of ``loop_points()``: every layer point is a loop point.
+
+    Hensel's lemma: the layer is smooth over R, so over each residue point
+    (x0 : 1 : z0) it is the graph of z over x, or of x over z.  With
+    g = F - t*H_F on Y = 1, digit 1 of g after one unit step in z (or x) is
+    that partial mod m, and one of the two is a unit (the residue curve is
+    smooth; Euler's relation covers Y).  For each offset of x, the step
+    z -> z - g * c from z0, c a unit lift of the inverse slope, gains one
+    m-adic digit, so the unique exact root appears within e evaluations:
+    at most q * (e * |m| + 3) in all, and the loop is never listed.
+    """
+    params = layer.params
+    ring = params.ring
+    mod, e, one = ring.mod, ring.e, ring.one
+    pi = ring.uniformizer()
+    offsets = list(ring.ideal_elements())
+    rank = {d: i for i, d in enumerate(offsets)}
+    pts = []
+    for rpt in params.residue_points:
+        x0, z0 = ring.from_int(rpt.x), ring.from_int(rpt.z)
+        g0 = layer.equation(x0, one, z0)
+        slope = ring.digits((layer.equation(x0, one, (z0 + pi) % mod) - g0) % mod)[1]
+        swap = not slope and e > 1  # then solve for x over each z
+        if swap:
+            slope = ring.digits((layer.equation((x0 + pi) % mod, one, z0) - g0) % mod)[1]
+            if not slope:
+                raise PreconditionUnmet(f"neither partial of {layer!r} is a unit over {rpt!r}")
+            x0, z0 = z0, x0
+        # e = 1: m = 0, the residue point is the whole fiber and no step is taken
+        c = ring.from_int(pow(slope, -1, ring.p)) if slope else ring.zero
+        fiber = []
+        for d in offsets:
+            u, v = (x0 + d) % mod, z0  # v is solved for, u runs over its fiber
+            for _ in range(e):
+                val = layer.equation(v, one, u) if swap else layer.equation(u, one, v)
+                if val == 0:
+                    break
+                v = (v - val * c) % mod
+            else:
+                raise PreconditionUnmet(
+                    f"the Hensel lift of {layer!r} over {rpt!r} found no root in {e} steps"
+                )
+            fiber.append((v, u) if swap else (u, v))
+        if swap:  # back into loop_points() order, by the offset of x
+            fiber.sort(key=lambda xz: rank[(xz[0] - z0) % mod])
+        pts += [ProjPoint(ring, x, one, z) for x, z in fiber]
+    return pts
 
 
 def layer_infinity_generator(layer: Layer) -> ProjPoint:

@@ -206,6 +206,30 @@ def test_layers_all_t_text(capsys):
         assert "Z_t=   0" in line
 
 
+def test_layers_single_t_lists_no_loop(capsys, monkeypatch):
+    """One layer is lifted fiber by fiber: the 16,807-point loop is never listed."""
+    from elliptic_loops import LoopParams
+
+    calls = []
+    real = LoopParams.loop_points
+    monkeypatch.setattr(LoopParams, "loop_points", lambda self: calls.append(self) or real(self))
+    rc, out, _ = run_cli(capsys, "layers", "-p", "7", "-e", "3", "-A", "0", "-B", "5",
+                         "--t", "7", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["layers"][0]["cardinality"] == 7 * 49
+    assert calls == []
+
+
+def test_a_layer_lift_that_fails_exits_two(capsys, monkeypatch):
+    from elliptic_loops import Layer
+
+    monkeypatch.setattr(Layer, "equation", lambda self, x, y, z: 25)  # no unit partial
+    rc, out, err = run_cli(capsys, "layers", "-p", "5", "-e", "3", "-A", "2", "-B", "1",
+                           "--t", "5")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "neither partial" in err
+
+
 def test_torsion_fibers_json(capsys):
     rc, out, _ = run_cli(
         capsys, "torsion", "-p", "5", "-e", "2", "-A", "2", "-B", "1",
@@ -532,6 +556,15 @@ def test_budget_below_one_exits_two(capsys, budget):
     assert "--budget" in err and "at least 1" in err
 
 
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_torsion_order_below_one_exits_two(capsys, q):
+    with pytest.raises(SystemExit) as exc:
+        run(["torsion", "-p", "5", "-e", "2", "-A", "2", "-B", "1", "--q", q])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--q" in err and "at least 1" in err
+
+
 def test_malformed_point_exits_two(capsys):
     rc, _, err = run_cli(
         capsys, "order", "-p", "5", "-e", "2", "-A", "2", "-B", "1",
@@ -556,6 +589,57 @@ def test_missing_point_exits_two(capsys):
     )
     assert rc == 2
     assert "at least 2" in err
+
+
+# ----------------------------------------------------------------------------
+# one parser per process
+# ----------------------------------------------------------------------------
+
+INSTANCE = ("-p", "5", "-e", "2", "-A", "2", "-B", "1")
+#: calls whose flags differ from one to the next: two points, one point, a
+#: usage error, the verify and classify parsers, and an add with no point
+MIXED_CALLS = (
+    ("add", *INSTANCE, "--point", "5,1,0", "--point", "0,1,5", "--format", "json"),
+    ("membership", *INSTANCE, "--point", "0,1,5", "--format", "json"),
+    ("mul", *INSTANCE, "--point", "0,1,5"),
+    ("verify", *INSTANCE, "--suite", "witnesses", "--budget", "500", "--format", "json"),
+    ("classify", "--p-max", "5", "--size-max", "25", "--format", "csv"),
+    ("membership", *INSTANCE, "--point", "0,1,5", "--point", "1,1,1"),
+    ("add", *INSTANCE),
+)
+
+
+def _outcome(capsys, argv):
+    try:
+        rc = run(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_across_calls(capsys):
+    from elliptic_loops import cli
+
+    cli.build_parser.cache_clear()
+    for argv in MIXED_CALLS * 3:
+        _outcome(capsys, argv)
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys):
+    from elliptic_loops import cli
+
+    cli.build_parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in MIXED_CALLS]
+    fresh = []
+    for argv in MIXED_CALLS:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert [rc for rc, _ in reused] == [0, 0, 2, 0, 0, 1, 2]
+    # no --point list carries over: one member, then two, then none
+    assert len(json.loads(reused[1][1])["members"]) == 1
+    assert len(reused[5][1].splitlines()) == 2
 
 
 # ----------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from elliptic_loops import (
     RingElem,
     add,
     all_layers,
+    count_projective,
     eval_F,
     eval_H,
     identity,
@@ -59,19 +60,80 @@ def test_layer_zero_is_exact_zero_set_of_f():
     assert len(by_scan) == 35
 
 
-@pytest.mark.parametrize("p,e,a,b", [(5, 2, 2, 1), (5, 3, 2, 1), (7, 2, 0, 2)])
-def test_layer_points_match_plane_scan(p, e, a, b):
-    params = params_for(p, e, a, b)
-    ring = params.ring
-    for t in ring.ideal_elements():
+def _filtered_layer_points(layer):
+    """Every loop point on which the layer equation vanishes, in ``loop_points()``
+    order: the former implementation, kept as the oracle of the Hensel lift."""
+    equation, zero = layer.equation, layer.params.ring.zero
+    return [pt for pt in layer.params.loop_points() if equation(pt.x, pt.y, pt.z) == zero]
+
+
+@pytest.mark.parametrize("ring,a,b,ts", [
+    pytest.param(RingConfig.integer(5, 2), 2, 1, None, id="5-2-2-1"),
+    pytest.param(RingConfig.integer(5, 3), 2, 1, None, id="5-3-2-1"),
+    pytest.param(RingConfig.integer(7, 2), 0, 2, None, id="7-2-0-2"),
+    pytest.param(RingConfig.integer(7, 1), 0, 2, None, id="7-1-0-2"),
+    # 6 of the 12 affine residue points have a z-slope in m: x is solved for
+    pytest.param(RingConfig.integer(7, 2), 0, 3, None, id="7-2-0-3-swapped"),
+    pytest.param(RingConfig.truncated_poly(5, 2), 2, 1, None, id="F5[t]/(t^2)-2-1"),
+    pytest.param(RingConfig.truncated_poly(5, 3), 2, 1, (0, 1, 7, 24), id="F5[t]/(t^3)-2-1"),
+    pytest.param(RingConfig.integer(5, 4), 2, 1, (0, 1, 24), id="5-4-2-1"),
+])
+def test_layer_points_match_plane_scan(ring, a, b, ts):
+    """The lift equals the filter over the loop, point for point and in order,
+    and, where the plane is small, the zero set found by scanning P^2(R).
+    ``ts`` picks layers by their index in ``ideal_elements()``; None takes all."""
+    params = LoopParams(ring, a, b)
+    scan = count_projective(2, ring) <= 20_000
+    elements = list(ring.ideal_elements())
+    for t in elements if ts is None else [elements[i] for i in ts]:
         lay = Layer(params, t)
-        by_scan = {
-            pt for pt in plane_points(ring)
-            if lay.equation(pt.x, pt.y, pt.z) == ring.zero
-        }
         pts = layer_points(lay)
-        assert set(pts) == by_scan
+        assert pts == _filtered_layer_points(lay)
         assert len(pts) == params.q * ring.ideal_size
+        if scan:
+            assert set(pts) == {pt for pt in plane_points(ring)
+                                if lay.equation(pt.x, pt.y, pt.z) == ring.zero}
+
+
+def test_the_swapped_lift_is_needed_on_z49_0_3():
+    """(1 : 1 : 5) over Z/49 (0,3) has a z-slope in m, so its fiber is lifted in x."""
+    params = params_for(7, 2, 0, 3)
+    lay = Layer(params, 0)
+    g0 = lay.equation(1, 1, 5)
+    assert params.ring.digits((lay.equation(1, 1, 12) - g0) % 49)[1] == 0
+    assert params.ring.digits((lay.equation(8, 1, 5) - g0) % 49)[1] != 0
+    assert ProjPoint.of(params.residue_params.ring, 1, 1, 5) in params.residue_points
+
+
+@pytest.mark.parametrize("ring,a,b", [
+    (RingConfig.integer(5, 1), 2, 1), (RingConfig.integer(5, 3), 2, 1),
+    (RingConfig.integer(7, 2), 0, 3), (RingConfig.truncated_poly(5, 3), 2, 1),
+    (RingConfig.integer(5, 4), 2, 1),
+])
+def test_layer_points_evaluate_at_most_e_per_offset(monkeypatch, ring, a, b):
+    params = LoopParams(ring, a, b)
+    calls = []
+    real = Layer.equation
+    monkeypatch.setattr(Layer, "equation", lambda self, *xyz: calls.append(xyz) or real(self, *xyz))
+    monkeypatch.setattr(LoopParams, "loop_points", None)  # the lift lists no loop
+    bound = params.q * (ring.e * ring.ideal_size + 3)
+    for t in list(ring.ideal_elements())[:3]:
+        calls.clear()
+        assert len(layer_points(Layer(params, t))) == params.q * ring.ideal_size
+        assert len(calls) <= bound
+
+
+def test_a_lift_that_finds_no_root_is_a_precondition_error(monkeypatch):
+    params = params_for(5, 3, 2, 1)
+    real = Layer.equation
+    # the true equation, except that it never vanishes: slopes stay units
+    monkeypatch.setattr(Layer, "equation", lambda self, *xyz: real(self, *xyz) or 25)
+    with pytest.raises(PreconditionUnmet, match="found no root in 3 steps"):
+        layer_points(Layer(params, 5))
+    # a constant: neither partial is a unit
+    monkeypatch.setattr(Layer, "equation", lambda self, *xyz: 25)
+    with pytest.raises(PreconditionUnmet, match="neither partial"):
+        layer_points(Layer(params, 5))
 
 
 def test_layer_rejects_unit_t():
