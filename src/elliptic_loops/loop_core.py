@@ -218,15 +218,6 @@ class LoopParams:
     def cardinality(self) -> int:
         return self.q * self.ring.ideal_size ** 2
 
-    def to_json(self) -> dict:
-        r = self.ring
-        return {
-            "ring": r.to_json(),
-            "A": r.payload_to_json(self.a),
-            "B": r.payload_to_json(self.b),
-            "q": self.q,
-        }
-
     def __repr__(self) -> str:
         return f"LoopParams(A={self.a!r}, B={self.b!r} over {self.ring!r})"
 

@@ -13,15 +13,15 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import NotPrimitive
-from .ring import Payload, RingConfig, RingElem
+from .ring import Payload, RingConfig
 
 
 class ProjPoint:
     """A canonical-form point of P^2(R).
 
-    The coordinate payloads are exposed as ``x``, ``y``, ``z``; wrapped
-    ring elements via :meth:`elems`.  Construct through :func:`normalize`
-    (or ``ProjPoint.of``) unless the triple is already canonical.
+    The coordinate payloads are exposed as ``x``, ``y``, ``z``.  Construct
+    through :func:`normalize` (or ``ProjPoint.of``) unless the triple is
+    already canonical.
     """
 
     __slots__ = ("ring", "x", "y", "z")
@@ -39,13 +39,6 @@ class ProjPoint:
 
     def coords(self) -> tuple:
         return (self.x, self.y, self.z)
-
-    def elems(self) -> tuple:
-        return (
-            RingElem(self.ring, self.x),
-            RingElem(self.ring, self.y),
-            RingElem(self.ring, self.z),
-        )
 
     def scaled(self, u: Payload) -> tuple:
         """The representative (uX, uY, uZ), as payloads (u must be a unit

@@ -55,6 +55,10 @@ def params_for(p, e, a, b):
     return LoopParams(RingConfig.integer(p, e), a, b)
 
 
+def _decode(params, coords):
+    return diagnostics._decode_points(params, coords)
+
+
 LAW_EXPECTATIONS = {
     "alternative": False,
     "jordan": False,
@@ -222,6 +226,60 @@ def test_the_whole_loop_table_changes_no_sampled_report(inst, laws, budget, monk
     assert built == [params.cardinality()]  # only the first run has a table
     assert not any(r.exhaustive for r in tabled)
     assert [r.to_json() for r in tabled] == [r.to_json() for r in on_points]
+
+
+# ---------------------------------------------------------------------------
+# unique solvability: the identity P + (Q - P) = Q, pair by pair
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [300, 1_000])
+@pytest.mark.parametrize("inst", [(5, 3, 2, 1), (13, 2, 0, 6)], ids=["Z/125", "Z/169"])
+def test_sampled_latin_square_stays_within_its_budget(inst, budget):
+    """A pair costs two additions, so a budget draws at most half as many pairs."""
+    params = params_for(*inst)
+    rep = law_suite(params, ("power-associative", "latin-square"), budget=budget, seed=0)[1]
+    assert rep.law == "latin-square" and rep.holds and not rep.exhaustive
+    assert 1 <= rep.checked <= max(1, budget // 2)
+
+
+def test_the_identity_alone_catches_a_row_collision(monkeypatch):
+    """One cell of row i set to another cell's sum, so row i is no permutation:
+    the table route of latin-square fails at a pair in row i."""
+    params = params_for(5, 2, 2, 1)
+    pts = params.loop_points()
+    n, neg_idx = len(pts), CayleyIndex(params, pts).neg
+    i = 5  # and a cell (i, j) that no earlier row reads as its inner sum Q - P
+    j = next(c for c in range(n) if neg_idx[c] > i and c != neg_idx[i])
+    j2 = next(c for c in range(n) if c != j)
+    init = CayleyIndex.__init__
+
+    def colliding_init(self, params, points):
+        init(self, params, points)
+        self.table[i][j] = self.table[i][j2]
+        assert sorted(self.table[i]) != list(range(n))  # the oracle: row i repeats a sum
+
+    monkeypatch.setattr(CayleyIndex, "__init__", colliding_init)
+    (rep,) = law_suite(params, ("latin-square",), budget=200_000, seed=0)
+    assert not rep.holds and rep.exhaustive and rep.checked == n * n
+    p, q = (pts.index(pt) for pt in _decode(params, rep.counterexample["points"]))
+    assert p == i
+    assert rep.detail == f"index table: {3 * (i * n + q + 1):,} lookups"
+
+
+def test_a_failing_pair_over_points_encodes_and_replays(monkeypatch):
+    """Without a table, a pair breaking P + (Q - P) = Q is two points, and
+    replay confirms it under the same broken negation (and not without it)."""
+    params = params_for(5, 2, 2, 1)
+    built = counting_builds(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "neg", lambda params, pt: pt)
+        (rep,) = law_suite(params, ("latin-square",), budget=100, seed=0)
+        assert built == [] and not rep.holds and not rep.exhaustive
+        assert list(rep.counterexample) == ["points"]
+        assert len(rep.counterexample["points"]) == 2
+        assert replay(params, rep) is True
+    assert replay(params, rep) is False
 
 
 # ---------------------------------------------------------------------------
@@ -655,3 +713,55 @@ def test_random_loop_point_lands_on_loop():
 
     for _ in range(50):
         assert membership(params, random_loop_point(params, rng))
+
+
+# ---------------------------------------------------------------------------
+# failure paths: each check names its counterexample
+# ---------------------------------------------------------------------------
+
+
+def test_a_failing_fiber_probe_carries_its_multiplier_and_replays(monkeypatch):
+    params = params_for(5, 2, 2, 1)
+    pts, law = params.loop_points(), "multiple-of-fiber-sum"
+    *slots, k = diagnostics._fiber_probes(params, diagnostics.FIBER_LAYOUTS[law], (1, 5))[0]
+    target, holds = [pts[c] for c in slots], diagnostics._law_holds
+
+    def one_bad_probe(ops, name, *case):  # the case as indices (the suite) or points (replay)
+        on = [pts[c] if isinstance(c, int) else c for c in case[:-1]]
+        return holds(ops, name, *case) and not (name == law and [*on, case[-1]] == [*target, k])
+
+    monkeypatch.setattr(diagnostics, "_law_holds", one_bad_probe)
+    rep = {r.law: r for r in low_nilpotency_suite(params, budget=400_000, seed=0)}[law]
+    assert not rep.holds and rep.exhaustive
+    assert rep.counterexample["multiplier"] == k
+    assert _decode(params, rep.counterexample["points"]) == target
+    assert replay(params, rep) is True
+
+
+def test_a_point_on_several_layers_names_them(monkeypatch):
+    from elliptic_loops import layers
+
+    params = params_for(5, 2, 2, 1)
+    monkeypatch.setattr(layers, "layer_membership", lambda layer, pt: True)
+    (rep,) = verify_instance(params, "stratification", budget=1_000, seed=0)
+    ring = params.ring
+    assert not rep.holds and rep.exhaustive  # the first affine point already fails
+    assert rep.counterexample["layers"] == [ring.payload_to_json(t) for t in ring.ideal_elements()]
+    (pt,) = _decode(params, rep.counterexample["points"])
+    assert params.project(pt) != params.project(identity(params))
+
+
+def test_a_non_additive_pair_at_infinity_is_named(monkeypatch):
+    # at e = 3 and budget 1,000 the sums are sampled with add: a negated sum
+    # has coordinates -(a + b), not a + b
+    params = params_for(5, 3, 2, 1)
+    real = diagnostics.add
+    monkeypatch.setattr(diagnostics, "add", lambda params, a, b: neg(params, real(params, a, b)))
+    reports = {r.law: r for r in infinity_suite(params, budget=1_000, seed=0)}
+    rep = reports["infinity-coordinates-additive"]
+    assert not rep.holds and not rep.exhaustive
+    a, b = _decode(params, rep.counterexample["points"])
+    s = real(params, a, b)
+    ring = params.ring
+    assert (s.x, s.z) == (ring.add(a.x, b.x), ring.add(a.z, b.z))  # the true sum is additive
+    assert neg(params, s) != s
