@@ -27,7 +27,7 @@ import math
 import operator
 import random
 from functools import partial
-from itertools import islice, product
+from itertools import islice, product, starmap
 
 from .errors import DegenerateSum, EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
 from .loop_core import (
@@ -39,7 +39,7 @@ from .loop_core import (
     order_of,
     scalar_mul,
 )
-from .projective import ProjPoint, count_projective, plane_points
+from .projective import ProjPoint, count_projective, plane_triples
 from .ring import INTEGER_QUOTIENT, RingConfig, RingElem, _is_prime
 from .structure import AssocMatrix, infinity_generators
 
@@ -129,14 +129,15 @@ def _affordable(budget, sampled=0, *, cost=0, table=0) -> bool:
 
 
 def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, draws=None,
-           first_bad=None, samples=None, rng=None, tabled=False) -> LawReport:
+           first_bad=None, samples=None, rng=None, tabled=False, cost=None) -> LawReport:
     """Run one check over its whole case space if that fits the budget, else on draws.
 
     Exhaustive iff ``tabled`` (an index table decides the check) or, by
     :func:`_affordable`, ``space * weight <= budget`` or ``space <= samples``
     so that no more cases are drawn than the space holds (``space`` counts
     the cases, None if there is no exhaustive path; ``weight`` is the cost
-    of one case): then ``exhaust()``
+    of one case; ``cost``, when given, prices ``exhaust`` instead of
+    ``space * weight``, for a space decided from fewer cases): then ``exhaust()``
     runs and the report counts the whole space, even when it stops at a
     counterexample.  Otherwise ``first_bad`` runs on the first ``samples``
     (default ``max(1, budget // weight)``) of ``draws(rng)``, an endless
@@ -148,7 +149,8 @@ def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, dra
     """
     if samples is None:
         samples = max(1, budget // weight)
-    if space is not None and (tabled or _affordable(budget, samples * weight, cost=space * weight)):
+    if space is not None and (tabled or _affordable(budget, samples * weight,
+                                                    cost=space * weight if cost is None else cost)):
         hit, checked, exhaustive = exhaust(), space, True
     elif draws is None:
         return None
@@ -633,7 +635,12 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     least 3 additions each), and :func:`_table_law` decides on it every case
     of alternative, jordan, latin-square and full-associative, of moufang
     when abelian and of diassociative when associative (a group is
-    diassociative); the rest run over its indices on the same draws.
+    diassociative); the rest run over its indices on the same draws.  At
+    e = 2 the pair laws alternative, jordan and latin-square are decided on
+    the q^2 fiber pairs instead, 5 probes each (:func:`_fiber_sweep`), over
+    the table's indices when it is built and else over points built from
+    the residue curve: always with a table, without one when 5 q^2 cases
+    are affordable against the draws.
     """
     if laws is None:
         laws = LAW_NAMES
@@ -666,6 +673,14 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
         if law == "power-associative":
             space, draws = None, power_draws
             encode = lambda case: {**points(case[:1]), "exponents": list(case[1:])}
+        elif law in LOOKUP_LAWS and params.ring.e == 2:  # affine on fiber pairs
+            rep = _fiber_sweep(params, law, (1, 2), partial(_law_holds, ops, law), budget, seed,
+                               points, weight=weights.get(law, 1), noun="fiber pairs",
+                               at=None if cayley else _fiber_point(params), draws=draws,
+                               first_bad=first_bad, samples=samples[law], tabled=cayley is not None)
+            rep.detail += " over the index table" if cayley and rep.exhaustive else ""
+            reports.append(rep)
+            continue
         elif cayley and (law != "diassociative" or cayley.associative()):
             exhaust = partial(_table_law, cayley, proofs, law, first_bad)
             tabled = law != "moufang" or cayley.abelian()
@@ -838,6 +853,69 @@ def _fiber_probes(params: LoopParams, layout, tup) -> list:
                                for moved in range(len(base)) for step in steps]
 
 
+def _fiber_point(params: LoopParams):
+    """The map from an index of ``loop_points()`` to its point, built from the residue
+    point and the offset digits (see :func:`_fiber_probes`) without listing the loop."""
+    ring = params.ring
+    offsets, isz = list(ring.ideal_elements()), ring.ideal_size
+    base = [(ring.from_int(r.x), ring.from_int(r.z)) for r in params.residue_points]
+
+    def at(i):
+        (x, z), (u, v) = base[i // isz ** 2], divmod(i % isz ** 2, isz)
+        return ProjPoint(ring, ring.add(x, offsets[u]), ring.one, ring.add(z, offsets[v]))
+    return at
+
+
+def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *, extra=(),
+                 weight=1, at=None, noun="fiber tuples", rng=None, **points) -> LawReport:
+    """Decide ``law`` on whole fiber tuples through :func:`_sweep`: the one loop of
+    every fiber-tuple route, at e <= 2.
+
+    A tuple names one fiber per fiber of ``layout``, then a value from each
+    range of ``extra``.  Its cases are the probes of :func:`_fiber_probes`, as
+    indices into ``loop_points()`` or, mapped by ``at``, as points, and
+    ``holds(*case)`` judges one.  With m^2 = 0 both sides of an identity on
+    k points are affine maps of their 2k offset digits into one fiber (see
+    :func:`low_nilpotency_suite`), so the 2k + 1 probes decide all |m|^(2k)
+    point cases of the tuple; a probe costs ``weight``.  Without ``points``
+    the tuples are also what is drawn, by seed, when not all of them fit.
+    With ``points`` (the point route's ``draws``, ``first_bad``, ``samples``
+    and ``tabled``) the tuples replace only its exhaustive route: all of
+    them run when ``tabled`` or when their probes are affordable against the
+    point draws, and otherwise the point draws run and report as without
+    the tuples.  A report decided on tuples counts the point cases they
+    cover in ``checked`` and names its probes in ``detail``.
+    """
+    dims = [range(params.q)] * max(layout) + list(extra)
+    probes, evaluated, width = len(_fiber_probes(params, layout, (0,) * len(dims))), 0, len(layout)
+
+    def first_bad(tuples):
+        nonlocal evaluated
+        for k, (tup,) in enumerate(tuples, 1):
+            for case in _fiber_probes(params, layout, tup):
+                evaluated += 1
+                if at is not None:
+                    case = (*map(at, case[:width]), *case[width:])
+                if not holds(*case):
+                    return k, case
+
+    space = math.prod(map(len, dims))
+    exhaust = lambda: first_bad(zip(product(*dims)))
+    if points:
+        rep = _sweep(law, budget, seed, encode, space=space, weight=weight, exhaust=exhaust,
+                     cost=space * probes * weight, rng=rng, **points)
+        if not rep.exhaustive:
+            return rep
+    else:
+        rep = _sweep(law, budget, seed, encode, space=space, weight=probes * weight,
+                     exhaust=exhaust, draws=_draws(1, lambda rng: tuple(map(rng.choice, dims))),
+                     first_bad=first_bad, rng=rng)
+    tuples, rep.checked = rep.checked, rep.checked * params.ring.ideal_size ** (2 * width)
+    rep.detail = (f"affine probes: {evaluated:,} cases decide {tuples:,} "
+                  f"{'' if rep.exhaustive else 'seeded '}{noun}")
+    return rep
+
+
 def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
     """The five identities valid when m^2 = 0, each decided exactly on whole fiber tuples.
 
@@ -849,11 +927,10 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
     :func:`_fiber_probes`, evaluated over the whole loop's index table,
     decide all |m|^(2k) cases of one fiber tuple.  multiple-of-fiber-sum
     takes its multiplier from range(q |m|), which covers every integer, as
-    every order divides q |m|.  Each identity runs through :func:`_sweep`
-    with the fiber tuples as its space, weighted by the probes of one tuple
-    (eight times over for the multiplier's four table walks): all tuples when
-    that is affordable, else seeded ones.  ``checked`` counts the point cases
-    the decided tuples cover.
+    every order divides q |m|.  Each identity runs through
+    :func:`_fiber_sweep` with the fiber tuples as its space, weighted by the
+    probes of one tuple (eight times over for the multiplier's four table
+    walks): all tuples when that is affordable, else seeded ones.
     """
     ring = params.ring
     if ring.e > 2:
@@ -867,32 +944,15 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
     rng = random.Random(seed)
     pts = params.loop_points()
     ops = _ops(params, CayleyIndex(params, pts))
-    points, s = _point_ce(params, pts), ring.ideal_size ** 2
+    points = _point_ce(params, pts)
     reports = []
     for law in NILPOTENCY_CHECKS:
-        layout, holds, evaluated = FIBER_LAYOUTS[law], partial(_law_holds, ops, law), 0
-        dims, encode, weight = [range(params.q)] * max(layout), points, 1
+        extra, encode, weight = (), points, 1
         if law == "multiple-of-fiber-sum":
-            dims = [*dims, range(params.q * ring.ideal_size)]
+            extra = (range(params.q * ring.ideal_size),)
             encode, weight = lambda case: {**points(case[:-1]), "multiplier": case[-1]}, 8
-
-        def first_bad(tuples):
-            nonlocal evaluated
-            for k, (tup,) in enumerate(tuples, 1):
-                for case in _fiber_probes(params, layout, tup):
-                    evaluated += 1
-                    if not holds(*case):
-                        return k, case
-
-        probes = len(_fiber_probes(params, layout, (0,) * len(dims)))
-        rep = _sweep(law, budget, seed, encode, space=math.prod(map(len, dims)),
-                     weight=probes * weight, exhaust=lambda: first_bad(zip(product(*dims))),
-                     draws=_draws(1, lambda rng: tuple(map(rng.choice, dims))),
-                     first_bad=first_bad, rng=rng)
-        tuples, rep.checked = rep.checked, rep.checked * s ** len(layout)
-        rep.detail = (f"affine probes: {evaluated:,} cases decide {tuples:,} "
-                      f"{'' if rep.exhaustive else 'seeded '}fiber tuples")
-        reports.append(rep)
+        reports.append(_fiber_sweep(params, law, FIBER_LAYOUTS[law], partial(_law_holds, ops, law),
+                                    budget, seed, encode, extra=extra, weight=weight, rng=rng))
     return reports
 
 
@@ -1192,8 +1252,9 @@ def classify_group_loops(p_max: int = 17, size_max: int = 300, seed: int = 0):
 
 
 def cardinality_report(params: LoopParams, plane_budget: int = 100_000) -> dict:
-    """Counts of the loop strata, against both formulas and enumeration."""
-    from .loop_core import membership
+    """Counts of the loop strata, against both formulas and enumeration; the plane
+    scan evaluates F on every coordinate triple of P^2(R)."""
+    from .loop_core import _eval_f
 
     ring = params.ring
     q = params.q
@@ -1217,7 +1278,8 @@ def cardinality_report(params: LoopParams, plane_budget: int = 100_000) -> dict:
             and inf_count == report["infinity"]
         )
     if report["plane"] <= plane_budget:
-        on_loop = sum(1 for pt in plane_points(ring) if membership(params, pt))
+        is_unit = ring.is_unit
+        on_loop = sum(not is_unit(f) for f in starmap(partial(_eval_f, params), plane_triples(ring)))
         report["plane_scan_total"] = on_loop
         if "formulas_match" in report:
             report["formulas_match"] = report["formulas_match"] and on_loop == report["total"]
@@ -1245,15 +1307,26 @@ def cardinality_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 
 def projection_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    """Reduction mod m is a loop homomorphism onto the residue curve."""
+    """Reduction mod m is a loop homomorphism onto the residue curve.
+
+    At e = 2 both sides are constant on a pair of fibers, so they are affine
+    maps of its offset digits, and the 5 probes of :func:`_fiber_sweep`
+    decide its |m|^4 point pairs: all q^2 fiber pairs are checked when their
+    5 q^2 cases fit the budget, on points built from the residue curve.
+    """
     rng = random.Random(seed)
     rp, proj = params.residue_params, params.project
-    first_bad = _breaker(lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b)))
+    ok = lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b))
+    first_bad, samples = _breaker(ok), min(budget, 100_000)
+    draws = lambda rng: _picks(_point_pool(params, rng), 2)(rng)
+    if params.ring.e == 2:
+        return [_fiber_sweep(params, "projection-homomorphism", (1, 2), ok, budget, seed,
+                             _point_ce(params), at=_fiber_point(params), noun="fiber pairs",
+                             draws=draws, first_bad=first_bad, samples=samples, rng=rng)]
     return [_sweep("projection-homomorphism", budget, seed, _point_ce(params),
                    space=params.cardinality() ** 2,
                    exhaust=lambda: first_bad(product(params.loop_points(), repeat=2)),
-                   draws=_picks(_point_pool(params, rng), 2), first_bad=first_bad,
-                   samples=min(budget, 100_000), rng=rng)]
+                   draws=draws, first_bad=first_bad, samples=samples, rng=rng)]
 
 
 def three_torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1397,8 +1470,16 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 
 def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    """Raw-sum closure of the zero sets of F, H, and F - t*H."""
-    from .layers import Layer, hessian_closure_sweep, layer_points
+    """Raw-sum closure of the zero sets of F, H, and F - t*H.
+
+    At e = 2 both closures are decided on fiber pairs of the zero set, from
+    1 + d_A + d_B raw sums each (:func:`layers.closure_blocks`): every
+    unordered pair of a layer's points when those sums fit the budget, and
+    the zero set of H in P^2(R), scanned once, whenever the plane is under
+    its cap.  Elsewhere a layer's pairs are drawn and H's are swept one by one.
+    """
+    from .layers import (Layer, closure_blocks, closure_run, combination,
+                         hessian_closure_sweep, layer_points, plane_zeros)
 
     ring = params.ring
     if skips := _layer_gate(params, budget, ("combination-closure-layers",
@@ -1407,26 +1488,44 @@ def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: i
     rng = random.Random(seed)
     # alpha*F + beta*H with (1, -t): zero set contains the layer
     pair_budget = min(2000, max(10, budget // (4 * max(1, ring.ideal_size))))
-    parts = []
+    parts, made = [], [0, 0]  # raw sums, fiber pairs
     for t in ring.ideal_elements():
+        pts = layer_points(Layer(params, t))
+        blocks = closure_blocks(params, pts) if ring.e == 2 else []
+
         def leaves(cases):
             pairs = list(cases)
             ok, k, _ = hessian_closure_sweep(params, 1, RingElem(ring, ring.neg(t)), pairs)
             return None if ok else (k, pairs[k - 1])
 
+        def exhaust():
+            bad, _, sums = closure_run(params, combination(params, 1, ring.neg(t)), blocks)
+            made[0], made[1] = made[0] + sums, made[1] + len(blocks)
+            return bad and (1, bad)
+
         encode = _point_ce(params, t=ring.payload_to_json(t))
         parts.append(_sweep("combination-closure-layers", budget, seed, encode,
-                            draws=_picks(layer_points(Layer(params, t)), 2), first_bad=leaves,
-                            samples=pair_budget, rng=rng))
-    reports = [_merge(parts, "(F - t*H)(P1 + P2) = 0 on raw sums, every t")]
+                            space=sum(n for n, _ in blocks) or None, exhaust=exhaust,
+                            cost=sum(len(sums) for _, sums in blocks), draws=_picks(pts, 2),
+                            first_bad=leaves, samples=pair_budget, rng=rng))
+    how = f": {made[0]:,} raw sums decide {made[1]:,} fiber pairs" if made[1] else ""
+    reports = [_merge(parts, f"(F - t*H)(P1 + P2) = 0 on raw sums, every t{how}")]
     plane = count_projective(2, ring)
     if plane > 25_000:
         return reports + [_skipped("combination-closure-hessian",
                                    f"skipped: P^2(R) has {plane} points, over the 25,000 cap")]
-    ok, closed, zeros = hessian_closure_sweep(params, 0, 1)
+    if ring.e == 2:
+        combo = combination(params, 0, 1)
+        zeros = plane_zeros(params, combo)
+        blocks = closure_blocks(params, zeros)
+        bad, closed, sums = closure_run(params, combo, blocks)
+        ok, zeros = bad is None, len(zeros)
+        how = f": {sums:,} raw sums decide {len(blocks):,} fiber pairs"
+    else:
+        (ok, closed, zeros), how = hessian_closure_sweep(params, 0, 1), ""
     return reports + [LawReport("combination-closure-hessian", ok, None, closed, True, None,
                                 detail=f"zero set of H ({zeros} of {plane}"
-                                       f" plane points) closed under raw sums")]
+                                       f" plane points) closed under raw sums{how}")]
 
 
 def infinity_structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1506,9 +1605,9 @@ def structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Sampled rank monotonicity: collapsing a pair never raises the rank."""
     rng = random.Random(seed)
 
-    def monotone(p1, p2, p3):
+    def monotone(p1, p2, p3):  # a coarse rank is at most 2, so a triple of rank 2 passes
         r_triple = AssocMatrix(params, (p1, p2, p3)).rank()
-        return AssocMatrix(params, (p1, add(params, p2, p3))).rank() <= r_triple
+        return r_triple == 2 or AssocMatrix(params, (p1, add(params, p2, p3))).rank() <= r_triple
 
     first_bad = _breaker(monotone)
     return [_sweep("rank-monotonicity", budget, seed, _point_ce(params),

@@ -16,6 +16,8 @@ degree.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import HessianNotUnit, PreconditionUnmet
 from .loop_core import (
     LoopParams,
@@ -25,7 +27,7 @@ from .loop_core import (
     order_of,
     raw_add,
 )
-from .projective import ProjPoint, plane_points
+from .projective import ProjPoint, plane_triples
 from .ring import INTEGER_QUOTIENT, Payload, RingElem
 
 
@@ -157,6 +159,86 @@ def layer_infinity_generator(layer: Layer) -> ProjPoint:
     raise PreconditionUnmet(f"the iteration for Z_t failed to settle for {layer!r}")
 
 
+def combination(params: LoopParams, alpha, beta):
+    """alpha*F + beta*H_F as a payload function of a coordinate triple."""
+    ring = params.ring
+    al, be, mod = ring.payload(alpha), ring.payload(beta), ring.mod
+    return lambda x, y, z: (al * _eval_f(params, x, y, z) + be * _eval_h(params, x, y, z)) % mod
+
+
+def plane_zeros(params: LoopParams, combo) -> list:
+    """The points of P^2(R) where ``combo`` vanishes, by one scan of the plane's triples."""
+    ring = params.ring
+    zero = ring.zero
+    return [ProjPoint(ring, *t) for t in plane_triples(ring) if combo(*t) == zero]
+
+
+def _cross(u, v) -> tuple:
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def closure_blocks(params: LoopParams, zeros) -> list:
+    """The raw sums that decide the closure of ``zeros`` at e = 2, one block per
+    unordered pair of fibers: [(pairs, sums)], ``pairs`` the unordered point pairs
+    the block decides, ``sums`` the point pairs whose raw sums decide them.
+
+    ``zeros`` is the zero set of a combination g = alpha*F + beta*H_F, and a
+    fiber its points over one residue point: each is that residue plus pi
+    times its offset digits (:meth:`RingConfig.digits`).  As pi^2 = 0,
+    G(a, b) = g(raw_add(a, b)) is affine in the digits of a and b together,
+    with no term in both, as every such term carries pi^2 (the first-order
+    formal group, see ``diagnostics._table_by_blocks``).  A fiber's frame is
+    a0, then the first member off a0, then the first off the line through
+    both; the fiber lies in the frame's affine span of p^d points, d <= 2,
+    so it is that span iff it has p^d points.  Then G vanishes on A x B iff
+    it vanishes at (a0, b0), (a_i, b0) and (a0, b_j): 1 + d_A + d_B sums, and
+    1 + d_A on A x A, as the raw law is symmetric.  A fiber pair without
+    both frames is swept pair by pair.
+    """
+    p, digits = params.ring.p, params.ring.digits
+    fibers = {}
+    for pt in zeros:
+        (rx, dx), (ry, dy), (rz, dz) = map(digits, pt.coords())
+        fibers.setdefault((rx, ry, rz), []).append((pt, (dx, dy, dz)))
+    framed = []
+    for members in fibers.values():
+        (a0, o0), frame, steps = members[0], [members[0][0]], []
+        for pt, off in members[1:]:
+            step = [a - b for a, b in zip(off, o0)]
+            if steps and not any(c % p for c in _cross(steps[0], step)):
+                continue  # on the line through the frame so far
+            steps.append(step)
+            frame.append(pt)
+            if len(steps) == 2:
+                break
+        framed.append(([pt for pt, _ in members], frame if len(members) == p ** len(steps) else None))
+    blocks = []
+    for i, (mine, frame) in enumerate(framed):
+        blocks.append((len(mine) * (len(mine) + 1) // 2,
+                       [(a, frame[0]) for a in frame] if frame else
+                       [(u, v) for k, u in enumerate(mine) for v in mine[k:]]))
+        for other, their in framed[i + 1:]:
+            blocks.append((len(mine) * len(other),
+                           [(a, their[0]) for a in frame] + [(frame[0], b) for b in their[1:]]
+                           if frame and their else list(product(mine, other))))
+    return blocks
+
+
+def closure_run(params: LoopParams, combo, blocks) -> tuple:
+    """(failing pair or None, point pairs of the blocks run, raw sums made): the
+    sums of :func:`closure_blocks` in order, up to the first that ``combo``
+    does not annihilate."""
+    zero = params.ring.zero
+    covered = sums = 0
+    for pairs, block in blocks:
+        covered += pairs
+        for u, v in block:
+            sums += 1
+            if combo(*raw_add(params, u.coords(), v.coords())) != zero:
+                return (u, v), covered, sums
+    return None, covered, sums
+
+
 def hessian_closure_sweep(params: LoopParams, alpha, beta, pairs=None) -> tuple:
     """Closure of the zero set of alpha*F + beta*H_F under the raw law.
 
@@ -165,23 +247,24 @@ def hessian_closure_sweep(params: LoopParams, alpha, beta, pairs=None) -> tuple:
     checked once.  The sum is evaluated on the raw (unnormalized) image
     triple, so non-primitive sums are handled too.  When no pairs are
     given, every unordered pair of the combination's zero set in P^2(R)
-    is used: the raw law is symmetric as a map of triples, so one order
-    per pair suffices.
+    is decided: the raw law is symmetric as a map of triples, so one order
+    per pair suffices.  At e = 2 the zero set's fiber pairs are decided
+    from 1 + d_A + d_B raw sums each (:func:`closure_blocks`), at any other
+    e pair by pair.
 
     Returns (closed, pairs checked, size of the zero set or None).  The
-    sweep stops at the first pair whose sum leaves the zero set.
+    sweep stops at the first pair, or fiber pair, whose sum leaves the
+    zero set.
     """
     ring = params.ring
     zero = ring.zero
-    al, be = ring.payload(alpha), ring.payload(beta)
-
-    def combo(x, y, z):
-        return ring.add(ring.mul(al, _eval_f(params, x, y, z)),
-                        ring.mul(be, _eval_h(params, x, y, z)))
-
+    combo = combination(params, alpha, beta)
     if pairs is None:
-        zero_set = [pt for pt in plane_points(ring) if combo(pt.x, pt.y, pt.z) == zero]
+        zero_set = plane_zeros(params, combo)
         size = len(zero_set)
+        if ring.e == 2:
+            bad, checked, _ = closure_run(params, combo, closure_blocks(params, zero_set))
+            return bad is None, checked, size
         verified = {pt.coords() for pt in zero_set}
         pairs = ((u, v) for i, u in enumerate(zero_set) for v in zero_set[i:])
     else:

@@ -166,9 +166,12 @@ class LoopParams:
         return pt
 
     def project(self, pt: ProjPoint) -> ProjPoint:
-        """Reduction modulo m, landing on the residue curve over Z/p."""
+        """Reduction modulo m, landing on the residue curve over Z/p; a point
+        with Y = 1, every loop point, is already canonical there."""
         r = self.ring
         rr = self.residue_params.ring
+        if pt.y == r.one:
+            return ProjPoint(rr, r.residue(pt.x), rr.one, r.residue(pt.z))
         return normalize(rr, r.residue(pt.x), r.residue(pt.y), r.residue(pt.z))
 
     def residue_order(self, rpt: ProjPoint) -> int:

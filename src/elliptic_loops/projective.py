@@ -10,6 +10,8 @@ exactly when they are structurally equal, which the rank-style test
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain, product, starmap
 from typing import Iterator
 
 from .errors import NotPrimitive
@@ -117,19 +119,19 @@ def count_projective(n: int, ring: RingConfig) -> int:
     return sum(r ** (n - i) * m ** i for i in range(n + 1))
 
 
-def plane_points(ring: RingConfig) -> Iterator[ProjPoint]:
-    """All points of P^2(R), one canonical representative each.
+def plane_triples(ring: RingConfig) -> Iterator[tuple]:
+    """The canonical coordinate triples (x, y, z) of all points of P^2(R).
 
     Stratified by which coordinate is the first unit: Y = 1 with X, Z free;
     then Y in m, Z = 1; then Y, Z in m, X = 1.
     """
-    one = ring.one
-    for x in ring.elements():
-        for z in ring.elements():
-            yield ProjPoint(ring, x, one, z)
-    for y in ring.ideal_elements():
-        for x in ring.elements():
-            yield ProjPoint(ring, x, y, one)
-    for y in ring.ideal_elements():
-        for z in ring.ideal_elements():
-            yield ProjPoint(ring, one, y, z)
+    one, elems, ideal = ring.one, list(ring.elements()), list(ring.ideal_elements())
+    return chain(product(elems, (one,), elems),
+                 ((x, y, one) for y, x in product(ideal, elems)),
+                 product((one,), ideal, ideal))
+
+
+def plane_points(ring: RingConfig) -> Iterator[ProjPoint]:
+    """All points of P^2(R), one canonical representative each, in the order
+    of :func:`plane_triples`."""
+    return starmap(partial(ProjPoint, ring), plane_triples(ring))

@@ -188,12 +188,12 @@ def test_law_suite_builds_the_whole_loop_index_once(monkeypatch):
     assert built == [175, 75] and adds[0] == 16
     assert all(r.holds for r in reports)
     assert [r.law for r in reports if not r.exhaustive] == ["power-associative"]
-    # the laws suite at budget 907 draws 28 power-associativity cases and 453
-    # latin-square pairs: 1,443 additions at 3 a case, under the 38^2 = 1,444
-    # a table is priced at
+    # the laws suite at budget 907 would draw 28 power-associativity cases and
+    # 453 latin-square pairs: 1,443 additions at 3 a case, under the 38^2 = 1,444
+    # a table is priced at; latin-square is decided on its 9 fiber pairs instead
     reports = laws_suite(group, budget=907, seed=7)
     assert built == [175, 75]
-    assert [(r.checked, r.exhaustive) for r in reports] == [(28, False), (453, False)]
+    assert [(r.checked, r.exhaustive) for r in reports] == [(28, False), (75 ** 2, True)]
 
 
 def test_point_set_not_closed_under_the_loop_is_a_precondition_error():
@@ -460,23 +460,35 @@ def test_moufang_report_names_its_method(inst, detail):
 
 @pytest.mark.parametrize("inst", [(5, 2, 4, 2), (5, 2, 2, 1)], ids=["group", "non-group"])
 def test_lookup_laws_name_the_table_and_its_lookups(inst):
-    """alternative, jordan and latin-square read off the whole-loop table say so,
-    with 4, 5 and 3 lookups a pair up to the first failing pair; sampled, they say nothing."""
+    """At e = 2, alternative, jordan and latin-square over the whole-loop table are
+    decided on its fiber pairs, 5 probes each, up to the first failing probe, and
+    say so and name the table; sampled, they say nothing.  (Read off the table
+    pair by pair, which e = 1 keeps, they say "index table: N lookups".)"""
     params = params_for(*inst)
-    n, group = params.cardinality(), inst == (5, 2, 4, 2)
-    index = CayleyIndex(params, params.loop_points()).index
+    n, q, group = params.cardinality(), params.q, inst == (5, 2, 4, 2)
     reports = law_suite(params, ("alternative", "jordan", "latin-square"), budget=200_000, seed=7)
     assert [r.holds for r in reports] == [group, group, True]
-    for rep, per in zip(reports, (4, 5, 3)):
+    for rep in reports:
         assert rep.exhaustive and rep.checked == n * n
-        pairs = n * n
-        if not rep.holds:  # the pairs up to the failing one, in row order
-            i, j = (index[tuple(ProjPoint.from_json(params.ring, c).coords())]
-                    for c in rep.counterexample["points"])
-            pairs = i * n + j + 1
-        assert rep.detail == f"index table: {per * pairs:,} lookups"
-    # at budget 907 neither loop's table pays for the laws suite's samples
-    assert [r.detail for r in laws_suite(params, budget=907, seed=7)] == ["", ""]
+        probes = 5 * q * q
+        if not rep.holds:  # the probes up to the failing one, in fiber-pair order
+            pts = params.loop_points()
+            bad = tuple(pts.index(pt) for pt in
+                        diagnostics._decode_points(params, rep.counterexample["points"]))
+            order = [case for tup in product(range(q), repeat=2)
+                     for case in diagnostics._fiber_probes(params, (1, 2), tup)]
+            probes = order.index(bad) + 1
+        assert rep.detail == (f"affine probes: {probes:,} cases decide {q * q:,} fiber pairs"
+                              " over the index table")
+    # at budget 907 neither loop's table pays for the laws suite's samples, and
+    # latin-square is decided on fiber pairs over points
+    assert [r.detail for r in laws_suite(params, budget=907, seed=7)] == [
+        "", f"affine probes: {5 * q * q:,} cases decide {q * q:,} fiber pairs"]
+    e1 = params_for(263, 1, 4, 1)  # a fiber is one point: the table is read pair by pair
+    reports = law_suite(e1, ("alternative", "jordan", "latin-square"), budget=200_000, seed=7)
+    n = e1.cardinality()
+    assert [r.detail for r in reports] == [f"index table: {per * n * n:,} lookups"
+                                           for per in (4, 5, 3)]
 
 
 # ---------------------------------------------------------------------------

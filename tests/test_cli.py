@@ -454,6 +454,18 @@ def test_verify_prints_the_same_checks_at_any_budget(capsys, suite, e, gated, bu
     assert names[0] == names[1]
 
 
+def test_verify_projection_at_e_2_is_decided_on_fiber_pairs(capsys):
+    """At the default budget the 441^2 point pairs of Z/49 (0,2) are decided by
+    the 5 affine probes of each of its 9^2 fiber pairs."""
+    rc, out, _ = run_cli(capsys, "verify", "-p", "7", "-e", "2", "-A", "0", "-B", "2",
+                         "--suite", "projection", "--format", "json")
+    assert rc == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["law"] == "projection-homomorphism" and report["holds"]
+    assert report["exhaustive"] and report["checked"] == 441 ** 2
+    assert report["detail"] == "affine probes: 405 cases decide 81 fiber pairs"
+
+
 def test_verify_json_is_deterministic(capsys):
     argv = ("verify", "-p", "5", "-e", "2", "-A", "2", "-B", "1",
             "--suite", "laws", "--seed", "3", "--format", "json")

@@ -236,17 +236,27 @@ def test_the_whole_loop_table_changes_no_sampled_report(inst, laws, budget, monk
 @pytest.mark.parametrize("budget", [300, 1_000])
 @pytest.mark.parametrize("inst", [(5, 3, 2, 1), (13, 2, 0, 6)], ids=["Z/125", "Z/169"])
 def test_sampled_latin_square_stays_within_its_budget(inst, budget):
-    """A pair costs two additions, so a budget draws at most half as many pairs."""
+    """A pair costs two additions, so a budget draws at most half as many pairs,
+    and decides at most half as many probes of fiber pairs (at e = 2, where the
+    7^2 fiber pairs of Z/169 (0,6) take 245 probes, which budget 1,000 affords)."""
     params = params_for(*inst)
     rep = law_suite(params, ("power-associative", "latin-square"), budget=budget, seed=0)[1]
-    assert rep.law == "latin-square" and rep.holds and not rep.exhaustive
-    assert 1 <= rep.checked <= max(1, budget // 2)
+    assert rep.law == "latin-square" and rep.holds
+    if rep.exhaustive:
+        q = params.q
+        assert (inst, budget) == ((13, 2, 0, 6), 1_000) and 5 * q * q <= budget // 2
+        assert rep.checked == params.cardinality() ** 2
+        assert rep.detail == f"affine probes: {5 * q * q:,} cases decide {q * q:,} fiber pairs"
+    else:
+        assert 1 <= rep.checked <= max(1, budget // 2)
 
 
 def test_the_identity_alone_catches_a_row_collision(monkeypatch):
     """One cell of row i set to another cell's sum, so row i is no permutation:
-    the table route of latin-square fails at a pair in row i."""
-    params = params_for(5, 2, 2, 1)
+    the table route of latin-square fails at a pair in row i.  The loop has
+    e = 1, where the table is read pair by pair: at e = 2 its affine fiber
+    probes would assume the very structure the broken cell breaks."""
+    params = params_for(263, 1, 4, 1)
     pts = params.loop_points()
     n, neg_idx = len(pts), CayleyIndex(params, pts).neg
     i = 5  # and a cell (i, j) that no earlier row reads as its inner sum Q - P

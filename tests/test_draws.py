@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import partial
 from itertools import islice, product
 
 import pytest
 
-from elliptic_loops import LoopParams, RingConfig, identity, low_nilpotency_suite
-from elliptic_loops import diagnostics
+from elliptic_loops import LoopParams, RingConfig, add, identity, low_nilpotency_suite, replay
+from elliptic_loops import diagnostics, layers
 from elliptic_loops.diagnostics import FIBER_LAYOUTS, NILPOTENCY_CHECKS, _fiber_probes
+from elliptic_loops.layers import (Layer, closure_blocks, combination, layer_points,
+                                   plane_zeros)
+from elliptic_loops.loop_core import _eval_f, raw_add
 
 LOOPS = [
     (RingConfig.integer(5, 2), 2, 1),
@@ -141,6 +145,15 @@ def test_probes_are_the_base_and_one_unit_step_per_slot_and_digit(loop, law):
     assert moved == (expected if params.ring.e == 2 else [])
 
 
+def fiber_verdicts(params, layout, tup, on_probes, on_every=None):
+    """The verdicts of an identity on one fiber tuple: ``on_probes`` on its probes, and
+    ``on_every`` (by default the same) on every case over it; cases are indices."""
+    s = params.ring.ideal_size ** 2
+    every = product(*(range(f * s, f * s + s) for f in ((0, *tup)[c] for c in layout)))
+    return (all(on_probes(*case) for case in _fiber_probes(params, layout, tup)),
+            all((on_every or on_probes)(*case) for case in every))
+
+
 @pytest.mark.parametrize("ring, a, b, group", [(RingConfig.integer(5, 2), 2, 1, False),
                                                (RingConfig.truncated_poly(5, 2), 2, 1, False),
                                                (RingConfig.integer(5, 2), 4, 2, True)],
@@ -151,17 +164,134 @@ def test_probes_decide_a_fiber_triple_as_its_full_sweep_does(ring, a, b, group):
     occur, and on a group both routes pass every triple."""
     params = LoopParams(ring, a, b)
     ops = diagnostics._ops(params, diagnostics.CayleyIndex(params, params.loop_points()))
-    s, rng = ring.ideal_size ** 2, random.Random(0)
+    rng = random.Random(0)
     verdicts = []
     for _ in range(20):
         tup = tuple(rng.randrange(params.q) for _ in range(3))
-        by_probes = all(diagnostics._law_holds(ops, "full-associative", *case)
-                        for case in _fiber_probes(params, (1, 2, 3), tup))
-        by_sweep = all(diagnostics._law_holds(ops, "full-associative", *case)
-                       for case in product(*(range(f * s, f * s + s) for f in tup)))
+        by_probes, by_sweep = fiber_verdicts(
+            params, (1, 2, 3), tup, partial(diagnostics._law_holds, ops, "full-associative"))
         assert by_probes == by_sweep, tup
         verdicts.append(by_probes)
     assert set(verdicts) == ({True} if group else {True, False})
+
+
+# the e = 2 loops whose every fiber pair is decided both ways; True marks a group
+PAIR_LOOPS = [(RingConfig.integer(5, 2), 2, 1, False), (RingConfig.integer(5, 2), 4, 2, True),
+              (RingConfig.integer(7, 2), 0, 2, True), (RingConfig.truncated_poly(5, 2), 2, 1, False)]
+
+
+@pytest.fixture(scope="module", params=PAIR_LOOPS, ids=lambda loop: f"{loop[0]}-{loop[1]}-{loop[2]}")
+def pair_loop(request):
+    """The loop, whether it is a group, and its index table built by one ``add`` per
+    unordered pair: an oracle that does not rest on the affine blocks."""
+    ring, a, b, group = request.param
+    params = LoopParams(ring, a, b)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(diagnostics, "_table_by_blocks", lambda *args: None)
+        cayley = diagnostics.CayleyIndex(params, params.loop_points())
+    return params, group, cayley
+
+
+@pytest.mark.parametrize("check", ["projection-homomorphism", "latin-square", "alternative",
+                                   "jordan"])
+def test_probes_decide_every_fiber_pair_as_its_full_sweep_does(pair_loop, check):
+    """The 5 probes of each fiber pair, on points built from the residue curve as
+    the suites build them, give the verdict of all |m|^4 point pairs over it,
+    read off the oracle table; alternative and jordan fail on some fiber pairs
+    of a non-group and pass on others."""
+    params, group, cayley = pair_loop
+    s, at = params.ring.ideal_size ** 2, diagnostics._fiber_point(params)
+    if check == "projection-homomorphism":
+        rp, proj, res = params.residue_params, params.project, params.residue_points
+        on_points = lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b))
+        sums = [[res.index(add(rp, f, g)) for g in res] for f in res]  # fiber f + fiber g
+        on_every = lambda i, j: sums[i // s][j // s] == cayley.table[i][j] // s
+    else:
+        on_points = partial(diagnostics._law_holds, diagnostics._ops(params), check)
+        on_every = partial(diagnostics._law_holds, diagnostics._ops(params, cayley), check)
+    verdicts = set()
+    for tup in product(range(params.q), repeat=2):
+        by_probes, by_sweep = fiber_verdicts(params, (1, 2), tup,
+                                             lambda i, j: on_points(at(i), at(j)), on_every)
+        assert by_probes == by_sweep, tup
+        verdicts.add(by_probes)
+    assert verdicts == ({True} if group or check in ("projection-homomorphism", "latin-square")
+                        else {True, False})
+
+
+@pytest.mark.parametrize("zero_set", ["hessian", "layers", "off-pencil"])
+def test_closure_probes_decide_every_fiber_pair_as_its_full_sweep_does(pair_loop, zero_set):
+    """On the zero set of H in the plane, of every layer, and of F + X^3, a cubic
+    off the pencil whose zero set is not closed: the at most 5 raw sums of each
+    unordered fiber pair decide all its point pairs, which are the pairs the block
+    counts.  Off the pencil both verdicts occur, and some fiber pair passes at its
+    base pair and fails only at a unit step."""
+    params, _, _ = pair_loop
+    ring = params.ring
+    if zero_set == "layers":
+        sets = [(combination(params, 1, ring.neg(t)), layer_points(Layer(params, t)))
+                for t in ring.ideal_elements()]
+    else:
+        g = (combination(params, 0, 1) if zero_set == "hessian" else
+             lambda x, y, z: (_eval_f(params, x, y, z) + x * x * x) % ring.mod)
+        sets = [(g, plane_zeros(params, g))]
+    verdicts, at_a_step = set(), False
+    for g, zeros in sets:
+        fibers = {}  # the oracle's fibers: the zero set grouped by residue point
+        for pt in zeros:
+            fibers.setdefault(tuple(map(ring.residue, pt.coords())), []).append(pt)
+        fibers = list(fibers.values())
+        blocks = closure_blocks(params, zeros)
+        assert len(blocks) == len(fibers) * (len(fibers) + 1) // 2
+        pairs = ((i, j) for i in range(len(fibers)) for j in range(i, len(fibers)))
+        closed = lambda pairs: all(g(*raw_add(params, u.coords(), v.coords())) == 0
+                                   for u, v in pairs)
+        for (i, j), (covered, sums) in zip(pairs, blocks):
+            a, b = fibers[i], fibers[j]
+            every = ([(u, v) for k, u in enumerate(a) for v in a[k:]] if i == j
+                     else list(product(a, b)))
+            assert covered == len(every) and len(sums) <= 5
+            assert set(sums) <= set(product(a, b))
+            assert closed(sums) == closed(every), (i, j)
+            verdicts.add(closed(every))
+            at_a_step |= closed(sums[:1]) and not closed(sums)
+    assert verdicts == ({True, False} if zero_set == "off-pencil" else {True})
+    assert at_a_step == (zero_set == "off-pencil")
+
+
+def test_a_fiber_that_is_not_an_affine_span_is_swept_pair_by_pair(monkeypatch):
+    """Each layer of Z/25 (2,1) without its first point: that fiber keeps 4 of the
+    5 points its frame spans, so its 7 fiber pairs are swept pair by pair, and
+    the other 21 are still decided by probes."""
+    params = LoopParams(RingConfig.integer(5, 2), 2, 1)
+    q, p = params.q, params.ring.p
+    real = layers.layer_points
+    monkeypatch.setattr(layers, "layer_points", lambda layer: real(layer)[1:])
+    rep, _ = diagnostics.hessian_combination_suite(params, budget=1_000, seed=0)
+    assert rep.holds and rep.exhaustive
+    n = q * p - 1
+    assert rep.checked == p * n * (n + 1) // 2
+    swept = (p - 1) * p // 2 + (p - 1) * p * (q - 1)  # with itself, with the 6 others
+    probed = 2 * (q - 1) + 3 * (q - 1) * (q - 2) // 2
+    assert rep.detail.endswith(f": {p * (swept + probed):,} raw sums decide "
+                               f"{p * q * (q + 1) // 2:,} fiber pairs")
+
+
+@pytest.mark.parametrize("budget, tabled", [(1_000, False), (200_000, True)])
+def test_alternative_and_jordan_fail_on_fiber_pairs_and_replay(budget, tabled, monkeypatch):
+    """On the non-group Z/25 (2,1) both laws are decided on fiber pairs, over points
+    or over the whole-loop table, and fail with a pair that replay confirms."""
+    params = LoopParams(RingConfig.integer(5, 2), 2, 1)
+    built, init = [], diagnostics.CayleyIndex.__init__
+    monkeypatch.setattr(diagnostics.CayleyIndex, "__init__",
+                        lambda self, params, pts: built.append(len(pts)) or init(self, params, pts))
+    reports = diagnostics.law_suite(params, ("alternative", "jordan"), budget=budget, seed=0)
+    assert built == ([175] if tabled else [])
+    for rep in reports:
+        assert not rep.holds and rep.exhaustive and rep.checked == 175 ** 2
+        assert rep.detail.startswith("affine probes: ")
+        assert rep.detail.endswith(" over the index table") == tabled
+        assert replay(params, rep) is True
 
 
 @pytest.mark.parametrize("budget, exhaustive", [(120_000, 5), (1_000, 4)])

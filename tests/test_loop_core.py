@@ -467,6 +467,19 @@ def test_projection_is_residue_curve_point():
         assert membership(rp, rpt)
 
 
+@pytest.mark.parametrize("ring", [RingConfig.integer(5, 2), RingConfig.integer(5, 3),
+                                  RingConfig.truncated_poly(5, 2)], ids=str)
+def test_projection_of_a_canonical_point_equals_the_normalize_route(ring):
+    """A point with Y = 1 reduces coordinate by coordinate, as normalize would."""
+    params = LoopParams(ring, 2, 1)
+    rr, res = params.residue_params.ring, ring.residue
+    for pt in params.loop_points():
+        assert pt.y == ring.one
+        expected = normalize(rr, res(pt.x), res(pt.y), res(pt.z))
+        assert params.project(pt) == expected
+        assert params.project(pt).coords() == expected.coords()
+
+
 def test_eval_h_frozen_values():
     params = params_for(5, 2, 2, 1)
     ring = params.ring
