@@ -37,10 +37,11 @@ from .loop_core import (
     identity,
     neg,
     order_of,
+    raw_add,
     scalar_mul,
 )
 from .projective import ProjPoint, count_projective, plane_triples
-from .ring import INTEGER_QUOTIENT, RingConfig, RingElem, _is_prime
+from .ring import INTEGER_QUOTIENT, RingConfig, _is_prime
 from .structure import AssocMatrix, infinity_generators
 
 LAW_NAMES = (
@@ -129,15 +130,15 @@ def _affordable(budget, sampled=0, *, cost=0, table=0) -> bool:
 
 
 def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, draws=None,
-           first_bad=None, samples=None, rng=None, tabled=False, cost=None) -> LawReport:
+           first_bad=None, samples=None, rng=None, cost=None) -> LawReport:
     """Run one check over its whole case space if that fits the budget, else on draws.
 
-    Exhaustive iff ``tabled`` (an index table decides the check) or, by
-    :func:`_affordable`, ``space * weight <= budget`` or ``space <= samples``
-    so that no more cases are drawn than the space holds (``space`` counts
-    the cases, None if there is no exhaustive path; ``weight`` is the cost
-    of one case; ``cost``, when given, prices ``exhaust`` instead of
-    ``space * weight``, for a space decided from fewer cases): then ``exhaust()``
+    Exhaustive iff, by :func:`_affordable`, ``space * weight <= budget`` or
+    ``space <= samples`` so that no more cases are drawn than the space holds
+    (``space`` counts the cases, None if there is no exhaustive path;
+    ``weight`` is the cost of one case; ``cost``, when given, prices
+    ``exhaust`` instead: fewer additions for a space decided from fewer
+    cases, 0 where an index table already built decides it): then ``exhaust()``
     runs and the report counts the whole space, even when it stops at a
     counterexample.  Otherwise ``first_bad`` runs on the first ``samples``
     (default ``max(1, budget // weight)``) of ``draws(rng)``, an endless
@@ -149,8 +150,8 @@ def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, dra
     """
     if samples is None:
         samples = max(1, budget // weight)
-    if space is not None and (tabled or _affordable(budget, samples * weight,
-                                                    cost=space * weight if cost is None else cost)):
+    if space is not None and _affordable(budget, samples * weight,
+                                         cost=space * weight if cost is None else cost):
         hit, checked, exhaustive = exhaust(), space, True
     elif draws is None:
         return None
@@ -666,7 +667,7 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
 
     reports = []
     for law in laws:
-        width, proofs, encode, tabled = 3 if law in TRIPLE_LAWS else 2, [], points, False
+        width, proofs, encode, cost = 3 if law in TRIPLE_LAWS else 2, [], points, None
         space = n ** width if pool == n else None  # a drawn pool is not the loop
         first_bad, draws = _breaker(partial(_law_holds, ops, law)), _picks(dom, width)
         exhaust = lambda: first_bad(product(dom, repeat=width))
@@ -677,18 +678,18 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
             rep = _fiber_sweep(params, law, (1, 2), partial(_law_holds, ops, law), budget, seed,
                                points, weight=weights.get(law, 1), noun="fiber pairs",
                                at=None if cayley else _fiber_point(params), draws=draws,
-                               first_bad=first_bad, samples=samples[law], tabled=cayley is not None)
+                               first_bad=first_bad, samples=samples[law], cost=cayley and 0)
             rep.detail += " over the index table" if cayley and rep.exhaustive else ""
             reports.append(rep)
             continue
         elif cayley and (law != "diassociative" or cayley.associative()):
             exhaust = partial(_table_law, cayley, proofs, law, first_bad)
-            tabled = law != "moufang" or cayley.abelian()
+            cost = 0 if law != "moufang" or cayley.abelian() else None
         elif law in TRIPLE_LAWS:
             space = None  # only a table sweeps a triple law
         rep = _sweep(law, budget, seed, encode, space=space, weight=weights.get(law, 1),
                      exhaust=exhaust, draws=draws, first_bad=first_bad, samples=samples[law],
-                     tabled=tabled)
+                     cost=cost)
         rep.detail = _table_detail(proofs, law)
         reports.append(rep)
     return reports
@@ -880,11 +881,12 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
     point cases of the tuple; a probe costs ``weight``.  Without ``points``
     the tuples are also what is drawn, by seed, when not all of them fit.
     With ``points`` (the point route's ``draws``, ``first_bad``, ``samples``
-    and ``tabled``) the tuples replace only its exhaustive route: all of
-    them run when ``tabled`` or when their probes are affordable against the
-    point draws, and otherwise the point draws run and report as without
-    the tuples.  A report decided on tuples counts the point cases they
-    cover in ``checked`` and names its probes in ``detail``.
+    and, over an index table already built, ``cost=0``) the tuples replace
+    only its exhaustive route: all of them run when that cost, by default
+    their probes', is affordable against the point draws, and otherwise the
+    point draws run and report as without the tuples.  A report decided on
+    tuples counts the point cases they cover in ``checked`` and names its
+    probes in ``detail``.
     """
     dims = [range(params.q)] * max(layout) + list(extra)
     probes, evaluated, width = len(_fiber_probes(params, layout, (0,) * len(dims))), 0, len(layout)
@@ -902,8 +904,9 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
     space = math.prod(map(len, dims))
     exhaust = lambda: first_bad(zip(product(*dims)))
     if points:
+        cost = points.pop("cost", None)
         rep = _sweep(law, budget, seed, encode, space=space, weight=weight, exhaust=exhaust,
-                     cost=space * probes * weight, rng=rng, **points)
+                     cost=space * probes * weight if cost is None else cost, rng=rng, **points)
         if not rep.exhaustive:
             return rep
     else:
@@ -1036,7 +1039,7 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
         proofs = []
         rep = _sweep("infinity-associativity", budget, seed,
                      _point_ce(params, inf_pts if tabled else None),
-                     space=expected**3 if tabled else None, tabled=True,
+                     space=expected**3 if tabled else None, cost=0,
                      exhaust=lambda: _table_law(cayley, proofs),
                      draws=_picks(inf_pts, 3) if enumerable else fresh(3),
                      first_bad=_breaker(partial(_law_holds, _ops(params), "full-associative")),
@@ -1064,7 +1067,7 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
 
     return reports + [_sweep(
         "infinity-coordinates-additive", budget, seed, encode,
-        space=expected**2 if tabled else None, tabled=True, first_bad=non_additive, rng=rng,
+        space=expected**2 if tabled else None, cost=0, first_bad=non_additive, rng=rng,
         exhaust=lambda: non_additive((a, b, inf_pts[k]) for a, row in zip(inf_pts, cayley.table)
                                      for b, k in zip(inf_pts, row)),
         draws=lambda rng: ((a, b, add(params, a, b)) for a, b in fresh(2)(rng)))]
@@ -1428,12 +1431,12 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         members = set(pts)
         closed = _breaker(lambda a, b: add(params, a, b) in members)
         closure.append(_sweep("layer-closure", per_layer, seed, encode, space=len(pts) ** 2,
-                              tabled=tabled, draws=_picks(pts, 2), first_bad=closed,
+                              cost=0 if tabled else None, draws=_picks(pts, 2), first_bad=closed,
                               exhaust=lambda: None if cayley else closed(product(pts, repeat=2)),
                               samples=min(per_layer, 2000), rng=rng))
         assoc.append(_sweep("layer-associativity", per_layer, seed,
                             _point_ce(params, cayley and pts, t=ring.payload_to_json(t)),
-                            space=None if cayley is None else len(pts) ** 3, tabled=True,
+                            space=None if cayley is None else len(pts) ** 3, cost=0,
                             exhaust=lambda: _table_law(cayley, proofs),
                             draws=_picks(pts, 3), rng=rng,
                             first_bad=associative))
@@ -1470,62 +1473,58 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 
 def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    """Raw-sum closure of the zero sets of F, H, and F - t*H.
+    """Raw-sum closure of the zero sets of F - t*H (every layer) and of H.
 
-    At e = 2 both closures are decided on fiber pairs of the zero set, from
-    1 + d_A + d_B raw sums each (:func:`layers.closure_blocks`): every
-    unordered pair of a layer's points when those sums fit the budget, and
-    the zero set of H in P^2(R), scanned once, whenever the plane is under
-    its cap.  Elsewhere a layer's pairs are drawn and H's are swept one by one.
+    Each check is priced once, in the raw sums of the blocks of all its zero
+    sets (:func:`layers.closure_blocks`), and :func:`_sweep` runs every block
+    when that is :func:`_affordable`, else draws ``pair_budget`` seeded pairs
+    per set.  H's zero set is listed by one scan of P^2(R), whose points are
+    priced against 40 * budget, as :func:`_layer_gate` prices q * |m|^3.
     """
-    from .layers import (Layer, closure_blocks, closure_run, combination,
-                         hessian_closure_sweep, layer_points, plane_zeros)
+    from .layers import Layer, closure_blocks, closure_run, combination, layer_points, plane_zeros
 
     ring = params.ring
     if skips := _layer_gate(params, budget, ("combination-closure-layers",
                                              "combination-closure-hessian")):
         return skips
     rng = random.Random(seed)
-    # alpha*F + beta*H with (1, -t): zero set contains the layer
     pair_budget = min(2000, max(10, budget // (4 * max(1, ring.ideal_size))))
-    parts, made = [], [0, 0]  # raw sums, fiber pairs
-    for t in ring.ideal_elements():
-        pts = layer_points(Layer(params, t))
-        blocks = closure_blocks(params, pts) if ring.e == 2 else []
 
-        def leaves(cases):
-            pairs = list(cases)
-            ok, k, _ = hessian_closure_sweep(params, 1, RingElem(ring, ring.neg(t)), pairs)
-            return None if ok else (k, pairs[k - 1])
+    def closed(law, sets, detail):  # sets [(g, its zeros, encode)]
+        priced, run = [closure_blocks(params, pts) for _, pts, _ in sets], [None, 0, 0]
 
-        def exhaust():
-            bad, _, sums = closure_run(params, combination(params, 1, ring.neg(t)), blocks)
-            made[0], made[1] = made[0] + sums, made[1] + len(blocks)
-            return bad and (1, bad)
+        def exhaust():  # run: (failing case, raw sums made, blocks run)
+            run[:] = closure_run(params, [(g, b) for (g, _, _), (_, b) in zip(sets, priced)])
+            return run[0] and (1, run[0])
 
-        encode = _point_ce(params, t=ring.payload_to_json(t))
-        parts.append(_sweep("combination-closure-layers", budget, seed, encode,
-                            space=sum(n for n, _ in blocks) or None, exhaust=exhaust,
-                            cost=sum(len(sums) for _, sums in blocks), draws=_picks(pts, 2),
-                            first_bad=leaves, samples=pair_budget, rng=rng))
-    how = f": {made[0]:,} raw sums decide {made[1]:,} fiber pairs" if made[1] else ""
-    reports = [_merge(parts, f"(F - t*H)(P1 + P2) = 0 on raw sums, every t{how}")]
+        rep = _sweep(law, budget, seed, lambda case: sets[case[0]][2](case[1:]),
+                     space=sum(len(pts) * (len(pts) + 1) // 2 for _, pts, _ in sets),
+                     cost=sum(price for price, _ in priced), exhaust=exhaust,
+                     draws=lambda rng: ((i, rng.choice(pts), rng.choice(pts)) for i, (_, pts, _)
+                                        in enumerate(sets) for _ in range(pair_budget)),
+                     first_bad=_breaker(lambda i, u, v: sets[i][0](*raw_add(
+                         params, u.coords(), v.coords())) == ring.zero),
+                     samples=pair_budget * len(sets), rng=rng)
+        # blocks that made fewer sums than the pairs they decide are named
+        how = f": {run[1]:,} raw sums decide {run[2]:,} fiber pairs"
+        rep.detail = detail + (how if 0 < run[1] < rep.checked else "")
+        return rep
+
+    # alpha*F + beta*H with (1, -t): zero set contains the layer
+    reports = [closed("combination-closure-layers", [
+        (combination(params, 1, ring.neg(t)), layer_points(Layer(params, t)),
+         _point_ce(params, t=ring.payload_to_json(t))) for t in ring.ideal_elements()],
+        "(F - t*H)(P1 + P2) = 0 on raw sums, every t")]
     plane = count_projective(2, ring)
-    if plane > 25_000:
-        return reports + [_skipped("combination-closure-hessian",
-                                   f"skipped: P^2(R) has {plane} points, over the 25,000 cap")]
-    if ring.e == 2:
-        combo = combination(params, 0, 1)
-        zeros = plane_zeros(params, combo)
-        blocks = closure_blocks(params, zeros)
-        bad, closed, sums = closure_run(params, combo, blocks)
-        ok, zeros = bad is None, len(zeros)
-        how = f": {sums:,} raw sums decide {len(blocks):,} fiber pairs"
-    else:
-        (ok, closed, zeros), how = hessian_closure_sweep(params, 0, 1), ""
-    return reports + [LawReport("combination-closure-hessian", ok, None, closed, True, None,
-                                detail=f"zero set of H ({zeros} of {plane}"
-                                       f" plane points) closed under raw sums{how}")]
+    if not _affordable(40 * budget, cost=plane):
+        return reports + [_skipped("combination-closure-hessian", f"skipped: |P^2(R)| ="
+                                   f" {plane:,} exceeds 40 * budget = {40 * budget:,}")]
+    combo = combination(params, 0, 1)
+    zeros = plane_zeros(params, combo)
+    rep = closed("combination-closure-hessian", [(combo, zeros, _point_ce(params))],
+                 f"zero set of H ({len(zeros)} of {plane} plane points) closed under raw sums")
+    rep.seed = None if rep.exhaustive else seed  # the whole zero set was swept: no draw
+    return reports + [rep]
 
 
 def infinity_structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):

@@ -177,13 +177,15 @@ def _cross(u, v) -> tuple:
     return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
 
 
-def closure_blocks(params: LoopParams, zeros) -> list:
-    """The raw sums that decide the closure of ``zeros`` at e = 2, one block per
-    unordered pair of fibers: [(pairs, sums)], ``pairs`` the unordered point pairs
-    the block decides, ``sums`` the point pairs whose raw sums decide them.
+def closure_blocks(params: LoopParams, zeros) -> tuple:
+    """(price, blocks): the blocks of point pairs whose raw sums decide the closure
+    of ``zeros`` under the raw law, and the number of those sums.
 
-    ``zeros`` is the zero set of a combination g = alpha*F + beta*H_F, and a
-    fiber its points over one residue point: each is that residue plus pi
+    At e != 2 each unordered pair of the s points is one block, produced
+    lazily, so the price s(s+1)/2 is known before any pair is listed.  At
+    e = 2 there is one block per unordered pair of fibers.  ``zeros`` is the
+    zero set of a combination g = alpha*F + beta*H_F, and a fiber its
+    points over one residue point: each is that residue plus pi
     times its offset digits (:meth:`RingConfig.digits`).  As pi^2 = 0,
     G(a, b) = g(raw_add(a, b)) is affine in the digits of a and b together,
     with no term in both, as every such term carries pi^2 (the first-order
@@ -195,6 +197,9 @@ def closure_blocks(params: LoopParams, zeros) -> list:
     1 + d_A on A x A, as the raw law is symmetric.  A fiber pair without
     both frames is swept pair by pair.
     """
+    if params.ring.e != 2:
+        s = len(zeros)
+        return s * (s + 1) // 2, ([(u, v)] for i, u in enumerate(zeros) for v in zeros[i:])
     p, digits = params.ring.p, params.ring.digits
     fibers = {}
     for pt in zeros:
@@ -214,76 +219,39 @@ def closure_blocks(params: LoopParams, zeros) -> list:
         framed.append(([pt for pt, _ in members], frame if len(members) == p ** len(steps) else None))
     blocks = []
     for i, (mine, frame) in enumerate(framed):
-        blocks.append((len(mine) * (len(mine) + 1) // 2,
-                       [(a, frame[0]) for a in frame] if frame else
-                       [(u, v) for k, u in enumerate(mine) for v in mine[k:]]))
-        for other, their in framed[i + 1:]:
-            blocks.append((len(mine) * len(other),
-                           [(a, their[0]) for a in frame] + [(frame[0], b) for b in their[1:]]
-                           if frame and their else list(product(mine, other))))
-    return blocks
+        blocks.append([(a, frame[0]) for a in frame] if frame else
+                      [(u, v) for k, u in enumerate(mine) for v in mine[k:]])
+        blocks += ([(a, their[0]) for a in frame] + [(frame[0], b) for b in their[1:]]
+                   if frame and their else list(product(mine, other))
+                   for other, their in framed[i + 1:])
+    return sum(map(len, blocks)), blocks
 
 
-def closure_run(params: LoopParams, combo, blocks) -> tuple:
-    """(failing pair or None, point pairs of the blocks run, raw sums made): the
-    sums of :func:`closure_blocks` in order, up to the first that ``combo``
-    does not annihilate."""
-    zero = params.ring.zero
-    covered = sums = 0
-    for pairs, block in blocks:
-        covered += pairs
-        for u, v in block:
-            sums += 1
-            if combo(*raw_add(params, u.coords(), v.coords())) != zero:
-                return (u, v), covered, sums
-    return None, covered, sums
+def closure_run(params: LoopParams, sets) -> tuple:
+    """(failing (set, u, v) or None, raw sums made, blocks run): the blocks of
+    :func:`closure_blocks` of each set [(combination, its blocks)], set after
+    set, up to the first sum that the set's combination does not annihilate."""
+    zero, sums, runs = params.ring.zero, 0, 0
+    for i, (combo, blocks) in enumerate(sets):
+        for block in blocks:
+            runs += 1
+            for u, v in block:
+                sums += 1
+                if combo(*raw_add(params, u.coords(), v.coords())) != zero:
+                    return (i, u, v), sums, runs
+    return None, sums, runs
 
 
-def hessian_closure_sweep(params: LoopParams, alpha, beta, pairs=None) -> tuple:
-    """Closure of the zero set of alpha*F + beta*H_F under the raw law.
-
-    Each supplied pair must consist of points annihilating the
-    combination, else PreconditionUnmet is raised; each distinct point is
-    checked once.  The sum is evaluated on the raw (unnormalized) image
-    triple, so non-primitive sums are handled too.  When no pairs are
-    given, every unordered pair of the combination's zero set in P^2(R)
-    is decided: the raw law is symmetric as a map of triples, so one order
-    per pair suffices.  At e = 2 the zero set's fiber pairs are decided
-    from 1 + d_A + d_B raw sums each (:func:`closure_blocks`), at any other
-    e pair by pair.
-
-    Returns (closed, pairs checked, size of the zero set or None).  The
-    sweep stops at the first pair, or fiber pair, whose sum leaves the
-    zero set.
-    """
-    ring = params.ring
-    zero = ring.zero
+def hessian_closure_sweep(params: LoopParams, alpha, beta) -> tuple:
+    """(closed, raw sums made, size of the zero set): the closure under the raw
+    law of the zero set of alpha*F + beta*H_F, listed by one scan of P^2(R),
+    decided by :func:`closure_run` on every block of :func:`closure_blocks`,
+    unpriced.  Sums are taken on the raw image triple, so non-primitive ones
+    count too; the raw law is symmetric, so one order per pair suffices."""
     combo = combination(params, alpha, beta)
-    if pairs is None:
-        zero_set = plane_zeros(params, combo)
-        size = len(zero_set)
-        if ring.e == 2:
-            bad, checked, _ = closure_run(params, combo, closure_blocks(params, zero_set))
-            return bad is None, checked, size
-        verified = {pt.coords() for pt in zero_set}
-        pairs = ((u, v) for i, u in enumerate(zero_set) for v in zero_set[i:])
-    else:
-        size = None
-        verified = set()
-    checked = 0
-    for u, v in pairs:
-        for w in (u, v):
-            key = w.coords()
-            if key not in verified:
-                if combo(*key) != zero:
-                    raise PreconditionUnmet(
-                        f"pair {u!r}, {v!r} does not annihilate the combination"
-                    )
-                verified.add(key)
-        checked += 1
-        if combo(*raw_add(params, u.coords(), v.coords())) != zero:
-            return False, checked, size
-    return True, checked, size
+    zeros = plane_zeros(params, combo)
+    bad, sums, _ = closure_run(params, [(combo, closure_blocks(params, zeros)[1])])
+    return bad is None, sums, len(zeros)
 
 
 def layer_isomorphism_check(layer: Layer, cayley) -> tuple:

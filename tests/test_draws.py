@@ -23,8 +23,8 @@ import pytest
 from elliptic_loops import LoopParams, RingConfig, add, identity, low_nilpotency_suite, replay
 from elliptic_loops import diagnostics, layers
 from elliptic_loops.diagnostics import FIBER_LAYOUTS, NILPOTENCY_CHECKS, _fiber_probes
-from elliptic_loops.layers import (Layer, closure_blocks, combination, layer_points,
-                                   plane_zeros)
+from elliptic_loops.layers import (Layer, closure_blocks, closure_run, combination,
+                                   layer_points, plane_zeros)
 from elliptic_loops.loop_core import _eval_f, raw_add
 
 LOOPS = [
@@ -219,14 +219,26 @@ def test_probes_decide_every_fiber_pair_as_its_full_sweep_does(pair_loop, check)
                         else {True, False})
 
 
+#: the fiber-pair loops, then e = 1 (fibers of one point) and e = 3 (one block per pair)
+CLOSURE_LOOPS = [loop[:3] for loop in PAIR_LOOPS] + [(RingConfig.integer(7, 1), 0, 2),
+                                                    (RingConfig.integer(5, 3), 2, 1)]
+
+
+@pytest.fixture(scope="module", params=CLOSURE_LOOPS,
+                ids=lambda loop: f"{loop[0]}-{loop[1]}-{loop[2]}")
+def closure_params(request):
+    return LoopParams(*request.param)
+
+
 @pytest.mark.parametrize("zero_set", ["hessian", "layers", "off-pencil"])
-def test_closure_probes_decide_every_fiber_pair_as_its_full_sweep_does(pair_loop, zero_set):
+def test_closure_probes_decide_every_fiber_pair_as_its_full_sweep_does(closure_params, zero_set):
     """On the zero set of H in the plane, of every layer, and of F + X^3, a cubic
-    off the pencil whose zero set is not closed: the at most 5 raw sums of each
-    unordered fiber pair decide all its point pairs, which are the pairs the block
-    counts.  Off the pencil both verdicts occur, and some fiber pair passes at its
-    base pair and fails only at a unit step."""
-    params, _, _ = pair_loop
+    off the pencil whose zero set is not closed.  At e = 2 the at most 5 raw sums
+    of each unordered fiber pair decide all its point pairs; off the pencil both
+    verdicts occur, and some fiber pair passes at its base pair and fails only at
+    a unit step.  At any other e every block is one unordered pair, so the run's
+    verdict, first failing pair and sums are those of a direct pair sweep."""
+    params = closure_params
     ring = params.ring
     if zero_set == "layers":
         sets = [(combination(params, 1, ring.neg(t)), layer_points(Layer(params, t)))
@@ -235,28 +247,40 @@ def test_closure_probes_decide_every_fiber_pair_as_its_full_sweep_does(pair_loop
         g = (combination(params, 0, 1) if zero_set == "hessian" else
              lambda x, y, z: (_eval_f(params, x, y, z) + x * x * x) % ring.mod)
         sets = [(g, plane_zeros(params, g))]
+    closed = lambda g, pairs: all(g(*raw_add(params, u.coords(), v.coords())) == 0
+                                  for u, v in pairs)
     verdicts, at_a_step = set(), False
     for g, zeros in sets:
+        price, blocks = closure_blocks(params, zeros)
+        if ring.e != 2:
+            every = [(u, v) for k, u in enumerate(zeros) for v in zeros[k:]]
+            blocks = list(blocks)
+            assert price == len(every) == len(blocks)
+            assert all(u is a and v is b for [(u, v)], (a, b) in zip(blocks, every))
+            first = next((k for k, pair in enumerate(every) if not closed(g, [pair])), None)
+            bad, sums, runs = closure_run(params, [(g, blocks)])
+            assert bad == (None if first is None else (0, *every[first]))
+            assert sums == runs == (len(every) if first is None else first + 1)
+            verdicts.add(first is None)
+            continue
         fibers = {}  # the oracle's fibers: the zero set grouped by residue point
         for pt in zeros:
             fibers.setdefault(tuple(map(ring.residue, pt.coords())), []).append(pt)
         fibers = list(fibers.values())
-        blocks = closure_blocks(params, zeros)
         assert len(blocks) == len(fibers) * (len(fibers) + 1) // 2
+        assert price == sum(map(len, blocks))
         pairs = ((i, j) for i in range(len(fibers)) for j in range(i, len(fibers)))
-        closed = lambda pairs: all(g(*raw_add(params, u.coords(), v.coords())) == 0
-                                   for u, v in pairs)
-        for (i, j), (covered, sums) in zip(pairs, blocks):
+        for (i, j), sums in zip(pairs, blocks):
             a, b = fibers[i], fibers[j]
             every = ([(u, v) for k, u in enumerate(a) for v in a[k:]] if i == j
                      else list(product(a, b)))
-            assert covered == len(every) and len(sums) <= 5
-            assert set(sums) <= set(product(a, b))
-            assert closed(sums) == closed(every), (i, j)
-            verdicts.add(closed(every))
-            at_a_step |= closed(sums[:1]) and not closed(sums)
-    assert verdicts == ({True, False} if zero_set == "off-pencil" else {True})
-    assert at_a_step == (zero_set == "off-pencil")
+            assert len(sums) <= 5 and set(sums) <= set(product(a, b))
+            assert closed(g, sums) == closed(g, every), (i, j)
+            verdicts.add(closed(g, every))
+            at_a_step |= closed(g, sums[:1]) and not closed(g, sums)
+    fiber_pairs = ring.e == 2 and zero_set == "off-pencil"
+    assert verdicts == ({True, False} if fiber_pairs else {zero_set != "off-pencil"})
+    assert at_a_step == fiber_pairs
 
 
 def test_a_fiber_that_is_not_an_affine_span_is_swept_pair_by_pair(monkeypatch):

@@ -507,50 +507,6 @@ def test_hessian_closure_for_f_h_and_layer_combinations():
     assert hessian_closure_sweep(params, 1, RingElem(ring, ring.neg(ring.from_int(5))))[0]
 
 
-def test_hessian_closure_rejects_non_annihilating_pairs():
-    params = params_for(5, 2, 2, 1)
-    ring = params.ring
-    good = ProjPoint.of(ring, 0, 1, 0)
-    bad = ProjPoint.of(ring, 1, 1, 1)
-    with pytest.raises(PreconditionUnmet):
-        hessian_closure_sweep(params, 1, 0, [(good, bad)])
-
-
-def test_hessian_closure_unordered_sweep_matches_ordered_pairs():
-    params = params_for(5, 2, 2, 1)
-    ring = params.ring
-    ok, checked, zeros = hessian_closure_sweep(params, 0, 1)
-    zero_set = [pt for pt in plane_points(ring) if eval_H(params, pt).is_zero()]
-    assert ok and zeros == len(zero_set)
-    assert checked == zeros * (zeros + 1) // 2
-    ordered = [(u, v) for u in zero_set for v in zero_set]
-    assert hessian_closure_sweep(params, 0, 1, ordered) == (True, zeros**2, None)
-
-
-def test_hessian_closure_checks_each_distinct_point_once(monkeypatch):
-    params = params_for(5, 2, 2, 1)
-    ring = params.ring
-    u, v = ProjPoint.of(ring, 0, 1, 0), ProjPoint.of(ring, 5, 1, 0)
-    calls = []
-    real = layers._eval_f
-    monkeypatch.setattr(layers, "_eval_f", lambda *a: calls.append(a) or real(*a))
-    assert hessian_closure_sweep(params, 1, 0, [(u, v), (v, u), (u, u)] * 10)[0]
-    assert len(calls) == 2 + 30  # the two inputs once, then one sum per pair
-
-
-def test_hessian_closure_explicit_pairs_stop_at_first_failure(monkeypatch):
-    params = params_for(5, 2, 2, 1)
-    ring = params.ring
-    good = ProjPoint.of(ring, 0, 1, 0)
-    bad = ProjPoint.of(ring, 1, 1, 1)
-    # a law whose every sum leaves the zero set of F: F(1, 1, 1) = 3
-    monkeypatch.setattr(layers, "raw_add", lambda params, t1, t2: (1, 1, 1))
-    pairs = [(good, good), (good, bad)]
-    assert hessian_closure_sweep(params, 1, 0, pairs) == (False, 1, None)
-    with pytest.raises(PreconditionUnmet):
-        hessian_closure_sweep(params, 1, 0, pairs[::-1])
-
-
 def test_distinct_shifts_give_distinct_curves():
     params = params_for(5, 2, 2, 1)
     ring = params.ring

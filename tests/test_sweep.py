@@ -267,13 +267,42 @@ def test_verify_all_lists_the_same_checks_on_every_ring_and_budget():
 
 
 def test_hessian_check_over_the_plane_cap_is_a_named_skip():
-    params = params_for(13, 2, 0, 6)  # P^2(Z/169) has 30,927 points
+    """P^2(Z/169) has 30,927 points, and the plane scan is priced at 40 * budget, the
+    factor of the layer gate (q * |m|^3 = 15,379 passes at both budgets)."""
+    params = params_for(13, 2, 0, 6)
+    laws = ["combination-closure-layers", "combination-closure-hessian"]
     reports = verify_instance(params, "hessian-closure", budget=1_000, seed=0)
-    assert [r.law for r in reports] == ["combination-closure-layers",
-                                        "combination-closure-hessian"]
+    assert [r.law for r in reports] == laws
     layers, hessian = reports
     assert layers.holds and layers.checked > 0
-    assert hessian.checked == 0 and "30927" in hessian.detail and "25,000" in hessian.detail
+    # the 351-point zero set of H: all 61,776 unordered pairs from 360 raw sums
+    assert hessian.holds and hessian.exhaustive and hessian.checked == 351 * 352 // 2
+    assert hessian.detail.endswith(": 360 raw sums decide 120 fiber pairs")
+    reports = verify_instance(params, "hessian-closure", budget=700, seed=0)
+    assert [r.law for r in reports] == laws
+    layers, hessian = reports
+    assert layers.holds and layers.checked > 0
+    assert hessian.status == "skipped" and hessian.checked == 0
+    assert "30,927" in hessian.detail and "28,000" in hessian.detail
+
+
+@pytest.mark.parametrize("budget", [1_000, 200_000])
+def test_every_pair_of_a_small_e_1_layer_is_decided(budget):
+    """Z/7 (0,2) is one 9-point layer: its 45 unordered pairs cost 45 raw sums,
+    which fit every budget, where they used to be drawn 250 or 2,000 times."""
+    layers, _ = verify_instance(params_for(7, 1, 0, 2), "hessian-closure", budget=budget)
+    assert layers.holds and layers.exhaustive and layers.checked == 45
+
+
+@pytest.mark.parametrize("inst, budget, draws", [
+    ((13, 2, 0, 6), 1_000, 13 * 19),  # 1,001 raw sums over 13 layers, 77 each
+    ((5, 3, 2, 1), 20_000, 25 * 200),  # 25 layers of 15,400 pairs, each alone in budget
+])
+def test_the_layers_closure_is_priced_once_over_all_layers(inst, budget, draws):
+    """The raw sums of all layers together are priced against the budget, so a check
+    whose layers each fit but not all together is sampled, pair_budget per layer."""
+    layers, _ = verify_instance(params_for(*inst), "hessian-closure", budget=budget, seed=0)
+    assert layers.holds and not layers.exhaustive and layers.checked == draws
 
 
 @pytest.mark.parametrize("inst,budget,runs", [
