@@ -364,12 +364,11 @@ class CayleyIndex:
     under negation.  A set that is not closed raises at its first pair, in row
     order, whose sum is outside.
 
-    Every table is decided the same way: Light's test on a generating set
-    (:meth:`associative`, n^2 lookups per generator, run once and cached)
-    proves associativity, or names a failing triple, and with commuting
-    generators proves the Moufang identity; only a Moufang table it does
-    not prove is swept over all n^3 triples as lists.  Light's test runs
-    as ``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points.
+    Light's test on a generating set (:meth:`associative`, n^2 lookups per
+    generator, run once and cached) proves associativity, or names a failing
+    triple, and with commuting generators proves the Moufang identity; it
+    runs as ``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points.
+    Every other law is swept over the table's indices (:func:`law_suite`).
     """
 
     __slots__ = ("params", "points", "index", "table", "neg", "ident", "_cycles", "_light")
@@ -497,61 +496,22 @@ class CayleyIndex:
         """
         return self._light_test()
 
-    def moufang_sweep(self):
-        """First triple (i, j, k) of indices breaking the Moufang identity
-        (P + (Q + R)) + R = ((P + R) + R) + Q, or None.
 
-        Every commutative semigroup satisfies it, so an :meth:`abelian`
-        table returns None at once; any other is swept in full.
-        """
-        return None if self.abelian() else self._moufang_by_lists()
-
-    def _moufang_by_lists(self):
-        """The full sweep of :meth:`moufang_sweep`, and the reference for its shortcut."""
-        t = self.table
-        n = len(t)
-        for i in range(n):
-            ti = t[i]
-            for j in range(n):
-                tj = t[j]
-                for k in range(n):
-                    if t[ti[tj[k]]][k] != t[t[ti[k]][k]][j]:
-                        return (i, j, k)
-        return None
-
-
-def _table_law(cayley: CayleyIndex, proofs: list, law: str = "full-associative", first_bad=None):
-    """``exhaust`` of a law over an index table; cases are indices.
-
-    A pair law of :data:`LOOKUP_LAWS` is one pass of ``first_bad`` over all
-    pairs, its lookups appended to ``proofs`` as (0, lookups) up to a failing
-    pair.  Associativity, diassociativity of an associative table and Moufang
-    of an abelian one are Light's test: (generators, lookups) up to its
-    failing triple, if any.  Any other Moufang table is swept in full: None.
-    """
-    n = len(cayley.table)
-    if law in LOOKUP_LAWS:
-        hit = first_bad(product(range(n), repeat=2))
-        proofs.append((0, LOOKUP_LAWS[law] * (n * n if hit is None else hit[0])))
-        return hit
-    bad = cayley.moufang_sweep() if law == "moufang" else cayley.assoc_sweep()
-    gens = cayley._light[0]
-    if law == "moufang" and not cayley.abelian():
-        proofs.append(None)
-    else:  # n lookups per (x, g) up to Light's failing triple, if any
-        pairs = n * len(gens) if bad is None else bad[0] * len(gens) + gens.index(bad[1]) + 1
-        proofs.append((len(gens), pairs * n))
+def _table_law(cayley: CayleyIndex, proofs: list):
+    """``exhaust`` by Light's test over an index table: associativity, Moufang of an
+    abelian table (a commutative semigroup is Moufang) and diassociativity of an
+    associative one.  Appends (generators, lookups up to a failing triple) to ``proofs``."""
+    n, bad = len(cayley.table), cayley.assoc_sweep()
+    gens = cayley._light[0]  # n lookups per (x, g) up to Light's failing triple
+    pairs = n * len(gens) if bad is None else bad[0] * len(gens) + gens.index(bad[1]) + 1
+    proofs.append((len(gens), pairs * n))
     return None if bad is None else (None, bad)
 
 
 def _table_detail(proofs: list, law: str = "full-associative") -> str:
-    """The detail of a report decided by the tables in ``proofs`` (see _table_law)."""
-    if None in proofs:  # a Moufang table that Light's test does not prove
-        return "full sweep"
-    if not proofs:  # sampled
+    """The detail of a report decided by Light's test (see _table_law); "" if none ran."""
+    if not proofs:
         return ""
-    if law in LOOKUP_LAWS:
-        return f"index table: {sum(k for _, k in proofs):,} lookups"
     how = {"moufang": "Light's test and commuting generators",
            "diassociative": "implied by associativity, Light's test"}.get(law, "Light's test")
     on = f" on {len(proofs)} tables" if len(proofs) > 1 else ""
@@ -565,7 +525,7 @@ def _table_detail(proofs: list, law: str = "full-associative") -> str:
 
 
 TRIPLE_LAWS = ("full-associative", "moufang")
-LOOKUP_LAWS = {"alternative": 4, "jordan": 5, "latin-square": 3}  # a table's lookups a pair
+PAIR_LAWS = ("alternative", "jordan", "latin-square")
 
 
 def _law_holds(ops, law, p, q, r=None, *more) -> bool:
@@ -633,15 +593,15 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     draws from the seed; each case costs its additions (two for unique
     solvability, P + (Q - P) = Q).  The whole loop's index table is built
     where it is :func:`_affordable` against the budget or the samples (at
-    least 3 additions each), and :func:`_table_law` decides on it every case
-    of alternative, jordan, latin-square and full-associative, of moufang
-    when abelian and of diassociative when associative (a group is
-    diassociative); the rest run over its indices on the same draws.  At
-    e = 2 the pair laws alternative, jordan and latin-square are decided on
-    the q^2 fiber pairs instead, 5 probes each (:func:`_fiber_sweep`), over
-    the table's indices when it is built and else over points built from
-    the residue curve: always with a table, without one when 5 q^2 cases
-    are affordable against the draws.
+    least 3 additions each).  Over it, Light's test (:func:`_table_law`)
+    decides full-associative, moufang when abelian and diassociative when
+    associative; every other law is its own sweep over the table's indices,
+    a pair law priced at nothing (n^2 lookups).  At e = 2 the pair laws
+    alternative, jordan and latin-square are decided on the q^2 fiber pairs
+    instead, 5 probes each (:func:`_fiber_sweep`), over the table's indices
+    when it is built and else over points built from the residue curve:
+    always with a table, without one when 5 q^2 cases are affordable against
+    the draws.
     """
     if laws is None:
         laws = LAW_NAMES
@@ -674,7 +634,7 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
         if law == "power-associative":
             space, draws = None, power_draws
             encode = lambda case: {**points(case[:1]), "exponents": list(case[1:])}
-        elif law in LOOKUP_LAWS and params.ring.e == 2:  # affine on fiber pairs
+        elif law in PAIR_LAWS and params.ring.e == 2:  # affine on fiber pairs
             rep = _fiber_sweep(params, law, (1, 2), partial(_law_holds, ops, law), budget, seed,
                                points, weight=weights.get(law, 1), noun="fiber pairs",
                                at=None if cayley else _fiber_point(params), draws=draws,
@@ -682,15 +642,18 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
             rep.detail += " over the index table" if cayley and rep.exhaustive else ""
             reports.append(rep)
             continue
-        elif cayley and (law != "diassociative" or cayley.associative()):
-            exhaust = partial(_table_law, cayley, proofs, law, first_bad)
-            cost = 0 if law != "moufang" or cayley.abelian() else None
-        elif law in TRIPLE_LAWS:
+        elif cayley and law in PAIR_LAWS:
+            cost = 0  # a few lookups a pair
+        elif cayley and (law == "full-associative" or law == "moufang" and cayley.abelian()
+                         or law == "diassociative" and cayley.associative()):
+            exhaust, cost = partial(_table_law, cayley, proofs), 0
+        elif law in TRIPLE_LAWS and not cayley:
             space = None  # only a table sweeps a triple law
         rep = _sweep(law, budget, seed, encode, space=space, weight=weights.get(law, 1),
                      exhaust=exhaust, draws=draws, first_bad=first_bad, samples=samples[law],
                      cost=cost)
-        rep.detail = _table_detail(proofs, law)
+        rep.detail = _table_detail(proofs, law) or (
+            "over the index table" if cayley and rep.exhaustive else "")
         reports.append(rep)
     return reports
 
@@ -1157,8 +1120,10 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     """Decide whether the loop is a group, with an explicit reason.
 
     Groups are certified by an isomorphism with Z/n1 x Z/n2, read off the
-    whole loop's index table (at most ((n+1)/2)^2 additions, see CayleyIndex): a basis
-    G1, G2 of orders n1, n2 with n1 * n2 = n is searched, and the map
+    whole loop's index table (at most ((n+1)/2)^2 additions, see CayleyIndex):
+    each point's order is the length of its cycle of multiples there
+    (:meth:`CayleyIndex.multiples`), a basis G1, G2 of orders n1, n2 with
+    n1 * n2 = n is searched, and the map
     (i, j) -> i*G1 + j*G2 is checked to be a bijection, which proves that
     G1 and G2 generate the loop.  Light's test on {G1, G2}
     (:meth:`CayleyIndex.associative`) then proves the loop associative, so
@@ -1193,14 +1158,13 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
 
     if not _affordable(math.inf, table=n):  # capped, never priced
         return search()
-    orders = [order_of(params, pt) for pt in pts]
+    cayley = CayleyIndex(params, pts)
+    table = cayley.table
+    orders = [len(cayley.multiples(i)) for i in range(n)]
     n2 = max(orders)
     n1 = n // n2
     if n1 * n2 != n or (n1 > 1 and n2 % n1):
         return search()
-
-    cayley = CayleyIndex(params, pts)
-    table = cayley.table
     g2 = orders.index(n2)
     g2_multiples = cayley.multiples(g2)
     candidates = [i for i, o in enumerate(orders) if o == n1] if n1 > 1 else [cayley.ident]

@@ -242,18 +242,6 @@ def closure_run(params: LoopParams, sets) -> tuple:
     return None, sums, runs
 
 
-def hessian_closure_sweep(params: LoopParams, alpha, beta) -> tuple:
-    """(closed, raw sums made, size of the zero set): the closure under the raw
-    law of the zero set of alpha*F + beta*H_F, listed by one scan of P^2(R),
-    decided by :func:`closure_run` on every block of :func:`closure_blocks`,
-    unpriced.  Sums are taken on the raw image triple, so non-primitive ones
-    count too; the raw law is symmetric, so one order per pair suffices."""
-    combo = combination(params, alpha, beta)
-    zeros = plane_zeros(params, combo)
-    bad, sums, _ = closure_run(params, [(combo, closure_blocks(params, zeros)[1])])
-    return bad is None, sums, len(zeros)
-
-
 def layer_isomorphism_check(layer: Layer, cayley) -> tuple:
     """Explicit isomorphism Z/p^(e-1) x E(F_p) -> L_t when gcd(q, 3p) = 1.
 

@@ -1,22 +1,24 @@
 """Index tables: Light's test decides, and names its own failing triple.
 
-Every table is decided the same way.  Light's test on a generating set
-proves associativity or stops at its first failing triple (x, g, y), which
-``assoc_sweep`` reports; with commuting generators it also proves the
-Moufang identity (P + (Q + R)) + R = ((P + R) + R) + Q, which every
-commutative semigroup satisfies, and only a table it does not prove is
-swept over all n^3 triples as lists for Moufang.  Light's test runs as
-``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points, as lists
-above.  Its verdicts must agree with the full n^3 list sweeps kept here as
-the reference (``assoc_by_lists``), on both sides of that cutoff and on a
-table that is associative but not symmetric, and every triple it names
-must fail in the table.
+A law is decided on an index table in one of two ways.  Light's test on a
+generating set proves associativity or stops at its first failing triple
+(x, g, y), which ``assoc_sweep`` reports; with commuting generators it also
+proves the Moufang identity (P + (Q + R)) + R = ((P + R) + R) + Q, which
+every commutative semigroup satisfies.  Every other law, Moufang on a table
+that is not abelian among them, is the law's own sweep over the table's
+indices, as ``law_suite`` runs it.  Light's test runs as ``bytes`` rows on
+tables of at most ``BYTE_ROWS_MAX`` points, as lists above.  Its verdicts
+must agree with the full n^3 list sweeps kept here as the reference
+(``assoc_by_lists``), on both sides of that cutoff and on a table that is
+associative but not symmetric, and every triple it names must fail in the
+table; the Moufang sweep must name the first triple of ``moufang_by_definition``.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -63,14 +65,22 @@ def assert_sweeps_match_lists(cayley):
     bad = cayley.assoc_sweep()
     assert (bad is None) == (reference is None)
     assert bad is None or (fails(cayley.table, bad) and bad[1] in cayley._light[0])
-    assert cayley.moufang_sweep() == cayley._moufang_by_lists()
 
 
 def index_table(table, ident):
     """A CayleyIndex over a hand-written table, with no points behind it."""
     cayley = CayleyIndex.__new__(CayleyIndex)
     cayley.table, cayley.ident, cayley._cycles, cayley._light = table, ident, {}, None
+    cayley.neg = [row.index(ident) for row in table]
     return cayley
+
+
+def moufang_over_indices(cayley):
+    """The first triple failing Moufang in ``law_suite``'s own sweep of the
+    table's indices, or None."""
+    holds = partial(diagnostics._law_holds, diagnostics._ops(None, cayley), "moufang")
+    hit = diagnostics._breaker(holds)(product(range(len(cayley.table)), repeat=3))
+    return hit and hit[1]
 
 
 def left_normed_closure(table, gens):
@@ -99,11 +109,19 @@ def test_byte_sweeps_match_lists_on_every_layer(inst):
 @pytest.mark.parametrize("inst", [(5, 2, 4, 2), (7, 2, 0, 4), (5, 2, 3, 2), (5, 2, 2, 1),
                                   (5, 2, 1, 1), (7, 2, 1, 1), (7, 2, 4, 1)])
 def test_byte_sweeps_match_lists_on_whole_loops(inst):
-    """Light's test, as byte rows here, and both sweeps agree with the list sweeps."""
+    """Light's test, as byte rows here, agrees with the list sweeps, and the Moufang
+    report over the table with the Moufang identity read off it by definition."""
     params = params_for(*inst)
-    cayley = CayleyIndex(params, params.loop_points())
-    assert len(cayley.table) <= BYTE_ROWS_MAX
+    pts = params.loop_points()
+    cayley = CayleyIndex(params, pts)
+    n = len(cayley.table)
+    assert n <= BYTE_ROWS_MAX
     assert_sweeps_match_lists(cayley)
+    bad = moufang_by_definition(cayley.table)
+    (rep,) = law_suite(params, ("moufang",), budget=n**3)
+    assert rep.exhaustive and rep.holds == (bad is None)
+    assert bad is None or rep.counterexample == {
+        "points": diagnostics._encode_points(params, [pts[k] for k in bad])}
     gens = cayley.generators()
     assert cayley.ident not in gens
     assert left_normed_closure(cayley.table, gens) == set(range(len(cayley.table)))
@@ -122,12 +140,13 @@ def cyclic_table(n, corrupt=None):
 def test_cyclic_tables_on_both_sides_of_the_byte_row_cutoff(n):
     clean = cyclic_table(n)
     assert clean.assoc_sweep() is None
-    assert clean.moufang_sweep() is None
+    assert clean.abelian()  # so Light's test proves Moufang too
     # at (2, 2) the first failing k of the first failing i is not the first j
     for cell in [(3, 5), (2, 2), (n - 1, n - 2)]:
         broken = cyclic_table(n, cell)
         assert broken.assoc_sweep() is not None
-        assert broken.moufang_sweep() is not None
+        assert not broken.abelian()
+        assert moufang_over_indices(broken) == moufang_by_definition(broken.table) is not None
         assert_sweeps_match_lists(broken)
 
 
@@ -392,23 +411,21 @@ def test_associative_table_that_is_not_symmetric_is_swept_for_moufang():
     s3 = s3_table()
     assert s3.associative() and not symmetric(s3.table)
     assert not s3.abelian()
-    assert s3.moufang_sweep() is not None
-    assert s3.moufang_sweep() == moufang_by_definition(s3.table)
+    assert moufang_over_indices(s3) == moufang_by_definition(s3.table) is not None
     assert_sweeps_match_lists(s3)
 
 
-@pytest.mark.parametrize("make", [lambda: cyclic_table(BYTE_ROWS_MAX + 1),
-                                  lambda: CayleyIndex(params_for(5, 2, 4, 2),
-                                                      params_for(5, 2, 4, 2).loop_points())],
-                         ids=["cyclic-257", "loop-5-2-4-2"])
-def test_abelian_table_is_not_swept_for_moufang(make, monkeypatch):
-    def refuse(self):
-        raise AssertionError("an associative, symmetric table was swept")
+def test_abelian_table_is_not_swept_for_moufang(monkeypatch):
+    params = params_for(5, 2, 4, 2)
+    n, law_holds = params.cardinality(), diagnostics._law_holds
 
-    cayley = make()
-    monkeypatch.setattr(CayleyIndex, "_moufang_by_lists", refuse)
-    assert cayley.abelian()
-    assert cayley.moufang_sweep() is None
+    def refuse_moufang(ops, law, *case):
+        assert law != "moufang", "an associative, symmetric table was swept"
+        return law_holds(ops, law, *case)
+
+    monkeypatch.setattr(diagnostics, "_law_holds", refuse_moufang)
+    (rep,) = law_suite(params, ("moufang",), budget=n**3)
+    assert rep.holds and rep.exhaustive and rep.detail.startswith("Light's test")
 
 
 def test_law_suite_runs_light_test_once_per_table(monkeypatch):
@@ -442,12 +459,12 @@ def test_non_group_counterexamples_are_light_tests_failing_triple(inst):
     tried = len(gens) + gens.index(s) + 1
     assert assoc.detail == f"Light's test: {len(gens)} generators, {tried * n:,} lookups"
     assert moufang.counterexample == {"points": [[0, 1, 0], [0, 1, p], [0, 1, 1]]}
-    assert moufang.detail == "full sweep"
+    assert moufang.detail == "over the index table"
 
 
 @pytest.mark.parametrize("inst, detail", [
     ((5, 2, 4, 2), "Light's test and commuting generators: 3 generators, 16,875 lookups"),
-    ((5, 2, 2, 1), "full sweep"),
+    ((5, 2, 2, 1), "over the index table"),
 ])
 def test_moufang_report_names_its_method(inst, detail):
     params = params_for(*inst)
@@ -458,12 +475,22 @@ def test_moufang_report_names_its_method(inst, detail):
     assert rep.detail == detail
 
 
+def test_moufang_on_a_table_that_is_not_abelian_is_priced_at_n_cubed():
+    """Its own sweep over the table's indices is priced at n^3, one a triple."""
+    params = params_for(5, 2, 2, 1)
+    n = params.cardinality()
+    for budget, exhaustive in [(n**3, True), (n**3 - 1, False)]:
+        (rep,) = law_suite(params, ("moufang",), budget=budget, seed=0)
+        assert not rep.holds and rep.exhaustive == exhaustive
+        assert rep.detail == ("over the index table" if exhaustive else "")
+
+
 @pytest.mark.parametrize("inst", [(5, 2, 4, 2), (5, 2, 2, 1)], ids=["group", "non-group"])
 def test_lookup_laws_name_the_table_and_its_lookups(inst):
     """At e = 2, alternative, jordan and latin-square over the whole-loop table are
     decided on its fiber pairs, 5 probes each, up to the first failing probe, and
-    say so and name the table; sampled, they say nothing.  (Read off the table
-    pair by pair, which e = 1 keeps, they say "index table: N lookups".)"""
+    say so and name the table; sampled, they say nothing.  (Swept pair by pair over
+    the table's indices, as at e = 1, they say "over the index table".)"""
     params = params_for(*inst)
     n, q, group = params.cardinality(), params.q, inst == (5, 2, 4, 2)
     reports = law_suite(params, ("alternative", "jordan", "latin-square"), budget=200_000, seed=7)
@@ -487,8 +514,8 @@ def test_lookup_laws_name_the_table_and_its_lookups(inst):
     e1 = params_for(263, 1, 4, 1)  # a fiber is one point: the table is read pair by pair
     reports = law_suite(e1, ("alternative", "jordan", "latin-square"), budget=200_000, seed=7)
     n = e1.cardinality()
-    assert [r.detail for r in reports] == [f"index table: {per * n * n:,} lookups"
-                                           for per in (4, 5, 3)]
+    assert [(r.holds, r.exhaustive, r.checked) for r in reports] == [(True, True, n * n)] * 3
+    assert [r.detail for r in reports] == ["over the index table"] * 3
 
 
 # ---------------------------------------------------------------------------

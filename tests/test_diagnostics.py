@@ -274,7 +274,7 @@ def test_the_identity_alone_catches_a_row_collision(monkeypatch):
     assert not rep.holds and rep.exhaustive and rep.checked == n * n
     p, q = (pts.index(pt) for pt in _decode(params, rep.counterexample["points"]))
     assert p == i
-    assert rep.detail == f"index table: {3 * (i * n + q + 1):,} lookups"
+    assert rep.detail == "over the index table"
 
 
 def test_a_failing_pair_over_points_encodes_and_replays(monkeypatch):
@@ -622,9 +622,19 @@ def test_group_certificate_adds_no_more_than_one_table_build(monkeypatch):
         diagnostics.witness_B(params)
     witness_adds, calls[0] = calls[0], 0
     assert group_certificate(params)["is_group"] is True
-    # order_of adds through loop_core, so only the table build (one add per unordered
-    # pair up to negation) and the basis count
+    # orders are read off the table's cycles, so only the table build adds (at most
+    # one add per unordered pair up to negation)
     assert calls[0] - witness_adds <= ((n + 1) // 2) ** 2 + n
+
+
+def test_group_certificate_reads_orders_off_its_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("order_of ran")
+
+    monkeypatch.setattr(diagnostics, "order_of", refuse)
+    for inst, invariants in [((7, 2, 0, 2), [21, 21]), ((5, 2, 4, 2), [5, 15])]:
+        cert = group_certificate(params_for(*inst))
+        assert cert["is_group"] is True and cert["invariants"] == invariants
 
 
 def test_small_classification_sweep():

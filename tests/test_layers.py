@@ -40,7 +40,7 @@ from elliptic_loops import (
 )
 from elliptic_loops import diagnostics, layers
 from elliptic_loops.diagnostics import CayleyIndex, layer_suite
-from elliptic_loops.layers import hessian_closure_sweep
+from elliptic_loops.layers import closure_blocks, closure_run, combination, plane_zeros
 
 
 def params_for(p, e, a, b):
@@ -500,11 +500,14 @@ def test_layer_group_structure_against_order_statistics():
 
 
 def test_hessian_closure_for_f_h_and_layer_combinations():
+    """The zero sets of F, H and F - 5H are each closed under the raw law."""
     params = params_for(5, 2, 2, 1)
     ring = params.ring
-    assert hessian_closure_sweep(params, 1, 0)[0]
-    assert hessian_closure_sweep(params, 0, 1)[0]
-    assert hessian_closure_sweep(params, 1, RingElem(ring, ring.neg(ring.from_int(5))))[0]
+    for alpha, beta in [(1, 0), (0, 1), (1, RingElem(ring, ring.neg(ring.from_int(5))))]:
+        g = combination(params, alpha, beta)
+        blocks = closure_blocks(params, plane_zeros(params, g))[1]
+        bad, sums, _ = closure_run(params, [(g, blocks)])
+        assert bad is None and sums > 0
 
 
 def test_distinct_shifts_give_distinct_curves():
