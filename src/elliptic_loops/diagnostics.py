@@ -143,18 +143,16 @@ def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, dra
     counterexample.  Otherwise ``first_bad`` runs on the first ``samples``
     (default ``max(1, budget // weight)``) of ``draws(rng)``, an endless
     generator, and the report counts the draws made, the failing one
-    included; without ``draws`` the check is left out (None).  ``first_bad``
-    and ``exhaust`` return ``(k, case)`` for the k-th failing case (``exhaust``
-    may give any k), or None; ``encode(case)`` is the counterexample.  ``rng``
-    is the stream the checks of one suite share; by default a fresh one.
+    included.  ``first_bad`` and ``exhaust`` return ``(k, case)`` for the
+    k-th failing case (``exhaust`` may give any k), or None; ``encode(case)``
+    is the counterexample.  ``rng`` is the stream the checks of one suite
+    share; by default a fresh one.
     """
     if samples is None:
         samples = max(1, budget // weight)
     if space is not None and _affordable(budget, samples * weight,
                                          cost=space * weight if cost is None else cost):
         hit, checked, exhaustive = exhaust(), space, True
-    elif draws is None:
-        return None
     else:
         hit = first_bad(islice(draws(rng or random.Random(seed)), samples))
         checked, exhaustive = (samples if hit is None else hit[0]), False
@@ -600,8 +598,8 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     alternative, jordan and latin-square are decided on the q^2 fiber pairs
     instead, 5 probes each (:func:`_fiber_sweep`), over the table's indices
     when it is built and else over points built from the residue curve:
-    always with a table, without one when 5 q^2 cases are affordable against
-    the draws.
+    all of them with a table, without one when their 5 q^2 cases are
+    affordable, and else seeded fiber pairs.
     """
     if laws is None:
         laws = LAW_NAMES
@@ -636,9 +634,8 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
             encode = lambda case: {**points(case[:1]), "exponents": list(case[1:])}
         elif law in PAIR_LAWS and params.ring.e == 2:  # affine on fiber pairs
             rep = _fiber_sweep(params, law, (1, 2), partial(_law_holds, ops, law), budget, seed,
-                               points, weight=weights.get(law, 1), noun="fiber pairs",
-                               at=None if cayley else _fiber_point(params), draws=draws,
-                               first_bad=first_bad, samples=samples[law], cost=cayley and 0)
+                               points, weight=weights.get(law, 1),
+                               at=None if cayley else _fiber_point(params), cost=cayley and 0)
             rep.detail += " over the index table" if cayley and rep.exhaustive else ""
             reports.append(rep)
             continue
@@ -831,7 +828,7 @@ def _fiber_point(params: LoopParams):
 
 
 def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *, extra=(),
-                 weight=1, at=None, noun="fiber tuples", rng=None, **points) -> LawReport:
+                 weight=1, at=None, cost=None, rng=None) -> LawReport:
     """Decide ``law`` on whole fiber tuples through :func:`_sweep`: the one loop of
     every fiber-tuple route, at e <= 2.
 
@@ -841,15 +838,11 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
     ``holds(*case)`` judges one.  With m^2 = 0 both sides of an identity on
     k points are affine maps of their 2k offset digits into one fiber (see
     :func:`low_nilpotency_suite`), so the 2k + 1 probes decide all |m|^(2k)
-    point cases of the tuple; a probe costs ``weight``.  Without ``points``
-    the tuples are also what is drawn, by seed, when not all of them fit.
-    With ``points`` (the point route's ``draws``, ``first_bad``, ``samples``
-    and, over an index table already built, ``cost=0``) the tuples replace
-    only its exhaustive route: all of them run when that cost, by default
-    their probes', is affordable against the point draws, and otherwise the
-    point draws run and report as without the tuples.  A report decided on
-    tuples counts the point cases they cover in ``checked`` and names its
-    probes in ``detail``.
+    point cases of the tuple; a probe costs ``weight``.  Every tuple runs when
+    their probes, or ``cost`` (0 over an index table already built), are
+    affordable, and otherwise seeded tuples are drawn.  The report counts the
+    point cases its tuples cover in ``checked`` and names its probes in
+    ``detail``, as "fiber pairs" for the layout (1, 2).
     """
     dims = [range(params.q)] * max(layout) + list(extra)
     probes, evaluated, width = len(_fiber_probes(params, layout, (0,) * len(dims))), 0, len(layout)
@@ -864,19 +857,12 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
                 if not holds(*case):
                     return k, case
 
-    space = math.prod(map(len, dims))
-    exhaust = lambda: first_bad(zip(product(*dims)))
-    if points:
-        cost = points.pop("cost", None)
-        rep = _sweep(law, budget, seed, encode, space=space, weight=weight, exhaust=exhaust,
-                     cost=space * probes * weight if cost is None else cost, rng=rng, **points)
-        if not rep.exhaustive:
-            return rep
-    else:
-        rep = _sweep(law, budget, seed, encode, space=space, weight=probes * weight,
-                     exhaust=exhaust, draws=_draws(1, lambda rng: tuple(map(rng.choice, dims))),
-                     first_bad=first_bad, rng=rng)
+    rep = _sweep(law, budget, seed, encode, space=math.prod(map(len, dims)),
+                 weight=probes * weight, exhaust=lambda: first_bad(zip(product(*dims))),
+                 draws=_draws(1, lambda rng: tuple(map(rng.choice, dims))),
+                 first_bad=first_bad, rng=rng, cost=cost)
     tuples, rep.checked = rep.checked, rep.checked * params.ring.ideal_size ** (2 * width)
+    noun = "fiber pairs" if tuple(layout) == (1, 2) else "fiber tuples"
     rep.detail = (f"affine probes: {evaluated:,} cases decide {tuples:,} "
                   f"{'' if rep.exhaustive else 'seeded '}{noun}")
     return rep
@@ -1125,13 +1111,19 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     (:meth:`CayleyIndex.multiples`), a basis G1, G2 of orders n1, n2 with
     n1 * n2 = n is searched, and the map
     (i, j) -> i*G1 + j*G2 is checked to be a bijection, which proves that
-    G1 and G2 generate the loop.  Light's test on {G1, G2}
-    (:meth:`CayleyIndex.associative`) then proves the loop associative, so
-    an abelian group (the law is symmetric), and the bijection an
-    isomorphism.  Non-groups are certified by a concrete non-associative
-    triple (a structured witness when one applies, a seeded search
-    otherwise); the seeded search also answers for a loop whose table is
-    over ``LOOP_TABLE_MAX`` entries.
+    G1 and G2 generate the loop.  Light's test on {G1, G2}, or on the table's
+    own generators without a basis (:meth:`CayleyIndex.associative`), then
+    proves the loop associative, so an abelian group (the law is symmetric),
+    and the bijection an isomorphism; or it names a triple that refutes it.
+    An associative table without a basis would be an abelian group of rank
+    above 2, which the construction rules out, so it raises AssertionError.
+    Non-groups with a structured witness are certified by it.
+
+    Past ``witness_B`` at e = 2 every affine residue point is 3-torsion, so
+    E(F_p) has exponent 3, q is 3 or 9, Hasse's bound q >= p + 1 - 2 sqrt(p)
+    gives p <= 13, and n = q p^2 <= 1,521: the table always fits
+    ``LOOP_TABLE_MAX``, and a seeded search for a triple serves only e = 1
+    past that cap.
     """
     n = params.cardinality()
 
@@ -1147,36 +1139,28 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
         pass
 
     pts = params.loop_points()
-
-    def search():  # the seeded search for a non-associative triple
+    if not _affordable(math.inf, table=n):  # capped, never priced: a seeded search
         rep = _sweep("full-associative", budget, seed, _point_ce(params), draws=_picks(pts, 3),
                      first_bad=_breaker(partial(_law_holds, _ops(params), "full-associative")))
         if not rep.holds:
             return non_group("sampled-triple", rep.counterexample)
         return {"is_group": None, "order": n, "invariants": None,
                 "method": "undetermined", "checked": rep.checked}
-
-    if not _affordable(math.inf, table=n):  # capped, never priced
-        return search()
     cayley = CayleyIndex(params, pts)
-    table = cayley.table
     orders = [len(cayley.multiples(i)) for i in range(n)]
     n2 = max(orders)
-    n1 = n // n2
-    if n1 * n2 != n or (n1 > 1 and n2 % n1):
-        return search()
-    g2 = orders.index(n2)
-    g2_multiples = cayley.multiples(g2)
-    candidates = [i for i, o in enumerate(orders) if o == n1] if n1 > 1 else [cayley.ident]
-    for g1 in candidates:
-        values = {table[a][b] for a in cayley.multiples(g1) for b in g2_multiples}
-        if len(values) != n:
-            continue
-        if cayley.associative([g1, g2]):
-            return {"is_group": True, "order": n, "invariants": [n1, n2],
-                    "method": "basis-isomorphism", "checked_pairs": n * n}
-        return search()  # not associative, so no basis is an isomorphism
-    return search()
+    n1, g2 = n // n2, orders.index(n2)
+    fits = n1 * n2 == n and n2 % n1 == 0
+    candidates = [i for i, o in enumerate(orders) if o == n1] if fits else []
+    basis = next(([g1, g2] for g1 in candidates if n == len(
+        {cayley.table[a][b] for a in cayley.multiples(g1) for b in cayley.multiples(g2)})), None)
+    bad = cayley._light_test(basis)
+    if bad is not None:
+        return non_group("light-test-triple", _point_ce(params, pts)(bad))
+    if basis is None:
+        raise AssertionError(f"the {n}-point loop is associative, yet no basis generates it")
+    return {"is_group": True, "order": n, "invariants": [n1, n2],
+            "method": "basis-isomorphism", "checked_pairs": n * n}
 
 
 def classify_group_loops(p_max: int = 17, size_max: int = 300, seed: int = 0):
@@ -1184,9 +1168,12 @@ def classify_group_loops(p_max: int = 17, size_max: int = 300, seed: int = 0):
 
     The parameter sweep covers every curve equation over the prime field,
     i.e. coefficient pairs (A, B) in [0, p)^2 that define an elliptic
-    curve of odd order; coefficients congruent mod p generate loops with
-    identical associativity behavior at these sizes, which the exhaustive
-    instances in the test suite confirm.  Returns one record per loop.
+    curve of odd order, and not their lifts A + p a, B + p b.  That a lift
+    is a group iff its residue pair's loop is has been checked only on five
+    pairs over Z/25: (4, 2), (9, 7) and (24, 22) are groups, and (7, 1) and
+    (2, 21), lifts of (2, 1), are not
+    (``test_group_ness_invariant_under_coefficient_lifts``); it is not proved.
+    Returns one record per loop.
     """
     records = []
     p = 5
@@ -1278,22 +1265,20 @@ def projection_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
     At e = 2 both sides are constant on a pair of fibers, so they are affine
     maps of its offset digits, and the 5 probes of :func:`_fiber_sweep`
-    decide its |m|^4 point pairs: all q^2 fiber pairs are checked when their
-    5 q^2 cases fit the budget, on points built from the residue curve.
+    decide its |m|^4 point pairs, on points built from the residue curve:
+    all q^2 fiber pairs when their 5 q^2 cases fit the budget, else seeded ones.
     """
-    rng = random.Random(seed)
     rp, proj = params.residue_params, params.project
     ok = lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b))
-    first_bad, samples = _breaker(ok), min(budget, 100_000)
-    draws = lambda rng: _picks(_point_pool(params, rng), 2)(rng)
     if params.ring.e == 2:
         return [_fiber_sweep(params, "projection-homomorphism", (1, 2), ok, budget, seed,
-                             _point_ce(params), at=_fiber_point(params), noun="fiber pairs",
-                             draws=draws, first_bad=first_bad, samples=samples, rng=rng)]
+                             _point_ce(params), at=_fiber_point(params))]
+    first_bad = _breaker(ok)
     return [_sweep("projection-homomorphism", budget, seed, _point_ce(params),
                    space=params.cardinality() ** 2,
                    exhaust=lambda: first_bad(product(params.loop_points(), repeat=2)),
-                   draws=draws, first_bad=first_bad, samples=samples, rng=rng)]
+                   draws=lambda rng: _picks(_point_pool(params, rng), 2)(rng),
+                   first_bad=first_bad, samples=min(budget, 100_000))]
 
 
 def three_torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):

@@ -181,11 +181,11 @@ def closure_blocks(params: LoopParams, zeros) -> tuple:
     """(price, blocks): the blocks of point pairs whose raw sums decide the closure
     of ``zeros`` under the raw law, and the number of those sums.
 
-    At e != 2 each unordered pair of the s points is one block, produced
-    lazily, so the price s(s+1)/2 is known before any pair is listed.  At
-    e = 2 there is one block per unordered pair of fibers.  ``zeros`` is the
-    zero set of a combination g = alpha*F + beta*H_F, and a fiber its
-    points over one residue point: each is that residue plus pi
+    There is one block per unordered pair of fibers, each fiber with itself
+    and then with every later one; the price is known from the fibers'
+    frames, and the blocks are listed lazily, as they are run.  ``zeros``
+    is the zero set of a combination g = alpha*F + beta*H_F.  At e = 2 a
+    fiber is its points over one residue point: each is that residue plus pi
     times its offset digits (:meth:`RingConfig.digits`).  As pi^2 = 0,
     G(a, b) = g(raw_add(a, b)) is affine in the digits of a and b together,
     with no term in both, as every such term carries pi^2 (the first-order
@@ -195,19 +195,18 @@ def closure_blocks(params: LoopParams, zeros) -> tuple:
     so it is that span iff it has p^d points.  Then G vanishes on A x B iff
     it vanishes at (a0, b0), (a_i, b0) and (a0, b_j): 1 + d_A + d_B sums, and
     1 + d_A on A x A, as the raw law is symmetric.  A fiber pair without
-    both frames is swept pair by pair.
+    both frames is swept pair by pair.  At any other e each point is a
+    fiber, its own frame, so each block is one pair, in the order of a
+    direct sweep, and s points are priced at s(s+1)/2 sums.
     """
-    if params.ring.e != 2:
-        s = len(zeros)
-        return s * (s + 1) // 2, ([(u, v)] for i, u in enumerate(zeros) for v in zeros[i:])
-    p, digits = params.ring.p, params.ring.digits
+    p, digits, two = params.ring.p, params.ring.digits, params.ring.e == 2
     fibers = {}
-    for pt in zeros:
-        (rx, dx), (ry, dy), (rz, dz) = map(digits, pt.coords())
-        fibers.setdefault((rx, ry, rz), []).append((pt, (dx, dy, dz)))
+    for k, pt in enumerate(zeros):
+        residue, off = zip(*map(digits, pt.coords())) if two else (k, None)
+        fibers.setdefault(residue, []).append((pt, off))
     framed = []
     for members in fibers.values():
-        (a0, o0), frame, steps = members[0], [members[0][0]], []
+        (_, o0), frame, steps = members[0], [members[0][0]], []
         for pt, off in members[1:]:
             step = [a - b for a, b in zip(off, o0)]
             if steps and not any(c % p for c in _cross(steps[0], step)):
@@ -217,14 +216,28 @@ def closure_blocks(params: LoopParams, zeros) -> tuple:
             if len(steps) == 2:
                 break
         framed.append(([pt for pt, _ in members], frame if len(members) == p ** len(steps) else None))
-    blocks = []
-    for i, (mine, frame) in enumerate(framed):
-        blocks.append([(a, frame[0]) for a in frame] if frame else
-                      [(u, v) for k, u in enumerate(mine) for v in mine[k:]])
-        blocks += ([(a, their[0]) for a in frame] + [(frame[0], b) for b in their[1:]]
-                   if frame and their else list(product(mine, other))
-                   for other, their in framed[i + 1:])
-    return sum(map(len, blocks)), blocks
+    # framed A, B make |frame A| + |frame B| - 1 sums, A with itself |frame A|; other pairs one
+    sizes = [len(frame) for _, frame in framed if frame]
+    f, s, on_frames = len(sizes), len(zeros), sum(len(mine) for mine, frame in framed if frame)
+    price = f * sum(sizes) - f * (f - 1) // 2 + (s * (s + 1) - on_frames * (on_frames + 1)) // 2
+
+    def blocks():
+        for i, (mine, frame) in enumerate(framed):
+            a0, rest = (frame[0], frame[1:]) if frame else (None, None)
+            yield ([(a, a0) for a in frame] if frame else
+                   [(u, v) for k, u in enumerate(mine) for v in mine[k:]])
+            for other, their in framed[i + 1:]:
+                if not (frame and their):
+                    yield list(product(mine, other))
+                    continue
+                b0 = their[0]  # (a0, b0), then A's frame with b0, then a0 with B's frame
+                block = [(a0, b0)]
+                if rest:
+                    block += [(a, b0) for a in rest]
+                if len(their) > 1:
+                    block += [(a0, b) for b in their[1:]]
+                yield block
+    return price, blocks()
 
 
 def closure_run(params: LoopParams, sets) -> tuple:

@@ -238,15 +238,22 @@ def test_the_whole_loop_table_changes_no_sampled_report(inst, laws, budget, monk
 def test_sampled_latin_square_stays_within_its_budget(inst, budget):
     """A pair costs two additions, so a budget draws at most half as many pairs,
     and decides at most half as many probes of fiber pairs (at e = 2, where the
-    7^2 fiber pairs of Z/169 (0,6) take 245 probes, which budget 1,000 affords)."""
+    7^2 fiber pairs of Z/169 (0,6) take 245 probes, which budget 1,000 affords;
+    budget 300 draws 30 seeded fiber pairs, each covering 13^4 point pairs)."""
     params = params_for(*inst)
     rep = law_suite(params, ("power-associative", "latin-square"), budget=budget, seed=0)[1]
     assert rep.law == "latin-square" and rep.holds
+    q = params.q
     if rep.exhaustive:
-        q = params.q
         assert (inst, budget) == ((13, 2, 0, 6), 1_000) and 5 * q * q <= budget // 2
         assert rep.checked == params.cardinality() ** 2
         assert rep.detail == f"affine probes: {5 * q * q:,} cases decide {q * q:,} fiber pairs"
+    elif params.ring.e == 2:
+        tuples = budget // 10  # 5 probes of 2 additions each
+        assert (inst, budget) == ((13, 2, 0, 6), 300) and 5 * tuples * 2 <= budget
+        assert rep.checked == tuples * 13 ** 4
+        assert rep.detail == (f"affine probes: {5 * tuples:,} cases decide "
+                              f"{tuples:,} seeded fiber pairs")
     else:
         assert 1 <= rep.checked <= max(1, budget // 2)
 
@@ -587,24 +594,48 @@ def test_group_certificate_matches_the_homomorphism_definition(inst):
     assert cert == certificate_by_homomorphism(params)
 
 
-def test_non_group_past_the_witnesses_fails_light_test_as_the_definition_does(monkeypatch):
-    def no_witness(params, pt=None):
-        raise PreconditionUnmet("no structured witness")
+def no_witness(params, pt=None):
+    raise PreconditionUnmet("no structured witness")
 
+
+def test_non_group_past_the_witnesses_fails_light_test_as_the_definition_does(monkeypatch):
     monkeypatch.setattr(diagnostics, "witness_B", no_witness)
     tried = []
-    light = CayleyIndex.associative
+    light = CayleyIndex._light_test
 
     def recording(self, gens=None):
-        tried.append(light(self, gens))
-        return tried[-1]
+        tried.append((gens, light(self, gens)))
+        return tried[-1][1]
 
-    monkeypatch.setattr(CayleyIndex, "associative", recording)
+    monkeypatch.setattr(CayleyIndex, "_light_test", recording)
     params = params_for(5, 2, 2, 1)
     cert = group_certificate(params, seed=3)
-    assert tried == [False]  # a bijective basis reached Light's test
-    assert cert["method"] == "sampled-triple"
-    assert cert == certificate_by_homomorphism(params, seed=3)
+    assert [(len(gens), bad is None) for gens, bad in tried] == [(2, False)]  # on a basis
+    assert certificate_by_homomorphism(params, seed=3)["is_group"] is False
+    assert cert["is_group"] is False and cert["method"] == "light-test-triple"
+    a, b, c = diagnostics._decode_points(params, cert["witness"]["points"])
+    assert add(params, add(params, a, b), c) != add(params, a, add(params, b, c))
+
+
+@pytest.mark.parametrize("budget", [1, 200_000])
+def test_light_test_names_the_triple_at_any_budget(budget, monkeypatch):
+    """Past the witnesses the table's Light's test refutes a non-group at every
+    budget: no seeded search runs, so budget 1 is not left undetermined."""
+    monkeypatch.setattr(diagnostics, "witness_B", no_witness)
+    params = params_for(5, 2, 2, 1)
+    cert = group_certificate(params, budget=budget, seed=3)
+    assert cert == group_certificate(params, budget=7, seed=5)
+    assert cert["is_group"] is False and cert["method"] == "light-test-triple"
+    a, b, c = diagnostics._decode_points(params, cert["witness"]["points"])
+    assert add(params, add(params, a, b), c) != add(params, a, add(params, b, c))
+
+
+def test_an_associative_table_without_a_basis_is_a_failed_construction(monkeypatch):
+    """Orders misread as 1 leave the group Z/25 (4,2) without a basis: Light's test
+    then passes on the table's generators, and the certificate raises, not answers."""
+    monkeypatch.setattr(CayleyIndex, "multiples", lambda self, i: [self.ident])
+    with pytest.raises(AssertionError, match="no basis"):
+        group_certificate(params_for(5, 2, 4, 2))
 
 
 def test_group_certificate_adds_no_more_than_one_table_build(monkeypatch):

@@ -13,6 +13,7 @@ probe of every tuple it decides, and that tuples are drawn by seed.
 
 from __future__ import annotations
 
+import inspect
 import random
 from collections import Counter
 from functools import partial
@@ -252,9 +253,9 @@ def test_closure_probes_decide_every_fiber_pair_as_its_full_sweep_does(closure_p
     verdicts, at_a_step = set(), False
     for g, zeros in sets:
         price, blocks = closure_blocks(params, zeros)
+        blocks = list(blocks)  # listed lazily, as a run consumes them
         if ring.e != 2:
             every = [(u, v) for k, u in enumerate(zeros) for v in zeros[k:]]
-            blocks = list(blocks)
             assert price == len(every) == len(blocks)
             assert all(u is a and v is b for [(u, v)], (a, b) in zip(blocks, every))
             first = next((k for k, pair in enumerate(every) if not closed(g, [pair])), None)
@@ -316,6 +317,78 @@ def test_alternative_and_jordan_fail_on_fiber_pairs_and_replay(budget, tabled, m
         assert rep.detail.startswith("affine probes: ")
         assert rep.detail.endswith(" over the index table") == tabled
         assert replay(params, rep) is True
+
+
+#: an e = 2 loop whose 41^2 fiber pairs do not fit budget 1,000 (5 probes each)
+WIDE = (RingConfig.integer(31, 2), 1, 3)
+
+
+def sampled_pair_checks(params, seed):
+    return (diagnostics.law_suite(params, ("latin-square",), budget=1_000, seed=seed)
+            + diagnostics.projection_suite(params, budget=1_000, seed=seed))
+
+
+def test_sampled_pair_checks_draw_seeded_fiber_pairs():
+    """On Z/961 (1,3), with q = 41, latin-square (two additions a probe) draws
+    1,000 // 10 fiber pairs and projection 1,000 // 5, each covering 31^4 point
+    pairs."""
+    params = LoopParams(*WIDE)
+    assert params.q == 41
+    for rep, tuples in zip(sampled_pair_checks(params, 0), (100, 200)):
+        assert rep.holds and not rep.exhaustive and rep.seed == 0
+        assert rep.checked == tuples * 31 ** 4
+        assert rep.detail == (f"affine probes: {5 * tuples:,} cases decide "
+                              f"{tuples} seeded fiber pairs")
+
+
+def test_sampled_fiber_pairs_are_drawn_by_seed(monkeypatch):
+    """The same seed gives the same fiber pairs and reports, another seed other pairs."""
+    params = LoopParams(*WIDE)
+    real = diagnostics._fiber_probes
+
+    def run(seed):
+        probed = []
+        monkeypatch.setattr(diagnostics, "_fiber_probes",
+                            lambda *args: probed.append(args[2]) or real(*args))
+        return [r.to_json() for r in sampled_pair_checks(params, seed)], probed
+
+    (first, tuples), (again, retuples), (_, other) = run(0), run(0), run(1)
+    assert first == again and tuples == retuples != other
+    assert len(tuples) == 1 + 100 + 1 + 200  # each sweep first sizes its probes
+
+
+@pytest.mark.parametrize("law", ["alternative", "jordan"])
+def test_a_sampled_pair_law_fails_on_a_fiber_pair_and_replays(law):
+    params = LoopParams(*WIDE)
+    (rep,) = diagnostics.law_suite(params, (law,), budget=1_000, seed=0)
+    assert not rep.holds and not rep.exhaustive
+    assert rep.detail.endswith(" seeded fiber pairs") and rep.checked % 31 ** 4 == 0
+    assert replay(params, rep) is True
+
+
+def test_a_sampled_closure_builds_no_block(monkeypatch):
+    """On Z/169 (0,3) at budget 1,000 both closures sample: the 13 layers and the zero
+    set of H are priced from their frames, no block is listed, and the reports are
+    those of a build that lists every block before pricing."""
+    params = LoopParams(RingConfig.integer(13, 2), 0, 3)
+    lazy, real = [], layers.closure_blocks
+
+    def spy(params, zeros):
+        price, blocks = real(params, zeros)
+        lazy.append(blocks)
+        return price, blocks
+
+    monkeypatch.setattr(layers, "closure_blocks", spy)
+    reports = diagnostics.hessian_combination_suite(params, budget=1_000, seed=0)
+    assert len(lazy) == 13 + 1
+    assert all(inspect.getgeneratorstate(blocks) == inspect.GEN_CREATED for blocks in lazy)
+    assert [r.to_json() for r in reports] == [
+        {"law": "combination-closure-layers", "status": "pass", "holds": True,
+         "counterexample": None, "checked": 247, "exhaustive": False, "seed": 0,
+         "detail": "(F - t*H)(P1 + P2) = 0 on raw sums, every t"},
+        {"law": "combination-closure-hessian", "status": "pass", "holds": True,
+         "counterexample": None, "checked": 19, "exhaustive": False, "seed": 0,
+         "detail": "zero set of H (975 of 30927 plane points) closed under raw sums"}]
 
 
 @pytest.mark.parametrize("budget, exhaustive", [(120_000, 5), (1_000, 4)])

@@ -92,10 +92,6 @@ def test_sampled_failure_counts_the_draws_made():
     assert report.counterexample == {"case": [7]}
 
 
-def test_check_without_draws_is_left_out_when_it_does_not_fit():
-    assert _sweep("t", 9, 0, list, space=10, exhaust=lambda: None) is None
-
-
 def test_same_seed_same_report():
     def draws(rng):
         while True:
