@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product, starmap
 
 from .errors import DegenerateSum, EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
@@ -597,9 +597,10 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     a pair law priced at nothing (n^2 lookups).  At e = 2 the pair laws
     alternative, jordan and latin-square are decided on the q^2 fiber pairs
     instead, 5 probes each (:func:`_fiber_sweep`), over the table's indices
-    when it is built and else over points built from the residue curve:
-    all of them with a table, without one when their 5 q^2 cases are
-    affordable, and else seeded fiber pairs.
+    when it is built and else over points built by index (see
+    :meth:`LoopParams.fiber`): all of them with a table, without one when
+    their 5 q^2 cases are affordable, and else seeded fiber pairs.  The loop
+    is listed only for the table or for a law that reads its points.
     """
     if laws is None:
         laws = LAW_NAMES
@@ -608,37 +609,37 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     unknown = set(laws) - set(LAW_NAMES)
     if unknown:
         raise ValueError(f"unknown laws: {sorted(unknown)}; expected {LAW_NAMES}")
-    pts = _point_pool(params, random.Random(seed))
-    n, pool = params.cardinality(), len(pts)
+    n = params.cardinality()
     weights = {"diassociative": 360, "power-associative": 4 * max(params.ring.e, 8),
                "latin-square": 2}
     samples = {law: max(1, budget // weights.get(law, 1)) for law in laws}
-    cayley = None
-    if pool == n and _affordable(budget, 3 * sum(samples.values()), table=n):
-        cayley = CayleyIndex(params, pts)
-    ops, dom = _ops(params, cayley), range(n) if cayley else pts
-    points = _point_ce(params, pts if cayley else None)
+    cayley = dom = None
+    if _affordable(budget, 3 * sum(samples.values()), table=n):  # capped at n <= 2,828: all points
+        cayley, dom = CayleyIndex(params, params.loop_points()), range(n)
+    ops, points = _ops(params, cayley), _point_ce(params, cayley and cayley.points)
 
     def power_draws(rng):  # exponents in [-200, 200]
         while True:
-            yield dom[rng.randrange(pool)], rng.randrange(-200, 201), rng.randrange(-200, 201)
+            yield rng.choice(dom), rng.randrange(-200, 201), rng.randrange(-200, 201)
 
     reports = []
     for law in laws:
+        if law in PAIR_LAWS and params.ring.e == 2:  # affine on fiber pairs
+            rep = _fiber_sweep(params, law, (1, 2), partial(_law_holds, ops, law), budget, seed,
+                               points, weight=weights.get(law, 1),
+                               at=None if cayley else params.loop_point, cost=cayley and 0)
+            rep.detail += " over the index table" if cayley and rep.exhaustive else ""
+            reports.append(rep)
+            continue
+        if dom is None:  # listed only for a law that reads points
+            dom = _point_pool(params, random.Random(seed))
         width, proofs, encode, cost = 3 if law in TRIPLE_LAWS else 2, [], points, None
-        space = n ** width if pool == n else None  # a drawn pool is not the loop
+        space = n ** width if len(dom) == n else None  # a drawn pool is not the loop
         first_bad, draws = _breaker(partial(_law_holds, ops, law)), _picks(dom, width)
         exhaust = lambda: first_bad(product(dom, repeat=width))
         if law == "power-associative":
             space, draws = None, power_draws
             encode = lambda case: {**points(case[:1]), "exponents": list(case[1:])}
-        elif law in PAIR_LAWS and params.ring.e == 2:  # affine on fiber pairs
-            rep = _fiber_sweep(params, law, (1, 2), partial(_law_holds, ops, law), budget, seed,
-                               points, weight=weights.get(law, 1),
-                               at=None if cayley else _fiber_point(params), cost=cayley and 0)
-            rep.detail += " over the index table" if cayley and rep.exhaustive else ""
-            reports.append(rep)
-            continue
         elif cayley and law in PAIR_LAWS:
             cost = 0  # a few lookups a pair
         elif cayley and (law == "full-associative" or law == "moufang" and cayley.abelian()
@@ -798,9 +799,9 @@ FIBER_LAYOUTS = {"translate-by-infinity-pair": (1, 0, 0), "difference-across-fib
 def _fiber_probes(params: LoopParams, layout, tup) -> list:
     """The cases, as indices into ``loop_points()``, that decide an identity on a fiber tuple.
 
-    ``loop_points()`` lists the q fibers of s = |m|^2 points each, residue
-    identity first, and its point f*s + u*|m| + v has offset digits (u, v)
-    over the first point f*s of fiber f (:meth:`RingConfig.digits`).  Slot c
+    Fiber f is the index range from f * |m|^2 on, and at e = 2 its point
+    f * |m|^2 + u * |m| + v has offset digits (u, v) (see
+    :meth:`LoopParams.fiber`, :meth:`RingConfig.digits`).  Slot c
     lies in the fiber ``layout[c]`` names (:data:`FIBER_LAYOUTS`).  The base
     case puts every slot at offset (0, 0); each other case moves one slot by
     one unit step, in x (+|m|) or in z (+1).  At e = 1 a fiber is one point,
@@ -814,19 +815,6 @@ def _fiber_probes(params: LoopParams, layout, tup) -> list:
                                for moved in range(len(base)) for step in steps]
 
 
-def _fiber_point(params: LoopParams):
-    """The map from an index of ``loop_points()`` to its point, built from the residue
-    point and the offset digits (see :func:`_fiber_probes`) without listing the loop."""
-    ring = params.ring
-    offsets, isz = list(ring.ideal_elements()), ring.ideal_size
-    base = [(ring.from_int(r.x), ring.from_int(r.z)) for r in params.residue_points]
-
-    def at(i):
-        (x, z), (u, v) = base[i // isz ** 2], divmod(i % isz ** 2, isz)
-        return ProjPoint(ring, ring.add(x, offsets[u]), ring.one, ring.add(z, offsets[v]))
-    return at
-
-
 def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *, extra=(),
                  weight=1, at=None, cost=None, rng=None) -> LawReport:
     """Decide ``law`` on whole fiber tuples through :func:`_sweep`: the one loop of
@@ -834,8 +822,9 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
 
     A tuple names one fiber per fiber of ``layout``, then a value from each
     range of ``extra``.  Its cases are the probes of :func:`_fiber_probes`, as
-    indices into ``loop_points()`` or, mapped by ``at``, as points, and
-    ``holds(*case)`` judges one.  With m^2 = 0 both sides of an identity on
+    indices into ``loop_points()`` or, mapped by ``at`` (such as
+    :meth:`LoopParams.loop_point`), as points, and ``holds(*case)`` judges
+    one.  With m^2 = 0 both sides of an identity on
     k points are affine maps of their 2k offset digits into one fiber (see
     :func:`low_nilpotency_suite`), so the 2k + 1 probes decide all |m|^(2k)
     point cases of the tuple; a probe costs ``weight``.  Every tuple runs when
@@ -846,6 +835,7 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
     """
     dims = [range(params.q)] * max(layout) + list(extra)
     probes, evaluated, width = len(_fiber_probes(params, layout, (0,) * len(dims))), 0, len(layout)
+    at = at and cache(at)  # a probe point recurs in every tuple over its fiber
 
     def first_bad(tuples):
         nonlocal evaluated
@@ -1265,14 +1255,15 @@ def projection_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
     At e = 2 both sides are constant on a pair of fibers, so they are affine
     maps of its offset digits, and the 5 probes of :func:`_fiber_sweep`
-    decide its |m|^4 point pairs, on points built from the residue curve:
+    decide its |m|^4 point pairs, on points built by index (see
+    :meth:`LoopParams.fiber`):
     all q^2 fiber pairs when their 5 q^2 cases fit the budget, else seeded ones.
     """
     rp, proj = params.residue_params, params.project
     ok = lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b))
     if params.ring.e == 2:
         return [_fiber_sweep(params, "projection-homomorphism", (1, 2), ok, budget, seed,
-                             _point_ce(params), at=_fiber_point(params))]
+                             _point_ce(params), at=params.loop_point)]
     first_bad = _breaker(ok)
     return [_sweep("projection-homomorphism", budget, seed, _point_ce(params),
                    space=params.cardinality() ** 2,
@@ -1302,8 +1293,7 @@ def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 
         return [_skipped("stratification", f"skipped: q = {params.q} divisible by 3")]
     ring = params.ring
     layers = all_layers(params)
-    rident = params.project(identity(params))
-    affine = [rpt for rpt in params.residue_points if rpt != rident]
+    affine = params.residue_points[1:]  # the residue identity is first
 
     def first_bad(cases):
         for k, (pt,) in enumerate(cases, 1):
@@ -1317,8 +1307,8 @@ def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 
 
     return [_sweep("stratification", budget, seed, encode,
                    space=len(affine) * ring.ideal_size**2, weight=ring.ideal_size,
-                   exhaust=lambda: first_bad((pt,) for pt in params.loop_points()
-                                             if params.project(pt) != rident),
+                   exhaust=lambda: first_bad((pt,) for f in range(1, params.q)
+                                             for pt in params.fiber(f)),
                    draws=_draws(1, lambda rng: random_loop_point(params, rng, affine)),
                    first_bad=first_bad)]
 
@@ -1481,14 +1471,15 @@ def infinity_structure_suite(params: LoopParams, budget: int = 200_000, seed: in
     from .structure import forbidden_locus_check
 
     reports = list(infinity_suite(params, budget, seed))
+    price = params.ring.ideal_size ** 2
     if params.ring.kind != INTEGER_QUOTIENT:
         reports.append(_skipped("forbidden-locus", "not applicable: needs an integer quotient"))
-    elif params.ring.ideal_size ** 2 > max(budget, 10_000):
-        reports.append(_skipped("forbidden-locus", "skipped: exceeds the budget"))
+    elif not _affordable(budget, 10_000, cost=price):
+        reports.append(_skipped("forbidden-locus", f"skipped: |m|^2 = {price:,} exceeds"
+                                f" max(budget, 10,000) = {max(budget, 10_000):,}"))
     else:
         reports.append(LawReport("forbidden-locus", forbidden_locus_check(params), None,
-                                 params.ring.ideal_size ** 2, True, None,
-                                 detail="multiples of (0:1:p) meet no layer"))
+                                 price, True, None, detail="multiples of (0:1:p) meet no layer"))
     return reports
 
 
@@ -1507,8 +1498,9 @@ def torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     if ring.e > 2 or ring.kind != INTEGER_QUOTIENT:
         return [_skipped(law, "skipped: needs an integer quotient with e <= 2")
                 for law in TORSION_CHECKS]
-    if params.cardinality() > budget:
-        return [_skipped(law, "skipped: exceeds the budget") for law in TORSION_CHECKS]
+    if not _affordable(budget, cost=params.cardinality()):
+        detail = f"skipped: |L| = {params.cardinality():,} exceeds budget = {budget:,}"
+        return [_skipped(law, detail) for law in TORSION_CHECKS]
     q = params.q
     ident = identity(params)
     fibers = {}

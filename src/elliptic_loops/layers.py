@@ -86,8 +86,8 @@ def stratify(params: LoopParams, pt: ProjPoint) -> RingElem:
 
 
 def layer_points(layer: Layer) -> list:
-    """All canonical points of the layer, q * p^(e-1) of them, in the order
-    of ``loop_points()``: every layer point is a loop point.
+    """All canonical points of the layer, q * p^(e-1) of them, in the loop's
+    point order (see :meth:`LoopParams.fiber`): every layer point is a loop point.
 
     Hensel's lemma: the layer is smooth over R, so over each residue point
     (x0 : 1 : z0) it is the graph of z over x, or of x over z.  With
@@ -130,7 +130,7 @@ def layer_points(layer: Layer) -> list:
                     f"the Hensel lift of {layer!r} over {rpt!r} found no root in {e} steps"
                 )
             fiber.append((v, u) if swap else (u, v))
-        if swap:  # back into loop_points() order, by the offset of x
+        if swap:  # back into the fiber's order, by the offset of x
             fiber.sort(key=lambda xz: rank[(xz[0] - z0) % mod])
         pts += [ProjPoint(ring, x, one, z) for x, z in fiber]
     return pts

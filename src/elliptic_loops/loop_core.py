@@ -187,36 +187,42 @@ class LoopParams:
         """Order of the reduction pi(P) on the residue curve, cached."""
         return self.residue_order(self.project(pt))
 
-    def loop_points(self) -> list:
-        """All q * |m|^2 points, lifted fiberwise over the residue curve.
+    def fiber(self, f: int) -> list:
+        """The |m|^2 loop points over the f-th residue point (x0 : 1 : z0).
 
-        The fiber over the f-th residue point (the residue identity first)
-        is the index range f * |m|^2 ... (f + 1) * |m|^2 - 1.
+        This is the loop's one point order.  Fiber f is (x0 + dx : 1 : z0 + dz)
+        with dx outer and dz inner, both over ``ring.ideal_elements()``; fiber
+        0, over the residue identity, is the infinity part.  ``loop_points()``
+        lists the q fibers in turn, so its point f * |m|^2 + u * |m| + v is the
+        one with dx, dz the u-th and v-th elements of m.
         """
+        return self._fibers((self.residue_points[f],))
+
+    def _fibers(self, residues) -> list:
+        """The fibers over ``residues`` in turn, each as :meth:`fiber` orders it."""
+        ring = self.ring
+        one, plus, lift, offsets = ring.one, ring.add, ring.from_int, list(ring.ideal_elements())
+        return [ProjPoint(ring, x, one, z) for rpt in residues
+                for zs in [[plus(lift(rpt.z), dz) for dz in offsets]]
+                for x in [plus(lift(rpt.x), dx) for dx in offsets] for z in zs]
+
+    def loop_point(self, i: int) -> ProjPoint:
+        """``loop_points()[i]``, built alone (see :meth:`fiber`)."""
+        ring, isz = self.ring, self.ring.ideal_size
+        f, (u, v) = i // isz ** 2, divmod(i % isz ** 2, isz)
+        rpt = self.residue_points[f]
+        return ProjPoint(ring, ring.add(ring.from_int(rpt.x), ring.ideal_element(u)), ring.one,
+                         ring.add(ring.from_int(rpt.z), ring.ideal_element(v)))
+
+    def loop_points(self) -> list:
+        """All q * |m|^2 points: the fibers of :meth:`fiber` in turn, listed once."""
         if self._points is None:
-            ring = self.ring
-            one = ring.one
-            offsets = list(ring.ideal_elements())
-            pts = []
-            for rpt in self.residue_points:
-                bx = ring.from_int(rpt.x)
-                bz = ring.from_int(rpt.z)
-                for dx in offsets:
-                    x = ring.add(bx, dx)
-                    for dz in offsets:
-                        pts.append(ProjPoint(ring, x, one, ring.add(bz, dz)))
-            self._points = pts
+            self._points = self._fibers(self.residue_points)
         return self._points
 
     def infinity_points(self) -> list:
         """The fiber over the residue identity: all (x : 1 : z), x, z in m."""
-        ring = self.ring
-        one = ring.one
-        return [
-            ProjPoint(ring, x, one, z)
-            for x in ring.ideal_elements()
-            for z in ring.ideal_elements()
-        ]
+        return self.fiber(0)
 
     def cardinality(self) -> int:
         return self.q * self.ring.ideal_size ** 2

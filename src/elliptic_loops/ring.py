@@ -290,22 +290,21 @@ class RingConfig:
         return self.ideal_elements(0)
 
     def ideal_elements(self, power: int = 1) -> Iterator[Payload]:
-        """All elements of m^power (the zero ideal once power >= e)."""
-        if power >= self.e:
-            yield self.zero
-            return
+        """All elements of m^power (the zero ideal once power >= e), the n-th
+        being :meth:`ideal_element` (n, power)."""
+        power = min(power, self.e)
         if self.kind == INTEGER_QUOTIENT:
-            step = self.p ** power
-            yield from range(0, self.modulus, step)
-            return
-        p, e = self.p, self.e
-        free = e - power
-        for n in range(p ** free):
-            cs = [0] * power
-            for _ in range(free):
-                cs.append(n % p)
-                n //= p
-            yield self.from_coeffs(cs)
+            return iter(range(0, self.modulus, self.p ** power))
+        return map(functools.partial(self.ideal_element, power=power),
+                   range(self.p ** (self.e - power)))
+
+    def ideal_element(self, n: int, power: int = 1) -> Payload:
+        """The n-th element of m^power, 0 <= n < |m^power| (power <= e): pi^power
+        times the element whose base-p digits, constant first, are n's."""
+        if self.kind == INTEGER_QUOTIENT:
+            return n * self.p ** power % self.modulus
+        p = self.p
+        return self.from_coeffs([0] * power + [n // p ** i % p for i in range(self.e - power)])
 
     def random_element(self, rng, min_valuation: int = 0) -> Payload:
         """A uniformly random element of m^min_valuation.

@@ -179,17 +179,13 @@ def forbidden_locus_check(params: LoopParams) -> bool:
 
 
 def fiber_points(params: LoopParams, pt: ProjPoint) -> list:
-    """All loop points with the same residue as ``pt``.
-
-    ``loop_points()`` lists the fiber over the f-th residue point as the
-    index range f * |m|^2 ... (f + 1) * |m|^2 - 1, so this is one slice.
-    """
+    """All loop points with the same residue as ``pt``: the fiber over its residue
+    point, built alone (see :meth:`LoopParams.fiber`)."""
     try:
         f = params.residue_points.index(params.project(pt))
     except ValueError:
         raise PreconditionUnmet(f"{pt!r} is not a point of this loop") from None
-    s = params.ring.ideal_size ** 2
-    return params.loop_points()[f * s:f * s + s]
+    return params.fiber(f)
 
 
 def torsion_fiber(params: LoopParams, q: int, pt: ProjPoint) -> list:
@@ -250,7 +246,7 @@ def torsion_geometry(params: LoopParams, q: int, bases=None) -> list:
     """One record (P, L_{q/P}, D_{q/P}, line) per base point P, for e <= 2.
 
     ``bases`` defaults to the first q-torsion point of each residue fiber,
-    in the order of ``loop_points()``; each base's fiber is built once.
+    in the order of :meth:`LoopParams.fiber`; each base's fiber is built once.
     ``line`` is the :func:`torsion_line` of P's coset, drawn in the
     direction of a generator of D_{q/P}; it is None over the residue
     identity and when D_{q/P} is not cyclic, where no line carries the fiber.
@@ -258,9 +254,8 @@ def torsion_geometry(params: LoopParams, q: int, bases=None) -> list:
     _torsion_needs_e_at_most_2(params)
     ident = identity(params)
     if bases is None:
-        pts, s = params.loop_points(), params.ring.ideal_size ** 2
-        firsts = (next((pt for pt in pts[f:f + s] if scalar_mul(params, q, pt) == ident), None)
-                  for f in range(0, len(pts), s))
+        firsts = (next((pt for pt in params.fiber(f) if scalar_mul(params, q, pt) == ident),
+                       None) for f in range(params.q))
         bases = [pt for pt in firsts if pt is not None]
     records = []
     for base in bases:

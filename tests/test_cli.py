@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -281,6 +282,21 @@ def test_a_torsion_line_that_fails_its_check_prints_fail(capsys, monkeypatch):
     assert err == "falsified: coset point 0 deviates from the displacement law\n"
 
 
+def test_torsion_at_a_point_lists_no_loop(capsys, monkeypatch):
+    """``torsion --point`` on Z/101^2 (1,3), 887,487 points, builds the point's fiber only."""
+    from elliptic_loops import LoopParams
+    from elliptic_loops.diagnostics import random_loop_point
+
+    params = params_for(101, 2, 1, 3)
+    pt = scalar_mul(params, 101, random_loop_point(params, random.Random(1)))  # q-torsion
+    monkeypatch.setattr(LoopParams, "loop_points", None)  # listing the loop raises
+    rc, out, _ = run_cli(capsys, "torsion", "-p", "101", "-e", "2", "-A", "1", "-B", "3",
+                         "--point", f"{pt.x},{pt.y},{pt.z}", "--format", "json")
+    assert rc == 0
+    (record,) = json.loads(out)["fibers"]
+    assert record["fiber_size"] == 101 and pt.to_json() in record["fiber"]
+
+
 def test_torsion_past_e2_is_a_precondition_error(capsys):
     rc, out, err = run_cli(capsys, "torsion", "-p", "5", "-e", "3", "-A", "2", "-B", "1")
     assert rc == 2
@@ -448,7 +464,10 @@ def test_verify_prints_the_same_checks_at_any_budget(capsys, suite, e, gated, bu
         names.append([line.split()[1] for line in lines])
         gate = next(line for line in lines if line.split()[1] == gated)
         if budget == budgets[0]:
-            assert gate.startswith("SKIP") and "skipped: exceeds the budget" in gate
+            assert gate.startswith("SKIP") and {  # each gate names its own price
+                "layer-group-isomorphism": "[skipped: exceeds the budget]",
+                "forbidden-locus": "[skipped: |m|^2 = 15,625 exceeds max(budget, 10,000) = 10,000]",
+            }[gated] in gate
         else:
             assert gate.startswith("PASS")
     assert names[0] == names[1]

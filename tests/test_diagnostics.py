@@ -816,3 +816,29 @@ def test_a_non_additive_pair_at_infinity_is_named(monkeypatch):
     ring = params.ring
     assert (s.x, s.z) == (ring.add(a.x, b.x), ring.add(a.z, b.z))  # the true sum is additive
     assert neg(params, s) != s
+
+
+def test_e2_pair_laws_without_a_table_list_no_point(monkeypatch):
+    """law_suite lists the loop only for a law that reads its points: the e = 2
+    pair laws on Z/961 (1,3), 39,401 points, run on points built by index."""
+    monkeypatch.setattr(LoopParams, "loop_points", None)  # listing the loop raises
+    reports = law_suite(params_for(31, 2, 1, 3), ("alternative", "jordan", "latin-square"),
+                        budget=1000, seed=0)
+    assert [r.law for r in reports] == ["alternative", "jordan", "latin-square"]
+    assert all(r.checked > 0 and "fiber pairs" in r.detail for r in reports)
+
+
+def test_torsion_and_forbidden_locus_skips_name_their_price(monkeypatch):
+    """Both gates are :func:`diagnostics._affordable`: a SKIP names the price that
+    exceeds the budget, and the check runs once the budget reaches it."""
+    params = params_for(5, 2, 2, 1)  # |L| = 175
+    skipped = VERIFY_SUITES["torsion"](params, budget=174)
+    assert {r.detail for r in skipped} == {"skipped: |L| = 175 exceeds budget = 174"}
+    assert all(r.checked for r in VERIFY_SUITES["torsion"](params, budget=175))
+    monkeypatch.setattr(diagnostics, "infinity_suite", lambda *args: [])
+    params = params_for(5, 4, 2, 1)  # |m|^2 = 15,625
+    (rep,) = diagnostics.infinity_structure_suite(params, budget=15_624)
+    assert rep.status == "skipped"
+    assert rep.detail == "skipped: |m|^2 = 15,625 exceeds max(budget, 10,000) = 15,624"
+    (rep,) = diagnostics.infinity_structure_suite(params, budget=15_625)
+    assert rep.status == "pass" and rep.checked == 15_625

@@ -201,7 +201,7 @@ def test_probes_decide_every_fiber_pair_as_its_full_sweep_does(pair_loop, check)
     read off the oracle table; alternative and jordan fail on some fiber pairs
     of a non-group and pass on others."""
     params, group, cayley = pair_loop
-    s, at = params.ring.ideal_size ** 2, diagnostics._fiber_point(params)
+    s, at = params.ring.ideal_size ** 2, params.loop_point
     if check == "projection-homomorphism":
         rp, proj, res = params.residue_params, params.project, params.residue_points
         on_points = lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b))

@@ -119,6 +119,25 @@ def test_cardinality_formula():
         assert len(params.infinity_points()) == p ** (2 * (e - 1))
 
 
+@pytest.mark.parametrize("ring,a,b", [
+    (RingConfig.integer(5, 2), 2, 1), (RingConfig.integer(5, 3), 2, 1),
+    (RingConfig.truncated_poly(5, 3), 2, 1), (RingConfig.integer(7, 1), 0, 2),
+], ids=["Z/25", "Z/125", "F_5[t]/(t^3)", "Z/7"])
+def test_fibers_and_points_by_index_are_the_listed_loop_in_order(monkeypatch, ring, a, b):
+    """``fiber(f)`` and ``loop_point(i)``, built on fresh params that never list the
+    loop, are the slices and the entries of ``loop_points()``, fiber 0 the infinity part."""
+    params, s = LoopParams(ring, a, b), ring.ideal_size ** 2
+    with monkeypatch.context() as m:
+        m.setattr(LoopParams, "loop_points", None)
+        fibers = [params.fiber(f) for f in range(params.q)]
+        points = [params.loop_point(i) for i in range(params.cardinality())]
+        infinity = params.infinity_points()
+    pts = LoopParams(ring, a, b).loop_points()
+    assert fibers == [pts[f * s:f * s + s] for f in range(params.q)]
+    assert points == pts
+    assert infinity == fibers[0] == pts[:s]
+
+
 def test_loop_points_have_unit_y():
     params = params_for(5, 2, 2, 1)
     for pt in params.loop_points():

@@ -204,6 +204,17 @@ def test_fiber_points_is_the_projection_filter(ring):
             pt for pt in pts if params.project(pt) == target]
 
 
+def test_fiber_points_builds_one_fiber_without_listing_the_loop(monkeypatch):
+    """On Z/101^2 (1,3), 887,487 points, the fiber is built alone: 10,201 points."""
+    from elliptic_loops.diagnostics import random_loop_point
+    monkeypatch.setattr(LoopParams, "loop_points", None)  # listing the loop raises
+    params = params_for(101, 2, 1, 3)
+    pt = random_loop_point(params, random.Random(5))
+    fiber = fiber_points(params, pt)
+    assert len(fiber) == 101 ** 2 and pt in fiber
+    assert {params.project(fpt) for fpt in fiber[::97]} == {params.project(pt)}
+
+
 def test_fiber_points_of_a_point_off_the_loop_is_a_precondition_error():
     params = params_for(5, 2, 2, 1)
     off = next(pt for pt in plane_points(params.ring) if eval_F(params, pt).is_unit())

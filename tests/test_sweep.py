@@ -314,8 +314,9 @@ def test_torsion_suite_runs_within_the_budget(inst, budget, runs):
     if runs:
         assert all(r.checked == 7 and r.exhaustive for r in reports)  # q = 7 fibers
     else:
-        assert all(r.checked == 0 and r.detail == "skipped: exceeds the budget"
-                   for r in reports)
+        size = params_for(*inst).cardinality()
+        assert all(r.checked == 0 and r.detail == f"skipped: |L| = {size:,} exceeds budget"
+                   f" = {budget:,}" for r in reports)
 
 
 def test_low_nilpotency_over_the_table_cap_skips_inside_verify(capsys):
