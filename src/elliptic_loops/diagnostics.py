@@ -7,11 +7,12 @@ a replayable counterexample when one was found.
 
 The headline searches live here too: explicit witness triples that break
 associativity (three constructions with different preconditions), the
-identities valid at nilpotency degree at most two, each decided exactly on
-tuples of fibers, where m^2 = 0 makes the law affine, the infinity
-part's group structure, the technical congruences for points at
-infinity, and the classification of the parameter pairs whose loops are
-honest groups.
+identities valid at nilpotency degree at most two, the infinity part's
+group structure, the technical congruences for points at infinity, and the
+classification of the parameter pairs whose loops are honest groups.  The
+loop laws but power-associativity, the projection, the infinity part's laws
+and the low-nilpotency identities are decided on whole fiber tuples, by the
+simplex probes of :func:`_fiber_probes`.
 
 Every check that can either sweep its whole case space or draw seeded
 cases runs through one runner, :func:`_sweep`: it sweeps exhaustively when
@@ -112,7 +113,7 @@ def _skipped(law: str, detail: str) -> LawReport:
     return LawReport(law, True, None, 0, False, None, detail)
 
 
-#: the most entries, n^2, of any index table over a loop, a layer or an infinity part
+#: the most entries, n^2, of any index table over a loop or a layer
 LOOP_TABLE_MAX = 8_000_000
 
 
@@ -366,7 +367,8 @@ class CayleyIndex:
     generator, run once and cached) proves associativity, or names a failing
     triple, and with commuting generators proves the Moufang identity; it
     runs as ``bytes`` rows on tables of at most ``BYTE_ROWS_MAX`` points.
-    Every other law is swept over the table's indices (:func:`law_suite`).
+    Every other law is decided on fiber tuples over the table's indices
+    (:func:`law_suite`).
     """
 
     __slots__ = ("params", "points", "index", "table", "neg", "ident", "_cycles", "_light")
@@ -587,20 +589,19 @@ def _ops(params: LoopParams, cayley: CayleyIndex = None):
 def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int = 0):
     """Run the requested laws (all seven by default) and report.
 
-    A law is swept exhaustively when its case count fits the budget, else on
-    draws from the seed; each case costs its additions (two for unique
-    solvability, P + (Q - P) = Q).  The whole loop's index table is built
-    where it is :func:`_affordable` against the budget or the samples (at
-    least 3 additions each).  Over it, Light's test (:func:`_table_law`)
+    Each law takes one of three routes.  The whole loop's index table is
+    built where it is :func:`_affordable` against the budget or the samples
+    (at least 3 additions each), and over it Light's test (:func:`_table_law`)
     decides full-associative, moufang when abelian and diassociative when
-    associative; every other law is its own sweep over the table's indices,
-    a pair law priced at nothing (n^2 lookups).  At e = 2 the pair laws
-    alternative, jordan and latin-square are decided on the q^2 fiber pairs
-    instead, 5 probes each (:func:`_fiber_sweep`), over the table's indices
-    when it is built and else over points built by index (see
-    :meth:`LoopParams.fiber`): all of them with a table, without one when
-    their 5 q^2 cases are affordable, and else seeded fiber pairs.  The loop
-    is listed only for the table or for a law that reads its points.
+    associative.  power-associative, whose exponents bound no arity, draws
+    seeded points and exponents: the table's indices, or the shared point
+    pool.  Every other law is decided on fiber pairs, or fiber triples for
+    full-associative and moufang, by :func:`_fiber_sweep` on the probes of
+    :func:`_fiber_probes`, over the table's indices when it is built and
+    else over points built by index (:meth:`LoopParams.loop_point`).  A case
+    costs its additions (two for unique solvability, P + (Q - P) = Q), and
+    the three pair laws over a table cost nothing.  The loop is listed only
+    for the table or the pool.
     """
     if laws is None:
         laws = LAW_NAMES
@@ -612,46 +613,37 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     n = params.cardinality()
     weights = {"diassociative": 360, "power-associative": 4 * max(params.ring.e, 8),
                "latin-square": 2}
-    samples = {law: max(1, budget // weights.get(law, 1)) for law in laws}
-    cayley = dom = None
-    if _affordable(budget, 3 * sum(samples.values()), table=n):  # capped at n <= 2,828: all points
-        cayley, dom = CayleyIndex(params, params.loop_points()), range(n)
+    samples = sum(max(1, budget // weights.get(law, 1)) for law in laws)
+    cayley = None
+    if _affordable(budget, 3 * samples, table=n):  # capped at n <= 2,828: all points
+        cayley = CayleyIndex(params, params.loop_points())
     ops, points = _ops(params, cayley), _point_ce(params, cayley and cayley.points)
 
-    def power_draws(rng):  # exponents in [-200, 200]
+    def power_draws(rng):  # a point and exponents in [-200, 200]
+        dom = range(n) if cayley else _point_pool(params, random.Random(seed))
         while True:
             yield rng.choice(dom), rng.randrange(-200, 201), rng.randrange(-200, 201)
 
     reports = []
     for law in laws:
-        if law in PAIR_LAWS and params.ring.e == 2:  # affine on fiber pairs
-            rep = _fiber_sweep(params, law, (1, 2), partial(_law_holds, ops, law), budget, seed,
-                               points, weight=weights.get(law, 1),
-                               at=None if cayley else params.loop_point, cost=cayley and 0)
-            rep.detail += " over the index table" if cayley and rep.exhaustive else ""
-            reports.append(rep)
-            continue
-        if dom is None:  # listed only for a law that reads points
-            dom = _point_pool(params, random.Random(seed))
-        width, proofs, encode, cost = 3 if law in TRIPLE_LAWS else 2, [], points, None
-        space = n ** width if len(dom) == n else None  # a drawn pool is not the loop
-        first_bad, draws = _breaker(partial(_law_holds, ops, law)), _picks(dom, width)
-        exhaust = lambda: first_bad(product(dom, repeat=width))
+        holds, weight = partial(_law_holds, ops, law), weights.get(law, 1)
         if law == "power-associative":
-            space, draws = None, power_draws
-            encode = lambda case: {**points(case[:1]), "exponents": list(case[1:])}
-        elif cayley and law in PAIR_LAWS:
-            cost = 0  # a few lookups a pair
+            rep = _sweep(law, budget, seed, lambda case: {**points(case[:1]),
+                                                          "exponents": list(case[1:])},
+                         weight=weight, draws=power_draws, first_bad=_breaker(holds))
         elif cayley and (law == "full-associative" or law == "moufang" and cayley.abelian()
                          or law == "diassociative" and cayley.associative()):
-            exhaust, cost = partial(_table_law, cayley, proofs), 0
-        elif law in TRIPLE_LAWS and not cayley:
-            space = None  # only a table sweeps a triple law
-        rep = _sweep(law, budget, seed, encode, space=space, weight=weights.get(law, 1),
-                     exhaust=exhaust, draws=draws, first_bad=first_bad, samples=samples[law],
-                     cost=cost)
-        rep.detail = _table_detail(proofs, law) or (
-            "over the index table" if cayley and rep.exhaustive else "")
+            proofs = []
+            bad = _table_law(cayley, proofs)
+            rep = LawReport(law, bad is None, bad and points(bad[1]),
+                            n ** (3 if law in TRIPLE_LAWS else 2), True, seed,
+                            _table_detail(proofs, law))
+        else:
+            rep = _fiber_sweep(params, law, (1, 2, 3) if law in TRIPLE_LAWS else (1, 2), holds,
+                               budget, seed, points, weight=weight,
+                               at=None if cayley else params.loop_point,
+                               cost=0 if cayley and law in PAIR_LAWS else None)
+            rep.detail += " over the index table" if cayley and rep.exhaustive else ""
         reports.append(rep)
     return reports
 
@@ -799,39 +791,72 @@ FIBER_LAYOUTS = {"translate-by-infinity-pair": (1, 0, 0), "difference-across-fib
 def _fiber_probes(params: LoopParams, layout, tup) -> list:
     """The cases, as indices into ``loop_points()``, that decide an identity on a fiber tuple.
 
-    Fiber f is the index range from f * |m|^2 on, and at e = 2 its point
-    f * |m|^2 + u * |m| + v has offset digits (u, v) (see
-    :meth:`LoopParams.fiber`, :meth:`RingConfig.digits`).  Slot c
-    lies in the fiber ``layout[c]`` names (:data:`FIBER_LAYOUTS`).  The base
-    case puts every slot at offset (0, 0); each other case moves one slot by
-    one unit step, in x (+|m|) or in z (+1).  At e = 1 a fiber is one point,
-    so the base case is all.  The tuple's entries after its fibers end
+    Fiber f is the index range from f * |m|^2 on, its point f * |m|^2 +
+    u * |m| + v at the u-th x offset and the v-th z offset of m (see
+    :meth:`LoopParams.fiber`).  Slot c lies in the fiber ``layout[c]`` names
+    (:data:`FIBER_LAYOUTS`), and the tuple's entries after its fibers end
     every case.
+
+    Over Z/p^e the u-th offset is p u, so every coordinate of a law
+    expression on the tuple (sums, negatives, fixed multiples; its one
+    inverse is of a unit, a finite geometric series) is an integer
+    polynomial in the 2k offsets u, v of its k slots whose terms of degree d
+    carry p^d.  In the binomial (Mahler) basis, prod C(u_i, b_i), a term with
+    |b| = d still carries p^d (K. Mahler, J. reine angew. Math. 199, 1958),
+    so every term with |b| >= e vanishes, and the values at the simplex
+    points u = b, |b| <= e - 1, fix the rest by a unitriangular system: an
+    identity that holds at these C(2k + e - 1, e - 1) probes holds on all
+    |m|^(2k) cases of the tuple.  Over F_p[t]/(t^e) an offset is
+    t * sum d_i t^i with base-p digits d_i of u, and a monomial in the
+    digits carries t to its weight, digit i weighing i + 1; as d^p = d on
+    F_p, the probes are the weighted simplex, each digit below p and the
+    weights summing to at most e - 1.  The probes come by degree, so at
+    e = 1 the base case (every slot at offset 0) is all, and at e = 2 the
+    base is followed by one unit step per slot, in x (+|m|) and then z (+1).
     """
-    ring = params.ring
-    base, rest = [(0, *tup)[c] * ring.ideal_size ** 2 for c in layout], tup[max(layout):]
-    steps = (ring.ideal_size, 1) if ring.e == 2 else ()
-    return [(*base, *rest)] + [(*(b + step * (c == moved) for c, b in enumerate(base)), *rest)
-                               for moved in range(len(base)) for step in steps]
+    base, rest = [(0, *tup)[c] * params.ring.ideal_size ** 2 for c in layout], tup[max(layout):]
+    return [(*map(operator.add, base, steps), *rest) for steps in _simplex(params.ring, len(base))]
+
+
+@cache
+def _simplex(ring: RingConfig, width: int) -> tuple:
+    """The slot steps of :func:`_fiber_probes`' probes on ``width`` slots, by degree."""
+    isz, top = ring.ideal_size, ring.e - 1
+    digits = ([(1, 1, top)] if ring.kind == INTEGER_QUOTIENT  # (weight, index step, cap)
+              else [(i + 1, ring.p ** i, ring.p - 1) for i in range(top)])
+    # one variable per slot, coordinate (an x step is |m| indices, a z step 1) and digit
+    variables = [(c, coord * step, w, cap) for c in range(width) for coord in (isz, 1)
+                 for w, step, cap in digits]
+
+    def vectors(k, left):  # exponents of variables[k:] of weight at most left
+        if k == len(variables):
+            yield ()
+            return
+        w, cap = variables[k][2:]
+        for b in range(min(cap, left // w) + 1):
+            yield from ((b, *more) for more in vectors(k + 1, left - b * w))
+
+    by_degree = sorted(vectors(0, top), key=lambda bs: (
+        sum(b * v[2] for b, v in zip(bs, variables)), [-b for b in bs]))
+    return tuple(tuple(sum(b * v[1] for b, v in zip(bs, variables) if v[0] == c)
+                       for c in range(width)) for bs in by_degree)
 
 
 def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *, extra=(),
                  weight=1, at=None, cost=None, rng=None) -> LawReport:
     """Decide ``law`` on whole fiber tuples through :func:`_sweep`: the one loop of
-    every fiber-tuple route, at e <= 2.
+    every fiber-tuple route, at every e.
 
     A tuple names one fiber per fiber of ``layout``, then a value from each
-    range of ``extra``.  Its cases are the probes of :func:`_fiber_probes`, as
-    indices into ``loop_points()`` or, mapped by ``at`` (such as
+    range of ``extra``.  Its cases are the probes of :func:`_fiber_probes`,
+    which decide all |m|^(2k) point cases of a k-slot tuple, as indices into
+    ``loop_points()`` or, mapped by ``at`` (such as
     :meth:`LoopParams.loop_point`), as points, and ``holds(*case)`` judges
-    one.  With m^2 = 0 both sides of an identity on
-    k points are affine maps of their 2k offset digits into one fiber (see
-    :func:`low_nilpotency_suite`), so the 2k + 1 probes decide all |m|^(2k)
-    point cases of the tuple; a probe costs ``weight``.  Every tuple runs when
-    their probes, or ``cost`` (0 over an index table already built), are
-    affordable, and otherwise seeded tuples are drawn.  The report counts the
-    point cases its tuples cover in ``checked`` and names its probes in
-    ``detail``, as "fiber pairs" for the layout (1, 2).
+    one; a probe costs ``weight``.  Every tuple runs when their probes, or
+    ``cost`` (0 over an index table already built), are affordable, and
+    otherwise seeded tuples are drawn.  The report counts the point cases its
+    tuples cover in ``checked`` and names its probes in ``detail``, as "fiber
+    pairs" for the layout (1, 2).
     """
     dims = [range(params.q)] * max(layout) + list(extra)
     probes, evaluated, width = len(_fiber_probes(params, layout, (0,) * len(dims))), 0, len(layout)
@@ -852,21 +877,18 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
                  draws=_draws(1, lambda rng: tuple(map(rng.choice, dims))),
                  first_bad=first_bad, rng=rng, cost=cost)
     tuples, rep.checked = rep.checked, rep.checked * params.ring.ideal_size ** (2 * width)
-    noun = "fiber pairs" if tuple(layout) == (1, 2) else "fiber tuples"
-    rep.detail = (f"affine probes: {evaluated:,} cases decide {tuples:,} "
-                  f"{'' if rep.exhaustive else 'seeded '}{noun}")
+    noun = "fiber pair" if tuple(layout) == (1, 2) else "fiber tuple"
+    cases = "1 case decides" if evaluated == 1 else f"{evaluated:,} cases decide"
+    rep.detail = (f"simplex probes: {cases} {tuples:,} {'' if rep.exhaustive else 'seeded '}"
+                  f"{noun}{'' if tuples == 1 else 's'}")
     return rep
 
 
 def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
     """The five identities valid when m^2 = 0, each decided exactly on whole fiber tuples.
 
-    With m^2 = 0 the law on a pair of fibers is affine in the offset digits
-    (the first-order formal group; see :func:`_table_by_blocks`), and so is
-    negation, so both sides of an identity on k points are affine maps of
-    their 2k digits, into one fiber.  Two affine maps agree everywhere iff
-    they agree at one point and after each unit step: the 2k + 1 cases of
-    :func:`_fiber_probes`, evaluated over the whole loop's index table,
+    The probes of :func:`_fiber_probes` (at e = 2 the base case and one unit
+    step per slot and digit), evaluated over the whole loop's index table,
     decide all |m|^(2k) cases of one fiber tuple.  multiple-of-fiber-sum
     takes its multiplier from range(q |m|), which covers every integer, as
     every order divides q |m|.  Each identity runs through
@@ -908,21 +930,15 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
 
     Covers the cardinality p^(2(e-1)), the orders and independence of the
     generating pair, the coordinate bijection, associativity (a theorem for
-    e <= 5, decided by the index table where it is :func:`_affordable`,
-    refuted by an explicit triple from e = 6 on), and additivity for e <= 3,
-    read off the same table when it is built.
+    e <= 5, false from e = 6 on) and additivity for e <= 3.  Both laws are
+    decided on the one tuple of the infinity fiber by :func:`_fiber_sweep`,
+    on the probes of :func:`_fiber_probes`, whatever the budget.
     """
     from .structure import infinity_decompose
 
     ring = params.ring
-    rng = random.Random(seed)
-    e = ring.e
     expected = ring.ideal_size**2
     encode = _point_ce(params)
-
-    def fresh(width):  # draws of random points at infinity
-        return _draws(width, lambda rng: random_infinity_point(params, rng))
-
     enumerable = expected <= 1_000_000
     if enumerable:
         inf_pts = params.infinity_points()
@@ -961,8 +977,9 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
 
         rep = _sweep("infinity-coordinate-bijection", budget, seed, encode,
                      space=expected if enumerable else None, weight=50,
-                     exhaust=lambda: undecomposable(zip(inf_pts), set()), draws=fresh(1),
-                     first_bad=undecomposable, samples=min(budget, 2000), rng=rng)
+                     exhaust=lambda: undecomposable(zip(inf_pts), set()),
+                     draws=_draws(1, lambda rng: random_infinity_point(params, rng)),
+                     first_bad=undecomposable, samples=min(budget, 2000))
         rep.detail = (f"decomposition is a bijection onto [0,{ring.ideal_size})^2"
                       if rep.exhaustive else "sampled decompositions recompose")
         reports.append(rep)
@@ -971,45 +988,21 @@ def infinity_suite(params: LoopParams, budget: int = 1_000_000, seed: int = 0):
                     for name in ("infinity-generator-orders", "infinity-generator-independence",
                                  "infinity-coordinate-bijection")]
 
-    # one index table, priced against the sampled associativity triples' 4 additions each
-    tabled = e <= 5 and enumerable and _affordable(budget, 4 * budget, table=expected)
-    cayley = CayleyIndex(params, inf_pts) if tabled else None
-    if e <= 5:
-        proofs = []
-        rep = _sweep("infinity-associativity", budget, seed,
-                     _point_ce(params, inf_pts if tabled else None),
-                     space=expected**3 if tabled else None, cost=0,
-                     exhaust=lambda: _table_law(cayley, proofs),
-                     draws=_picks(inf_pts, 3) if enumerable else fresh(3),
-                     first_bad=_breaker(partial(_law_holds, _ops(params), "full-associative")),
-                     rng=rng)
-        rep.detail = _table_detail(proofs)
-        reports.append(rep)
-    else:
-        try:
-            w = witness_inf(params)
-            rep = LawReport("infinity-associativity", False, w.to_json(params), 1, True, None,
-                            detail="guaranteed non-associative from e = 6 on")
-        except AssertionError as exc:  # the witness associated: its construction failed
-            rep = LawReport("infinity-associativity", False, None, 1, True, None, str(exc))
-        reports.append(rep)
+    reports.append(_fiber_sweep(params, "infinity-associativity", (0, 0, 0),
+                                partial(_law_holds, _ops(params), "full-associative"),
+                                budget, seed, encode, at=params.loop_point))
 
     # coordinatewise addition (an isomorphism onto (m, +)^2 for e <= 3)
-    if e > 3:
+    if ring.e > 3:
         return reports + [_skipped("infinity-coordinates-additive",
                                    "not applicable: no theorem past e = 3")]
 
-    def non_additive(cases):  # cases (a, b, a + b), sums read off the table when there is one
-        for k, (a, b, s) in enumerate(cases, 1):
-            if s.x != ring.add(a.x, b.x) or s.z != ring.add(a.z, b.z):
-                return k, (a, b)
+    def additive(a, b):
+        s = add(params, a, b)
+        return s.x == ring.add(a.x, b.x) and s.z == ring.add(a.z, b.z)
 
-    return reports + [_sweep(
-        "infinity-coordinates-additive", budget, seed, encode,
-        space=expected**2 if tabled else None, cost=0, first_bad=non_additive, rng=rng,
-        exhaust=lambda: non_additive((a, b, inf_pts[k]) for a, row in zip(inf_pts, cayley.table)
-                                     for b, k in zip(inf_pts, row)),
-        draws=lambda rng: ((a, b, add(params, a, b)) for a, b in fresh(2)(rng)))]
+    return reports + [_fiber_sweep(params, "infinity-coordinates-additive", (0, 0), additive,
+                                   budget, seed, encode, at=params.loop_point)]
 
 
 # ----------------------------------------------------------------------------
@@ -1253,23 +1246,15 @@ def cardinality_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 def projection_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Reduction mod m is a loop homomorphism onto the residue curve.
 
-    At e = 2 both sides are constant on a pair of fibers, so they are affine
-    maps of its offset digits, and the 5 probes of :func:`_fiber_sweep`
-    decide its |m|^4 point pairs, on points built by index (see
-    :meth:`LoopParams.fiber`):
-    all q^2 fiber pairs when their 5 q^2 cases fit the budget, else seeded ones.
+    Decided on fiber pairs by :func:`_fiber_sweep`, whose probes
+    (:func:`_fiber_probes`) decide all |m|^4 point pairs of each, on points
+    built by index (see :meth:`LoopParams.fiber`): all q^2 fiber pairs when
+    their probes fit the budget, else seeded ones.
     """
     rp, proj = params.residue_params, params.project
     ok = lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b))
-    if params.ring.e == 2:
-        return [_fiber_sweep(params, "projection-homomorphism", (1, 2), ok, budget, seed,
-                             _point_ce(params), at=params.loop_point)]
-    first_bad = _breaker(ok)
-    return [_sweep("projection-homomorphism", budget, seed, _point_ce(params),
-                   space=params.cardinality() ** 2,
-                   exhaust=lambda: first_bad(product(params.loop_points(), repeat=2)),
-                   draws=lambda rng: _picks(_point_pool(params, rng), 2)(rng),
-                   first_bad=first_bad, samples=min(budget, 100_000))]
+    return [_fiber_sweep(params, "projection-homomorphism", (1, 2), ok, budget, seed,
+                         _point_ce(params), at=params.loop_point)]
 
 
 def three_torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1351,7 +1336,8 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     expected = params.q * isz
     per_layer = max(1, budget // max(1, isz))
     iso = params.q % 3 != 0 and params.q % ring.p != 0
-    tabled = _affordable(budget, 4 * per_layer + min(per_layer, 2000), table=expected)
+    samples = 4 * per_layer + min(per_layer, 2000)  # additions of the samples a table replaces
+    tabled = _affordable(budget, samples, table=expected)
     size_ok = gen_ok = val_ok = iso_ok = True
     closure, assoc, proofs = [], [], []
     associative = _breaker(partial(_law_holds, _ops(params), "full-associative"))
@@ -1403,7 +1389,12 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         reports.append(_skipped("layer-group-isomorphism",
                                 f"not applicable: q = {params.q} divisible by 3 or by p"))
     elif not tabled:
-        reports.append(_skipped("layer-group-isomorphism", "skipped: exceeds the budget"))
+        price, most = ((expected + 1) // 2) ** 2, max(budget, samples)
+        reports.append(_skipped("layer-group-isomorphism", (
+            f"skipped: a {expected:,}-point layer table's ((n+1)/2)^2 = {price:,} exceeds "
+            f"max(budget, {samples:,}) = {most:,}" if price > most else
+            f"skipped: a {expected:,}-point layer table's n^2 = {expected ** 2:,} exceeds "
+            f"LOOP_TABLE_MAX = {LOOP_TABLE_MAX:,}")))
     else:
         reports.append(LawReport("layer-group-isomorphism", iso_ok, None,
                                  isz * expected ** 2, True, None,

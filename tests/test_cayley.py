@@ -5,8 +5,10 @@ generating set proves associativity or stops at its first failing triple
 (x, g, y), which ``assoc_sweep`` reports; with commuting generators it also
 proves the Moufang identity (P + (Q + R)) + R = ((P + R) + R) + Q, which
 every commutative semigroup satisfies.  Every other law, Moufang on a table
-that is not abelian among them, is the law's own sweep over the table's
-indices, as ``law_suite`` runs it.  Light's test runs as ``bytes`` rows on
+that is not abelian among them, is decided by ``law_suite`` on the simplex
+probes of its fiber tuples, read off the table's indices; on a table with no
+points behind it, the Moufang sweep here runs over all of its indices.
+Light's test runs as ``bytes`` rows on
 tables of at most ``BYTE_ROWS_MAX`` points, as lists above.  Its verdicts
 must agree with the full n^3 list sweeps kept here as the reference
 (``assoc_by_lists``), on both sides of that cutoff and on a table that is
@@ -24,7 +26,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from elliptic_loops import CayleyIndex, LoopParams, PreconditionUnmet, ProjPoint, RingConfig
-from elliptic_loops import diagnostics, loop_core, structure
+from elliptic_loops import diagnostics, loop_core, replay, structure
 from elliptic_loops.errors import DegenerateSum, EllipticLoopError
 from elliptic_loops.diagnostics import BYTE_ROWS_MAX, law_suite, laws_suite
 from elliptic_loops.layers import Layer, layer_points
@@ -76,8 +78,7 @@ def index_table(table, ident):
 
 
 def moufang_over_indices(cayley):
-    """The first triple failing Moufang in ``law_suite``'s own sweep of the
-    table's indices, or None."""
+    """The first triple failing Moufang in a sweep of all the table's indices, or None."""
     holds = partial(diagnostics._law_holds, diagnostics._ops(None, cayley), "moufang")
     hit = diagnostics._breaker(holds)(product(range(len(cayley.table)), repeat=3))
     return hit and hit[1]
@@ -458,13 +459,19 @@ def test_non_group_counterexamples_are_light_tests_failing_triple(inst):
     # n lookups for each (x, g) tried: every generator at x = 0, then up to s at x = 1
     tried = len(gens) + gens.index(s) + 1
     assert assoc.detail == f"Light's test: {len(gens)} generators, {tried * n:,} lookups"
+    # moufang, the table not abelian, on fiber triples: the 7 probes of (0, 0, 0) pass,
+    # and (0, 0, 1) fails at its 5th, the same triple as the sweep of all n^3
+    assert moufang.exhaustive and moufang.checked == n**3
     assert moufang.counterexample == {"points": [[0, 1, 0], [0, 1, p], [0, 1, 1]]}
-    assert moufang.detail == "over the index table"
+    assert moufang.detail == (f"simplex probes: 12 cases decide {params.q ** 3:,} fiber tuples"
+                              " over the index table")
 
 
 @pytest.mark.parametrize("inst, detail", [
     ((5, 2, 4, 2), "Light's test and commuting generators: 3 generators, 16,875 lookups"),
-    ((5, 2, 2, 1), "over the index table"),
+    pytest.param((5, 2, 2, 1),
+                 "simplex probes: 12 cases decide 343 fiber tuples over the index table",
+                 id="non-group"),
 ])
 def test_moufang_report_names_its_method(inst, detail):
     params = params_for(*inst)
@@ -475,22 +482,28 @@ def test_moufang_report_names_its_method(inst, detail):
     assert rep.detail == detail
 
 
-def test_moufang_on_a_table_that_is_not_abelian_is_priced_at_n_cubed():
-    """Its own sweep over the table's indices is priced at n^3, one a triple."""
+def test_moufang_on_a_table_that_is_not_abelian_is_priced_at_its_fiber_triple_probes():
+    """Decided on fiber triples, it is priced at their q^3 * 7 probes, one a probe,
+    with the table (built for the samples from budget 2,582 on) or without it;
+    below that price it draws budget // 7 seeded fiber triples."""
     params = params_for(5, 2, 2, 1)
-    n = params.cardinality()
-    for budget, exhaustive in [(n**3, True), (n**3 - 1, False)]:
+    n, price = params.cardinality(), 7 * params.q ** 3
+    for budget, tabled in [(n**3, True), (3_000, True), (price, False)]:
         (rep,) = law_suite(params, ("moufang",), budget=budget, seed=0)
-        assert not rep.holds and rep.exhaustive == exhaustive
-        assert rep.detail == ("over the index table" if exhaustive else "")
+        assert not rep.holds and rep.exhaustive and rep.checked == n**3
+        assert rep.detail == ("simplex probes: 12 cases decide 343 fiber tuples"
+                              + " over the index table" * tabled)
+    (rep,) = law_suite(params, ("moufang",), budget=price - 1, seed=0)
+    assert not rep.holds and not rep.exhaustive
+    assert rep.checked % 5 ** 6 == 0 and rep.checked // 5 ** 6 <= (price - 1) // 7
+    assert " seeded fiber tuple" in rep.detail and replay(params, rep)
 
 
 @pytest.mark.parametrize("inst", [(5, 2, 4, 2), (5, 2, 2, 1)], ids=["group", "non-group"])
 def test_lookup_laws_name_the_table_and_its_lookups(inst):
-    """At e = 2, alternative, jordan and latin-square over the whole-loop table are
-    decided on its fiber pairs, 5 probes each, up to the first failing probe, and
-    say so and name the table; sampled, they say nothing.  (Swept pair by pair over
-    the table's indices, as at e = 1, they say "over the index table".)"""
+    """alternative, jordan and latin-square over the whole-loop table are decided on
+    its fiber pairs, 5 probes each at e = 2 and 1 at e = 1, up to the first failing
+    probe, and say so and name the table; sampled, they say nothing."""
     params = params_for(*inst)
     n, q, group = params.cardinality(), params.q, inst == (5, 2, 4, 2)
     reports = law_suite(params, ("alternative", "jordan", "latin-square"), budget=200_000, seed=7)
@@ -505,17 +518,18 @@ def test_lookup_laws_name_the_table_and_its_lookups(inst):
             order = [case for tup in product(range(q), repeat=2)
                      for case in diagnostics._fiber_probes(params, (1, 2), tup)]
             probes = order.index(bad) + 1
-        assert rep.detail == (f"affine probes: {probes:,} cases decide {q * q:,} fiber pairs"
+        assert rep.detail == (f"simplex probes: {probes:,} cases decide {q * q:,} fiber pairs"
                               " over the index table")
     # at budget 907 neither loop's table pays for the laws suite's samples, and
     # latin-square is decided on fiber pairs over points
     assert [r.detail for r in laws_suite(params, budget=907, seed=7)] == [
-        "", f"affine probes: {5 * q * q:,} cases decide {q * q:,} fiber pairs"]
-    e1 = params_for(263, 1, 4, 1)  # a fiber is one point: the table is read pair by pair
+        "", f"simplex probes: {5 * q * q:,} cases decide {q * q:,} fiber pairs"]
+    e1 = params_for(263, 1, 4, 1)  # a fiber is one point, its one probe: the table pair by pair
     reports = law_suite(e1, ("alternative", "jordan", "latin-square"), budget=200_000, seed=7)
     n = e1.cardinality()
     assert [(r.holds, r.exhaustive, r.checked) for r in reports] == [(True, True, n * n)] * 3
-    assert [r.detail for r in reports] == ["over the index table"] * 3
+    assert [r.detail for r in reports] == [
+        f"simplex probes: {n * n:,} cases decide {n * n:,} fiber pairs over the index table"] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -524,22 +538,15 @@ def test_lookup_laws_name_the_table_and_its_lookups(inst):
 
 
 def old_law_table(params, laws, budget):
-    """The earlier whole-loop rule: the table pays for 3 additions a sample, under
-    the cap, or a triple law is asked for and n^3 fits the budget."""
+    """The earlier whole-loop rule's first clause: the table pays for 3 additions a
+    sample, under the cap.  Its second clause, a triple law asked for with n^3
+    within the budget, builds no table now: fiber triples decide both triple laws."""
     n, e = params.cardinality(), params.ring.e
     weights = {"diassociative": 360, "power-associative": 4 * max(e, 8)}
     samples = {law: max(1, budget // weights.get(law, 1)) for law in laws}
     if "latin-square" in samples:
         samples["latin-square"] = max(1, budget // (2 * n)) * n
-    return (n * n <= diagnostics.LOOP_TABLE_MAX
-            and ((n + 1) // 2) ** 2 <= 3 * sum(samples.values())
-            or n ** 3 <= budget and not set(laws).isdisjoint(("full-associative", "moufang")))
-
-
-def old_infinity_table(params, budget):
-    """The earlier infinity rule: the table pays for 4 additions a sampled triple."""
-    n = params.ring.ideal_size ** 2
-    return params.ring.e <= 5 and ((n + 1) // 2) ** 2 <= 4 * budget
+    return n * n <= diagnostics.LOOP_TABLE_MAX and ((n + 1) // 2) ** 2 <= 3 * sum(samples.values())
 
 
 def old_layer_table(params, budget):
@@ -574,32 +581,34 @@ def first_build(monkeypatch, run):
 @pytest.mark.parametrize("inst", [(5, 2, 2, 1), (7, 2, 0, 2), (13, 2, 0, 6), (5, 3, 2, 1)],
                          ids=["Z/25", "Z/49", "Z/169", "Z/125"])
 def test_every_table_the_earlier_rules_built_is_still_built(inst, monkeypatch):
+    """The whole-loop table is built exactly where it pays for the samples, a layer's
+    wherever it was, and the infinity part's never: its probes decide it."""
     params = params_for(*inst)
     for budget in (1, 100, 1_000, 3_000, 10_000, 40_000, 200_000):
         for laws in (diagnostics.LAW_NAMES, ("power-associative", "latin-square")):
-            if old_law_table(params, laws, budget):
-                built = first_build(monkeypatch, lambda: law_suite(params, laws, budget))
-                assert built == params.cardinality(), (laws, budget)
-        if old_infinity_table(params, budget):
-            built = first_build(monkeypatch, lambda: diagnostics.infinity_suite(params, budget))
-            assert built == params.ring.ideal_size ** 2, budget
+            built = first_build(monkeypatch, lambda: law_suite(params, laws, budget))
+            tabled = old_law_table(params, laws, budget)
+            assert built == (params.cardinality() if tabled else None), (laws, budget)
+        assert first_build(monkeypatch, lambda: diagnostics.infinity_suite(params, budget)) is None
         if old_layer_table(params, budget):
             built = first_build(monkeypatch, lambda: diagnostics.layer_suite(params, budget))
             assert built == params.q * params.ring.ideal_size, budget
 
 
-@pytest.mark.parametrize("inst, n, run, sampled", [
+@pytest.mark.parametrize("inst, n, run, law, exhaustive", [
     ((5, 2, 2, 1), 175, lambda params: law_suite(params, ("moufang",), budget=175 ** 3),
-     "moufang"),
+     "moufang", True),
     ((5, 2, 2, 1), 25, lambda params: diagnostics.infinity_suite(params, budget=50),
-     "infinity-associativity"),
+     "infinity-associativity", True),
     ((5, 2, 2, 1), 35, lambda params: diagnostics.layer_suite(params, budget=2_000),
-     "layer-associativity"),
+     "layer-associativity", False),
     ((5, 2, 4, 2), 75, lambda params: [diagnostics.group_certificate(params, budget=1_000)],
-     None),
+     None, False),
 ], ids=["triple-law", "infinity", "layer", "group-certificate"])
-def test_no_table_is_built_above_the_cap(inst, n, run, sampled, monkeypatch):
-    """Each route would build its n-point table here, but the cap sits below n^2."""
+def test_no_table_is_built_above_the_cap(inst, n, run, law, exhaustive, monkeypatch):
+    """Each route would build its n-point table here, but the cap sits below n^2.
+    The routes that need no table decide on the probes of fiber tuples; the
+    others sample."""
     params = params_for(*inst)
     monkeypatch.setattr(diagnostics, "LOOP_TABLE_MAX", n * n - 1)
     built, init = [], CayleyIndex.__init__
@@ -607,8 +616,8 @@ def test_no_table_is_built_above_the_cap(inst, n, run, sampled, monkeypatch):
                         lambda self, params, pts: built.append(len(pts)) or init(self, params, pts))
     answers = run(params)
     assert built == []
-    if sampled is None:  # the group certificate answers with its seeded search
+    if law is None:  # the group certificate answers with its seeded search
         assert answers[0]["is_group"] is None and answers[0]["method"] == "undetermined"
     else:
-        rep = next(r for r in answers if r.law == sampled)
-        assert rep.checked and not rep.exhaustive
+        rep = next(r for r in answers if r.law == law)
+        assert rep.checked and rep.exhaustive == exhaustive

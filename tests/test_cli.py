@@ -465,7 +465,8 @@ def test_verify_prints_the_same_checks_at_any_budget(capsys, suite, e, gated, bu
         gate = next(line for line in lines if line.split()[1] == gated)
         if budget == budgets[0]:
             assert gate.startswith("SKIP") and {  # each gate names its own price
-                "layer-group-isomorphism": "[skipped: exceeds the budget]",
+                "layer-group-isomorphism": "[skipped: a 35-point layer table's ((n+1)/2)^2 = 324"
+                                           " exceeds max(budget, 300) = 300]",
                 "forbidden-locus": "[skipped: |m|^2 = 15,625 exceeds max(budget, 10,000) = 10,000]",
             }[gated] in gate
         else:
@@ -475,14 +476,14 @@ def test_verify_prints_the_same_checks_at_any_budget(capsys, suite, e, gated, bu
 
 def test_verify_projection_at_e_2_is_decided_on_fiber_pairs(capsys):
     """At the default budget the 441^2 point pairs of Z/49 (0,2) are decided by
-    the 5 affine probes of each of its 9^2 fiber pairs."""
+    the 5 simplex probes of each of its 9^2 fiber pairs."""
     rc, out, _ = run_cli(capsys, "verify", "-p", "7", "-e", "2", "-A", "0", "-B", "2",
                          "--suite", "projection", "--format", "json")
     assert rc == 0
     (report,) = json.loads(out)["reports"]
     assert report["law"] == "projection-homomorphism" and report["holds"]
     assert report["exhaustive"] and report["checked"] == 441 ** 2
-    assert report["detail"] == "affine probes: 405 cases decide 81 fiber pairs"
+    assert report["detail"] == "simplex probes: 405 cases decide 81 fiber pairs"
 
 
 def test_verify_json_is_deterministic(capsys):

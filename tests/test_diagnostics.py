@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from functools import partial
 
 import pytest
@@ -212,10 +213,12 @@ def test_each_law_is_stated_once_for_points_and_indices(ring, a, b):
 
 @pytest.mark.parametrize("inst, laws, budget", [
     ((5, 2, 4, 2), ("power-associative",), 200_000),
-    ((5, 2, 2, 1), ("moufang", "diassociative"), 20_000),
+    ((5, 2, 1, 1), ("moufang", "diassociative"), 5_000),
 ])
 def test_the_whole_loop_table_changes_no_sampled_report(inst, laws, budget, monkeypatch):
-    """Over the table's indices the samples make the same draws as over points."""
+    """Over the table's indices the samples make the same draws as over points.  On
+    Z/25 (1,1), q = 9, the table pays for the samples from budget 4,245 on, and
+    moufang's 7 * 9^3 = 5,103 probes of its fiber triples do not fit 5,000."""
     params = params_for(*inst)
     built = counting_builds(monkeypatch)
     tabled = law_suite(params, laws, budget=budget, seed=7)
@@ -236,33 +239,34 @@ def test_the_whole_loop_table_changes_no_sampled_report(inst, laws, budget, monk
 @pytest.mark.parametrize("budget", [300, 1_000])
 @pytest.mark.parametrize("inst", [(5, 3, 2, 1), (13, 2, 0, 6)], ids=["Z/125", "Z/169"])
 def test_sampled_latin_square_stays_within_its_budget(inst, budget):
-    """A pair costs two additions, so a budget draws at most half as many pairs,
-    and decides at most half as many probes of fiber pairs (at e = 2, where the
-    7^2 fiber pairs of Z/169 (0,6) take 245 probes, which budget 1,000 affords;
-    budget 300 draws 30 seeded fiber pairs, each covering 13^4 point pairs)."""
+    """A pair costs two additions, so a budget decides at most half as many probes
+    of fiber pairs, 5 a pair at e = 2 and 15 at e = 3.  The 7^2 fiber pairs of
+    Z/169 (0,6) take 245 probes, which budget 1,000 affords; budget 300 draws 30
+    seeded fiber pairs, each covering 13^4 point pairs.  The 7^2 of Z/125 (2,1)
+    take 735 probes: budgets 300 and 1,000 draw 10 and 33, each covering 25^4."""
     params = params_for(*inst)
     rep = law_suite(params, ("power-associative", "latin-square"), budget=budget, seed=0)[1]
     assert rep.law == "latin-square" and rep.holds
-    q = params.q
+    q, probes = params.q, {2: 5, 3: 15}[params.ring.e]
     if rep.exhaustive:
-        assert (inst, budget) == ((13, 2, 0, 6), 1_000) and 5 * q * q <= budget // 2
+        assert (inst, budget) == ((13, 2, 0, 6), 1_000) and probes * q * q <= budget // 2
         assert rep.checked == params.cardinality() ** 2
-        assert rep.detail == f"affine probes: {5 * q * q:,} cases decide {q * q:,} fiber pairs"
-    elif params.ring.e == 2:
-        tuples = budget // 10  # 5 probes of 2 additions each
-        assert (inst, budget) == ((13, 2, 0, 6), 300) and 5 * tuples * 2 <= budget
-        assert rep.checked == tuples * 13 ** 4
-        assert rep.detail == (f"affine probes: {5 * tuples:,} cases decide "
-                              f"{tuples:,} seeded fiber pairs")
+        assert rep.detail == (f"simplex probes: {probes * q * q:,} cases decide "
+                              f"{q * q:,} fiber pairs")
     else:
-        assert 1 <= rep.checked <= max(1, budget // 2)
+        tuples = budget // (2 * probes)
+        assert (inst, budget) != ((13, 2, 0, 6), 1_000) and probes * tuples * 2 <= budget
+        assert rep.checked == tuples * params.ring.ideal_size ** 4
+        assert rep.detail == (f"simplex probes: {probes * tuples:,} cases decide "
+                              f"{tuples:,} seeded fiber pairs")
 
 
 def test_the_identity_alone_catches_a_row_collision(monkeypatch):
     """One cell of row i set to another cell's sum, so row i is no permutation:
     the table route of latin-square fails at a pair in row i.  The loop has
-    e = 1, where the table is read pair by pair: at e = 2 its affine fiber
-    probes would assume the very structure the broken cell breaks."""
+    e = 1, where a fiber is one point and its one probe, so the table is read
+    pair by pair: at e = 2 the fiber probes would assume the very structure
+    the broken cell breaks."""
     params = params_for(263, 1, 4, 1)
     pts = params.loop_points()
     n, neg_idx = len(pts), CayleyIndex(params, pts).neg
@@ -281,7 +285,8 @@ def test_the_identity_alone_catches_a_row_collision(monkeypatch):
     assert not rep.holds and rep.exhaustive and rep.checked == n * n
     p, q = (pts.index(pt) for pt in _decode(params, rep.counterexample["points"]))
     assert p == i
-    assert rep.detail == "over the index table"
+    assert rep.detail == (f"simplex probes: {p * n + q + 1:,} cases decide {n * n:,} "
+                          "fiber pairs over the index table")
 
 
 def test_a_failing_pair_over_points_encodes_and_replays(monkeypatch):
@@ -439,55 +444,34 @@ def test_infinity_suite_e2_and_e3():
 @pytest.mark.parametrize("inst, tabled", [((7, 2, 0, 2), True), ((7, 2, 1, 1), True),
                                            ((5, 3, 2, 1), False)])
 def test_infinity_additivity_is_read_off_the_infinity_table(inst, tabled, monkeypatch):
-    # at budget 1,000 the 49-point parts' tables (1,225 additions) pay for the
-    # 4,000 additions of sampled triples, the 625-point part's does not
+    """At budget 1,000 the earlier rule read the sums of the 49-point parts off their
+    tables (1,225 additions pay for 4,000 of sampled triples), and sampled the
+    625-point part.  Now no table is built: the simplex probes of the one infinity
+    pair, 5 at e = 2 and 15 at e = 3, decide all n^2 sums of each part."""
     params = params_for(*inst)
-    built, building, outside = [], [False], [0]
-    init, counted = CayleyIndex.__init__, diagnostics.add
-
-    def marking_init(self, params, points):
-        building[0] = True
-        init(self, params, points)
-        building[0] = False
-        built.append(len(points))
-
-    def counting_add(*args):
-        outside[0] += not building[0]
-        return counted(*args)
-
-    monkeypatch.setattr(CayleyIndex, "__init__", marking_init)
-    monkeypatch.setattr(diagnostics, "add", counting_add)
-    reports = {r.law: r for r in infinity_suite(params, budget=1_000, seed=0)}
-    additive = reports["infinity-coordinates-additive"]
-    assert additive.holds and additive.exhaustive == tabled
-    assert built == ([params.ring.ideal_size ** 2] if tabled else [])
-    if tabled:  # every sum of all n^2 pairs is read off the table
-        assert additive.checked == params.ring.ideal_size ** 4
-        assert outside[0] == 0
-    else:
-        assert additive.checked == 1_000 and outside[0] >= 5_000  # 4 a triple, 1 a pair
+    n = params.ring.ideal_size ** 2
+    assert tabled == (((n + 1) // 2) ** 2 <= 4 * 1_000)
+    built = counting_builds(monkeypatch)
+    additive = {r.law: r for r in infinity_suite(params, budget=1_000, seed=0)}[
+        "infinity-coordinates-additive"]
+    probes = {2: 5, 3: 15}[params.ring.e]
+    assert additive.holds and additive.exhaustive and additive.checked == n ** 2
+    assert additive.detail == f"simplex probes: {probes} cases decide 1 fiber tuple"
+    assert built == []
 
 
 def test_infinity_non_associative_from_e6():
+    """At e = 6 a probe of the one infinity triple fails, so the check is decided on
+    all |m|^6 triples, at any budget, and the probe triple replays."""
     params = params_for(5, 6, 2, 1)
-    reports = infinity_suite(params, budget=20_000, seed=0)
-    by_name = {r.law: r for r in reports}
-    assoc = by_name["infinity-associativity"]
-    assert not assoc.holds
-    assert assoc.counterexample is not None
-    assert assoc.exhaustive and assoc.checked == 1  # the witness is the whole case space
-    assert replay(params, assoc) is True
-
-
-def test_an_infinity_witness_that_associates_is_a_failed_check(monkeypatch):
-    """From e = 6 on, a witness triple that associates reports FAIL, not an error."""
-    params = params_for(5, 6, 2, 1)
-    g1, _ = diagnostics.infinity_generators(params)
-    monkeypatch.setattr(diagnostics, "infinity_generators", lambda params: (g1, identity(params)))
-    by_name = {r.law: r for r in infinity_suite(params, budget=10, seed=0)}
-    assoc = by_name["infinity-associativity"]
-    assert assoc.status == "fail" and assoc.counterexample is None
-    assert assoc.detail.startswith("witness construction inf unexpectedly associated")
+    for budget in (10, 20_000):
+        by_name = {r.law: r for r in infinity_suite(params, budget=budget, seed=0)}
+        assoc = by_name["infinity-associativity"]
+        assert not assoc.holds
+        assert assoc.counterexample is not None
+        assert assoc.exhaustive and assoc.checked == params.ring.ideal_size ** 6
+        assert re.fullmatch(r"simplex probes: \d+ cases decide 1 fiber tuple", assoc.detail)
+        assert replay(params, assoc) is True
 
 
 # ---------------------------------------------------------------------------
@@ -724,16 +708,20 @@ def test_verify_instance_rejects_budget_below_one():
 
 @pytest.mark.parametrize("law", LAW_NAMES)
 def test_triple_laws_sample_a_pool_that_is_not_the_loop(law, monkeypatch):
-    # 5^5 (2,1) has 2.7 M points, so the laws draw from a pool of at most 4,000
-    # points; no budget, not even one above the pool's n^3, builds an index
-    # table over it.  The five laws that fail stop at a counterexample even at
-    # 10^12; the two that hold run at a budget that ends.
+    # 5^5 (2,1) has 2.7 M points, so no budget builds an index table over it:
+    # power-associative draws from a pool of at most 4,000 points, and every
+    # other law is decided on the C(2k + 4, 4) probes of its fiber pairs or
+    # triples, points built by index.  The five laws that fail stop at a
+    # counterexample even at 10^12, decided on every tuple; the two that hold
+    # run at a budget that ends, latin-square's 49 * 70 probes of two
+    # additions sampled.
     params = params_for(5, 5, 2, 1)
     built = counting_builds(monkeypatch)
     holds = LAW_EXPECTATIONS[law]
     (report,) = law_suite(params, (law,), budget=2_000 if holds else 10**12, seed=0)
     assert built == []
-    assert report.holds == holds and not report.exhaustive
+    assert report.holds == holds and report.exhaustive == (not holds)
+    assert report.detail.startswith("simplex probes: ") == (law != "power-associative")
     if not holds:
         assert replay(params, report)
 
@@ -803,19 +791,33 @@ def test_a_point_on_several_layers_names_them(monkeypatch):
 
 
 def test_a_non_additive_pair_at_infinity_is_named(monkeypatch):
-    # at e = 3 and budget 1,000 the sums are sampled with add: a negated sum
+    # at e = 3 and budget 1,000 the probes' sums are made with add: a negated sum
     # has coordinates -(a + b), not a + b
     params = params_for(5, 3, 2, 1)
     real = diagnostics.add
     monkeypatch.setattr(diagnostics, "add", lambda params, a, b: neg(params, real(params, a, b)))
     reports = {r.law: r for r in infinity_suite(params, budget=1_000, seed=0)}
     rep = reports["infinity-coordinates-additive"]
-    assert not rep.holds and not rep.exhaustive
+    assert not rep.holds and rep.exhaustive
     a, b = _decode(params, rep.counterexample["points"])
     s = real(params, a, b)
     ring = params.ring
     assert (s.x, s.z) == (ring.add(a.x, b.x), ring.add(a.z, b.z))  # the true sum is additive
     assert neg(params, s) != s
+
+
+def test_the_layer_isomorphism_skip_names_its_price(monkeypatch):
+    """The isomorphism needs each layer's table: its SKIP names the table's price
+    against the budget or the samples it replaces, or the size cap it passes."""
+    params = params_for(5, 2, 2, 1)  # 35-point layers, 18^2 = 324 additions a table
+    iso = lambda budget: {r.law: r for r in diagnostics.layer_suite(params, budget=budget)}[
+        "layer-group-isomorphism"]
+    assert iso(300).detail == ("skipped: a 35-point layer table's ((n+1)/2)^2 = 324 exceeds "
+                               "max(budget, 300) = 300")
+    assert iso(324).status == "pass"
+    monkeypatch.setattr(diagnostics, "LOOP_TABLE_MAX", 35 * 35 - 1)
+    assert iso(324).detail == ("skipped: a 35-point layer table's n^2 = 1,225 exceeds "
+                               "LOOP_TABLE_MAX = 1,224")
 
 
 def test_e2_pair_laws_without_a_table_list_no_point(monkeypatch):
@@ -825,7 +827,7 @@ def test_e2_pair_laws_without_a_table_list_no_point(monkeypatch):
     reports = law_suite(params_for(31, 2, 1, 3), ("alternative", "jordan", "latin-square"),
                         budget=1000, seed=0)
     assert [r.law for r in reports] == ["alternative", "jordan", "latin-square"]
-    assert all(r.checked > 0 and "fiber pairs" in r.detail for r in reports)
+    assert all(r.checked > 0 and "fiber pair" in r.detail for r in reports)
 
 
 def test_torsion_and_forbidden_locus_skips_name_their_price(monkeypatch):

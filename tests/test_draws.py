@@ -314,7 +314,7 @@ def test_alternative_and_jordan_fail_on_fiber_pairs_and_replay(budget, tabled, m
     assert built == ([175] if tabled else [])
     for rep in reports:
         assert not rep.holds and rep.exhaustive and rep.checked == 175 ** 2
-        assert rep.detail.startswith("affine probes: ")
+        assert rep.detail.startswith("simplex probes: ")
         assert rep.detail.endswith(" over the index table") == tabled
         assert replay(params, rep) is True
 
@@ -337,7 +337,7 @@ def test_sampled_pair_checks_draw_seeded_fiber_pairs():
     for rep, tuples in zip(sampled_pair_checks(params, 0), (100, 200)):
         assert rep.holds and not rep.exhaustive and rep.seed == 0
         assert rep.checked == tuples * 31 ** 4
-        assert rep.detail == (f"affine probes: {5 * tuples:,} cases decide "
+        assert rep.detail == (f"simplex probes: {5 * tuples:,} cases decide "
                               f"{tuples} seeded fiber pairs")
 
 
@@ -362,7 +362,9 @@ def test_a_sampled_pair_law_fails_on_a_fiber_pair_and_replays(law):
     params = LoopParams(*WIDE)
     (rep,) = diagnostics.law_suite(params, (law,), budget=1_000, seed=0)
     assert not rep.holds and not rep.exhaustive
-    assert rep.detail.endswith(" seeded fiber pairs") and rep.checked % 31 ** 4 == 0
+    tuples = rep.checked // 31 ** 4
+    assert rep.checked == tuples * 31 ** 4
+    assert rep.detail.endswith(f" {tuples:,} seeded fiber pair" + "s" * (tuples > 1))
     assert replay(params, rep) is True
 
 

@@ -25,13 +25,20 @@ E2 = [name for name in LOOPS if name != "int-5-3-2-1"]
 
 # the reports that moved from sampled to exhaustive: budget -> law -> loops
 BECAME_EXHAUSTIVE = {
-    1_000: {"projection-homomorphism": E2,
+    1_000: {"projection-homomorphism": E2 + ["int-5-3-2-1"],
             "latin-square": [name for name in E2 if name != "int-5-2-4-2"],  # tabled before
-            "combination-closure-layers": E2},
+            "combination-closure-layers": E2,
+            # decided on the simplex probes of the one infinity tuple at e = 3
+            "infinity-associativity": ["int-5-3-2-1"],
+            "infinity-coordinates-additive": ["int-5-3-2-1"]},
     20_000: {"projection-homomorphism": [name for name in E2
-                                         if name not in ("int-5-2-4-2", "int-5-2-3-2")],
-             "latin-square": ["int-7-2-0-2"],  # the only loop without a table there
-             "combination-closure-layers": E2},
+                                         if name not in ("int-5-2-4-2", "int-5-2-3-2")]
+                                        + ["int-5-3-2-1"],
+             # the only loop without a table there, and e = 3's 49 fiber pairs of 15 probes
+             "latin-square": ["int-7-2-0-2", "int-5-3-2-1"],
+             "combination-closure-layers": E2,
+             "infinity-associativity": ["int-5-3-2-1"],
+             "infinity-coordinates-additive": ["int-5-3-2-1"]},
 }
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from elliptic_loops import (LoopParams, NilpotencyTooHigh, PreconditionUnmet, RingConfig,
                             law_suite, low_nilpotency_suite, replay, verify_instance)
-from elliptic_loops import structure
+from elliptic_loops import diagnostics, structure
 from elliptic_loops.diagnostics import NILPOTENCY_CHECKS, _point_pool, _sweep
 
 
@@ -109,16 +109,20 @@ def test_same_seed_same_report():
 
 
 def test_sampled_law_failure_counts_its_draw():
-    # the report of a failing sampled law stops at draw k: a budget of k
-    # reproduces it, and the k - 1 draws before it all pass
+    # the report of a failing sampled law stops at its k-th drawn fiber triple, of
+    # 7 probes and 5^6 point triples: a budget of 7k reproduces it, and the k - 1
+    # tuples before it all pass
     params = params_for(5, 2, 2, 1)
     (bad,) = law_suite(params, ("full-associative",), budget=1000, seed=5)
     assert not bad.holds and not bad.exhaustive and replay(params, bad)
-    (again,) = law_suite(params, ("full-associative",), budget=bad.checked, seed=5)
+    k = bad.checked // 5 ** 6
+    assert bad.checked == k * 5 ** 6 and bad.detail.endswith(f"decide {k:,} seeded fiber tuples"
+                                                             if k > 1 else "1 seeded fiber tuple")
+    (again,) = law_suite(params, ("full-associative",), budget=7 * k, seed=5)
     assert again.to_json() == bad.to_json()
-    if bad.checked > 1:
-        (before,) = law_suite(params, ("full-associative",), budget=bad.checked - 1, seed=5)
-        assert before.holds and before.checked == bad.checked - 1
+    if k > 1:
+        (before,) = law_suite(params, ("full-associative",), budget=7 * (k - 1), seed=5)
+        assert before.holds and before.checked == (k - 1) * 5 ** 6
 
 
 def test_exhaustive_law_failure_counts_the_whole_space():
@@ -129,12 +133,17 @@ def test_exhaustive_law_failure_counts_the_whole_space():
     assert replay(params, report)
 
 
-def test_laws_draw_from_the_shared_point_pool():
+def test_laws_draw_from_the_shared_point_pool(monkeypatch):
+    # power-associative, the one law that draws points, takes every one from the pool
     params = params_for(5, 5, 2, 1)  # 2.7 M points: the pool is a sample
     pool = set(_point_pool(params, random.Random(0)))
-    (report,) = law_suite(params, ("full-associative",), budget=10_000, seed=0)
-    assert not report.holds
-    assert set(_decode(params, report.counterexample["points"])) <= pool
+    drawn, real = [], diagnostics._law_holds
+    monkeypatch.setattr(diagnostics, "_law_holds",
+                        lambda ops, law, p, *rest: drawn.append(p) or real(ops, law, p, *rest))
+    (report,) = law_suite(params, ("power-associative",), budget=10_000, seed=0)
+    assert report.holds and not report.exhaustive
+    assert report.checked == len(drawn) == 10_000 // 32  # 4 * max(e, 8) additions a draw
+    assert set(drawn) <= pool
 
 
 def _decode(params, coords):
