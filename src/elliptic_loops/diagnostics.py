@@ -27,9 +27,11 @@ from __future__ import annotations
 import math
 import operator
 import random
+from array import array
 from functools import cache, partial
 from itertools import islice, product, starmap
 
+from . import loop_core
 from .errors import DegenerateSum, EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
 from .loop_core import (
     LoopParams,
@@ -225,21 +227,30 @@ BYTE_ROWS_MAX = 256
 
 
 def _table_by_pairs(params: LoopParams, pts: list, idx: dict, mirror: list, at) -> list:
-    """The index table by one ``add`` per unordered pair, and (-i) + (-j) = -(i + j)
+    """The index table by one sum per unordered pair, and (-i) + (-j) = -(i + j)
     filled from it when all three negatives are in the set (``mirror[i]`` is the
-    index of -points[i], or None); ``at(sum, why)`` raises for a sum outside."""
-    n = len(pts)
+    index of -points[i], or None); ``at(sum, why)`` raises for a sum outside.
+    When every point is canonical (Y = 1), a sum is ``add``'s own statement of
+    the law on such points, :func:`loop_core._add_canonical`, with no
+    ``ProjPoint`` built but for the error; otherwise it is ``add``."""
+    n, ring = len(pts), params.ring
+    one = ring.one
+    kernel = loop_core._add_canonical if all(pt.y == one for pt in pts) else None
     table = [[None] * n for _ in range(n)]
     for i, a in enumerate(pts):
         row, ni = table[i], mirror[i]
         for j in range(i, n):
             if row[j] is not None:  # filled as the negative of an earlier sum
                 continue
-            s = add(params, a, pts[j])
-            try:
-                k = idx[s.x, s.y, s.z]
-            except KeyError:
-                k = at(s, f"{a!r} + {pts[j]!r}")  # raises: the sum is outside
+            b = pts[j]
+            if kernel:
+                x, z = kernel(params, a.x, a.z, b.x, b.z)
+                s = x, one, z
+            else:
+                s = add(params, a, b).coords()
+            k = idx.get(s)
+            if k is None:
+                k = at(ProjPoint(ring, *s), f"{a!r} + {b!r}")  # raises: the sum is outside
             row[j] = table[j][i] = k
             if None not in (ni, mirror[j], mirror[k]):  # -i + -j = -k: the law is odd in Y
                 table[ni][mirror[j]] = table[mirror[j]][ni] = mirror[k]
@@ -264,7 +275,11 @@ def _table_by_blocks(params: LoopParams, pts: list, idx: dict, mirror: list):
     law is odd in Y, so the same matrix serves the pair of negated fibers,
     anchored at -P0, -Q0 and -(P0 + Q0) when all three are in the set.
     Every entry is then one lookup in the target fiber's (2p)^2 slots,
-    whose keys add the offset digits of both points without reduction.
+    whose keys add the offset digits of both points without reduction; -1
+    marks an empty slot.  A row chunk is read from the slots' tail: through
+    a ``memoryview`` on sets of at most BYTE_ROWS_MAX points, where a slice
+    copies nothing and every index read is a shared small int, and as a list
+    slice above, where a view's reads would each allocate an int.
     At e = 1 every fiber is one point and the blocks share nothing.
     """
     ring = params.ring
@@ -278,12 +293,14 @@ def _table_by_blocks(params: LoopParams, pts: list, idx: dict, mirror: list):
         f = fibers.setdefault((rx, rz), len(members))
         if f == len(members):
             members.append([])
-            slots.append([None] * (w * w))
+            slots.append([-1] * (w * w))
         members[f].append(i)
         fiber.append(f)
         offsets.append((u, v))
         ext, k = slots[f], u * w + v  # at (u, v), (u, v + p), (u + p, v) and (u + p, v + p),
         ext[k] = ext[k + s] = ext[k + s * w] = ext[k + s * w + s] = i  # so keys add unreduced
+    if len(pts) <= BYTE_ROWS_MAX:  # a view's slice copies nothing, and its small ints are shared
+        slots = [memoryview(array("i", ext)) for ext in slots]
 
     def slopes(a, b, u0, v0):  # the sum's digit steps per pi-step of a's x and of a's z
         out = []
@@ -337,7 +354,7 @@ def _table_by_blocks(params: LoopParams, pts: list, idx: dict, mirror: list):
             for ext, mine, get in plan:
                 row += get(ext[mine[r]:])
             rows.append(row)
-    if any(len(mf) < s * s for mf in members) and any(None in row for row in rows):
+    if any(len(mf) < s * s for mf in members) and any(-1 in row for row in rows):
         return None  # a sum fell on an empty slot of a fiber that is not full
     order = [i for mf in members for i in mf]  # the points of the rows and of the columns
     if order == list(range(len(pts))):
@@ -358,10 +375,11 @@ class CayleyIndex:
     At e = 2 a set of canonical points is built block by block, one affine map
     per pair of fibers from at most five sums, because m^2 = 0
     (:func:`_table_by_blocks`).  Otherwise, or on a miss there, each unordered
-    pair is added once (:func:`_table_by_pairs`), and as the law is odd in Y
-    each sum i + j also fills -i + -j: ((n+1)/2)^2 additions on odd sets closed
-    under negation.  A set that is not closed raises at its first pair, in row
-    order, whose sum is outside.
+    pair is added once (:func:`_table_by_pairs`, by ``add``'s kernel on
+    canonical points), and as the law is odd in Y each sum i + j also fills
+    -i + -j: ((n+1)/2)^2 additions on odd sets closed under negation.  A set
+    that is not closed raises at its first pair, in row order, whose sum is
+    outside, with the point ``add`` gives for that pair.
 
     Light's test on a generating set (:meth:`associative`, n^2 lookups per
     generator, run once and cached) proves associativity, or names a failing

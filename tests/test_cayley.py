@@ -244,12 +244,15 @@ def mirrored_sets():
     ((n+1)/2)^2."""
     z52, poly = params_for(5, 2, 2, 1), LoopParams(RingConfig.truncated_poly(5, 2), 2, 1)
     inf, lay = params_for(7, 2, 0, 2), params_for(5, 3, 2, 1)
+    poly3 = LoopParams(RingConfig.truncated_poly(5, 3), 2, 1)
     return [(z52, z52.loop_points(), 72), (poly, poly.loop_points(), 72),
-            (inf, inf.infinity_points(), 3), (lay, layer_points(Layer(lay, 5)), 88 ** 2)]
+            (inf, inf.infinity_points(), 3), (lay, layer_points(Layer(lay, 5)), 88 ** 2),
+            (poly3, layer_points(Layer(poly3, poly3.ring.uniformizer())), 88 ** 2)]
 
 
 @pytest.mark.parametrize("params, pts, additions", mirrored_sets(),
-                         ids=["Z/25", "F5[t]/(t^2)", "infinity-7-2-0-2", "layer-5-3"])
+                         ids=["Z/25", "F5[t]/(t^2)", "infinity-7-2-0-2", "layer-5-3",
+                              "layer-F5[t]/(t^3)"])
 def test_mirrored_build_matches_one_add_per_pair(params, pts, additions, monkeypatch):
     """-P + -Q = -(P + Q) fills half the table: at most ((n+1)/2)^2 additions, the same table."""
     reference = table_by_pairs(params, pts)
@@ -355,16 +358,24 @@ def build_error(params, pts, monkeypatch, blocks=True):
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("cut", ["fiber", "point"])
-def test_block_build_raises_the_per_pair_error_off_the_set(cut, monkeypatch):
+@pytest.mark.parametrize("cut, inst", [("fiber", (5, 2, 2, 1)), ("point", (5, 2, 2, 1)),
+                                       ("view-rows", (5, 2, 2, 1)), ("list-rows", (7, 2, 0, 2))],
+                         ids=["fiber", "point", "view-rows", "list-rows"])
+def test_block_build_raises_the_per_pair_error_off_the_set(cut, inst, monkeypatch):
     """A sum leaves the set: for the infinity part and one affine fiber, which is
     not closed under negation, into a fiber the set does not meet; for a layer
-    without its last point, onto a missing point of a fiber it meets."""
-    params = params_for(5, 2, 2, 1)
+    without its last point, onto a missing point of a fiber it meets.  A whole
+    loop without its last point has every anchor sum in the set, so the missing
+    point is an empty slot that a row reads: through views up to BYTE_ROWS_MAX
+    points (Z/25), through lists above (Z/49)."""
+    params = params_for(*inst)
     if cut == "fiber":
         pts = params.infinity_points() + params.loop_points()[25:50]
-    else:
+    elif cut == "point":
         pts = layer_points(Layer(params, 5))[:-1]
+    else:
+        pts = params.loop_points()[:-1]
+        assert (len(pts) > BYTE_ROWS_MAX) == (cut == "list-rows")
     err = build_error(params, pts, monkeypatch)
     assert err[0] is PreconditionUnmet and " + " in err[1]
     assert err == build_error(params, pts, monkeypatch, blocks=False)
@@ -391,6 +402,39 @@ def test_block_build_raises_the_per_pair_error_on_a_degenerate_sum(monkeypatch):
     err = build_error(params, pts, monkeypatch)
     assert err[0] is DegenerateSum
     assert err == build_error(params, pts, monkeypatch, blocks=False)
+
+
+def add_error(params, pts):
+    """The message of ``add``'s DegenerateSum on the first pair, in row order, that raises."""
+    for a, b in combinations_with_replacement(pts, 2):
+        try:
+            loop_core.add(params, a, b)
+        except DegenerateSum as err:
+            return str(err)
+    return None
+
+
+def test_kernel_route_names_the_sum_add_gives():
+    """At e = 3 every canonical pair is summed by ``add``'s kernel: a layer
+    without its last point names its first pair outside and the point ``add``
+    makes of it; a fiber off the loop raises ``add``'s error for its first
+    degenerate pair."""
+    params = params_for(5, 3, 2, 1)
+    pts = layer_points(Layer(params, 5))[:-1]
+    i, j = table_by_pairs(params, pts)
+    s = loop_core.add(params, pts[i], pts[j])
+    with pytest.raises(PreconditionUnmet,
+                       match=re.escape(f"{pts[i]!r} + {pts[j]!r} = {s!r} is not among")):
+        CayleyIndex(params, pts)
+
+    ring = params.ring
+    x, z = next((x, z) for x in range(5) for z in range(5)
+                if add_error(params, [ProjPoint(ring, x, 1, z)]))
+    pts = [ProjPoint(ring, x + 5 * u, 1, z + 5 * v) for u in range(25) for v in range(25)]
+    assert not any(loop_core.membership(params, pt) for pt in pts)
+    with pytest.raises(DegenerateSum) as info:
+        CayleyIndex(params, pts)
+    assert str(info.value) == add_error(params, pts)
 
 
 def s3_table():
