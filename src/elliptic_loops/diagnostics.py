@@ -9,10 +9,11 @@ The headline searches live here too: explicit witness triples that break
 associativity (three constructions with different preconditions), the
 identities valid at nilpotency degree at most two, the infinity part's
 group structure, the technical congruences for points at infinity, and the
-classification of the parameter pairs whose loops are honest groups.  The
-loop laws but power-associativity, the projection, the infinity part's laws
-and the low-nilpotency identities are decided on whole fiber tuples, by the
-simplex probes of :func:`_fiber_probes`.
+classification of the parameter pairs whose loops are honest groups.  Every
+identity on loop points (the loop laws, the projection, the infinity part's
+laws and the low-nilpotency identities) is decided on whole fiber tuples, by
+the simplex probes of :func:`_fiber_probes`, or over an index table by
+Light's test.
 
 Every check that can either sweep its whole case space or draw seeded
 cases runs through one runner, :func:`_sweep`: it sweeps exhaustively when
@@ -149,7 +150,8 @@ def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, dra
     included.  ``first_bad`` and ``exhaust`` return ``(k, case)`` for the
     k-th failing case (``exhaust`` may give any k), or None; ``encode(case)``
     is the counterexample.  ``rng`` is the stream the checks of one suite
-    share; by default a fresh one.
+    share; by default a fresh one.  The report carries ``seed`` iff it drew
+    cases: an exhaustive report's seed is None.
     """
     if samples is None:
         samples = max(1, budget // weight)
@@ -160,15 +162,16 @@ def _sweep(law, budget, seed, encode, *, space=None, weight=1, exhaust=None, dra
         hit = first_bad(islice(draws(rng or random.Random(seed)), samples))
         checked, exhaustive = (samples if hit is None else hit[0]), False
     return LawReport(law, hit is None, None if hit is None else encode(hit[1]),
-                     checked, exhaustive, seed)
+                     checked, exhaustive, None if exhaustive else seed)
 
 
 def _merge(parts, detail: str = "") -> LawReport:
-    """One report for a check run as several sweeps (per layer, or in phases)."""
+    """One report for a check run as several sweeps (per layer, or in phases), with
+    the seed of its sampled parts, None when every part was exhaustive."""
     bad = next((r for r in parts if not r.holds), None)
     return LawReport(parts[0].law, bad is None, bad and bad.counterexample,
                      sum(r.checked for r in parts), all(r.exhaustive for r in parts),
-                     parts[0].seed, detail)
+                     next((r.seed for r in parts if not r.exhaustive), None), detail)
 
 
 def _draws(width: int, draw):
@@ -607,19 +610,19 @@ def _ops(params: LoopParams, cayley: CayleyIndex = None):
 def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int = 0):
     """Run the requested laws (all seven by default) and report.
 
-    Each law takes one of three routes.  The whole loop's index table is
+    Each law takes one of two routes.  The whole loop's index table is
     built where it is :func:`_affordable` against the budget or the samples
     (at least 3 additions each), and over it Light's test (:func:`_table_law`)
     decides full-associative, moufang when abelian and diassociative when
-    associative.  power-associative, whose exponents bound no arity, draws
-    seeded points and exponents: the table's indices, or the shared point
-    pool.  Every other law is decided on fiber pairs, or fiber triples for
-    full-associative and moufang, by :func:`_fiber_sweep` on the probes of
-    :func:`_fiber_probes`, over the table's indices when it is built and
-    else over points built by index (:meth:`LoopParams.loop_point`).  A case
+    associative.  Every other law is decided by :func:`_fiber_sweep` on the
+    probes of :func:`_fiber_probes`, over the table's indices when it is
+    built and else over points built by index (:meth:`LoopParams.loop_point`):
+    on fiber pairs, on fiber triples for full-associative and moufang, and
+    for power-associative on one fiber and two exponents in [-200, 200],
+    since for fixed exponents both of its sides are fixed multiples.  A case
     costs its additions (two for unique solvability, P + (Q - P) = Q), and
     the three pair laws over a table cost nothing.  The loop is listed only
-    for the table or the pool.
+    for the table.
     """
     if laws is None:
         laws = LAW_NAMES
@@ -636,30 +639,23 @@ def law_suite(params: LoopParams, laws=None, budget: int = 1_000_000, seed: int 
     if _affordable(budget, 3 * samples, table=n):  # capped at n <= 2,828: all points
         cayley = CayleyIndex(params, params.loop_points())
     ops, points = _ops(params, cayley), _point_ce(params, cayley and cayley.points)
-
-    def power_draws(rng):  # a point and exponents in [-200, 200]
-        dom = range(n) if cayley else _point_pool(params, random.Random(seed))
-        while True:
-            yield rng.choice(dom), rng.randrange(-200, 201), rng.randrange(-200, 201)
-
     reports = []
     for law in laws:
         holds, weight = partial(_law_holds, ops, law), weights.get(law, 1)
-        if law == "power-associative":
-            rep = _sweep(law, budget, seed, lambda case: {**points(case[:1]),
-                                                          "exponents": list(case[1:])},
-                         weight=weight, draws=power_draws, first_bad=_breaker(holds))
-        elif cayley and (law == "full-associative" or law == "moufang" and cayley.abelian()
-                         or law == "diassociative" and cayley.associative()):
+        if cayley and (law == "full-associative" or law == "moufang" and cayley.abelian()
+                       or law == "diassociative" and cayley.associative()):
             proofs = []
             bad = _table_law(cayley, proofs)
             rep = LawReport(law, bad is None, bad and points(bad[1]),
-                            n ** (3 if law in TRIPLE_LAWS else 2), True, seed,
+                            n ** (3 if law in TRIPLE_LAWS else 2), True, None,
                             _table_detail(proofs, law))
         else:
-            rep = _fiber_sweep(params, law, (1, 2, 3) if law in TRIPLE_LAWS else (1, 2), holds,
-                               budget, seed, points, weight=weight,
-                               at=None if cayley else params.loop_point,
+            layout, extra, encode = (1, 2, 3) if law in TRIPLE_LAWS else (1, 2), (), points
+            if law == "power-associative":  # one point, then its two exponents
+                layout, extra = (1,), (range(-200, 201),) * 2
+                encode = lambda case: {**points(case[:1]), "exponents": list(case[1:])}
+            rep = _fiber_sweep(params, law, layout, holds, budget, seed, encode, extra=extra,
+                               weight=weight, at=None if cayley else params.loop_point,
                                cost=0 if cayley and law in PAIR_LAWS else None)
             rep.detail += " over the index table" if cayley and rep.exhaustive else ""
         reports.append(rep)
@@ -906,27 +902,26 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
     """The five identities valid when m^2 = 0, each decided exactly on whole fiber tuples.
 
     The probes of :func:`_fiber_probes` (at e = 2 the base case and one unit
-    step per slot and digit), evaluated over the whole loop's index table,
-    decide all |m|^(2k) cases of one fiber tuple.  multiple-of-fiber-sum
-    takes its multiplier from range(q |m|), which covers every integer, as
-    every order divides q |m|.  Each identity runs through
-    :func:`_fiber_sweep` with the fiber tuples as its space, weighted by the
-    probes of one tuple (eight times over for the multiplier's four table
-    walks): all tuples when that is affordable, else seeded ones.
+    step per slot and digit) decide all |m|^(2k) cases of one fiber tuple.
+    They are evaluated over the whole loop's index table, built whenever it
+    fits LOOP_TABLE_MAX, and above that cap over points built by index
+    (:meth:`LoopParams.loop_point`).  multiple-of-fiber-sum takes its
+    multiplier from range(q |m|), which covers every integer, as every order
+    divides q |m|.  Each identity runs through :func:`_fiber_sweep` with the
+    fiber tuples as its space, weighted by the probes of one tuple (eight
+    times over for the multiplier's four table walks): all tuples when that
+    is affordable, else seeded ones.
     """
     ring = params.ring
     if ring.e > 2:
         raise NilpotencyTooHigh(
             f"these identities require nilpotency degree <= 2 (e = {ring.e})"
         )
-    if not _affordable(math.inf, table=params.cardinality()):  # capped, never priced
-        raise PreconditionUnmet(
-            f"loop of size {params.cardinality()} exceeds the index-table budget"
-        )
     rng = random.Random(seed)
-    pts = params.loop_points()
-    ops = _ops(params, CayleyIndex(params, pts))
-    points = _point_ce(params, pts)
+    cayley = None
+    if _affordable(math.inf, table=params.cardinality()):  # capped, never priced
+        cayley = CayleyIndex(params, params.loop_points())
+    ops, points = _ops(params, cayley), _point_ce(params, cayley and cayley.points)
     reports = []
     for law in NILPOTENCY_CHECKS:
         extra, encode, weight = (), points, 1
@@ -934,7 +929,8 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
             extra = (range(params.q * ring.ideal_size),)
             encode, weight = lambda case: {**points(case[:-1]), "multiplier": case[-1]}, 8
         reports.append(_fiber_sweep(params, law, FIBER_LAYOUTS[law], partial(_law_holds, ops, law),
-                                    budget, seed, encode, extra=extra, weight=weight, rng=rng))
+                                    budget, seed, encode, extra=extra, weight=weight,
+                                    at=None if cayley else params.loop_point, rng=rng))
     return reports
 
 
@@ -1123,8 +1119,9 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     Past ``witness_B`` at e = 2 every affine residue point is 3-torsion, so
     E(F_p) has exponent 3, q is 3 or 9, Hasse's bound q >= p + 1 - 2 sqrt(p)
     gives p <= 13, and n = q p^2 <= 1,521: the table always fits
-    ``LOOP_TABLE_MAX``, and a seeded search for a triple serves only e = 1
-    past that cap.
+    ``LOOP_TABLE_MAX``, and past that cap, which only e = 1 reaches, the
+    triples are searched by :func:`_fiber_sweep` on seeded fiber triples,
+    at e = 1 each a triple of points built by index.
     """
     n = params.cardinality()
 
@@ -1139,14 +1136,15 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     except PreconditionUnmet:
         pass
 
-    pts = params.loop_points()
     if not _affordable(math.inf, table=n):  # capped, never priced: a seeded search
-        rep = _sweep("full-associative", budget, seed, _point_ce(params), draws=_picks(pts, 3),
-                     first_bad=_breaker(partial(_law_holds, _ops(params), "full-associative")))
+        rep = _fiber_sweep(params, "full-associative", (1, 2, 3),
+                           partial(_law_holds, _ops(params), "full-associative"), budget, seed,
+                           _point_ce(params), at=params.loop_point)
         if not rep.holds:
             return non_group("sampled-triple", rep.counterexample)
         return {"is_group": None, "order": n, "invariants": None,
                 "method": "undetermined", "checked": rep.checked}
+    pts = params.loop_points()
     cayley = CayleyIndex(params, pts)
     orders = [len(cayley.multiples(i)) for i in range(n)]
     n2 = max(orders)
@@ -1469,10 +1467,9 @@ def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: i
                                    f" {plane:,} exceeds 40 * budget = {40 * budget:,}")]
     combo = combination(params, 0, 1)
     zeros = plane_zeros(params, combo)
-    rep = closed("combination-closure-hessian", [(combo, zeros, _point_ce(params))],
-                 f"zero set of H ({len(zeros)} of {plane} plane points) closed under raw sums")
-    rep.seed = None if rep.exhaustive else seed  # the whole zero set was swept: no draw
-    return reports + [rep]
+    return reports + [closed("combination-closure-hessian", [(combo, zeros, _point_ce(params))],
+                             f"zero set of H ({len(zeros)} of {plane} plane points) closed"
+                             " under raw sums")]
 
 
 def infinity_structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1576,7 +1573,7 @@ def nilpotency_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """:func:`low_nilpotency_suite`, or one SKIP per identity where it does not run."""
     try:
         return low_nilpotency_suite(params, budget, seed)
-    except (NilpotencyTooHigh, PreconditionUnmet) as exc:
+    except NilpotencyTooHigh as exc:
         return [_skipped(law, f"skipped: {exc}") for law in NILPOTENCY_CHECKS]
 
 

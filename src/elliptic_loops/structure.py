@@ -246,7 +246,8 @@ def torsion_geometry(params: LoopParams, q: int, bases=None) -> list:
     """One record (P, L_{q/P}, D_{q/P}, line) per base point P, for e <= 2.
 
     ``bases`` defaults to the first q-torsion point of each residue fiber,
-    in the order of :meth:`LoopParams.fiber`; each base's fiber is built once.
+    in the order of :meth:`LoopParams.fiber`; each residue fiber is then
+    built and filtered once, and its q-torsion is both the base and L_{q/P}.
     ``line`` is the :func:`torsion_line` of P's coset, drawn in the
     direction of a generator of D_{q/P}; it is None over the residue
     identity and when D_{q/P} is not cyclic, where no line carries the fiber.
@@ -254,12 +255,13 @@ def torsion_geometry(params: LoopParams, q: int, bases=None) -> list:
     _torsion_needs_e_at_most_2(params)
     ident = identity(params)
     if bases is None:
-        firsts = (next((pt for pt in params.fiber(f) if scalar_mul(params, q, pt) == ident),
-                       None) for f in range(params.q))
-        bases = [pt for pt in firsts if pt is not None]
+        fibers = ([pt for pt in params.fiber(f) if scalar_mul(params, q, pt) == ident]
+                  for f in range(params.q))
+        based = [(fiber[0], fiber) for fiber in fibers if fiber]
+    else:
+        based = [(base, torsion_fiber(params, q, base)) for base in bases]
     records = []
-    for base in bases:
-        fiber = torsion_fiber(params, q, base)
+    for base, fiber in based:
         diffs = _checked_differences(params, base, fiber)
         gen = None if params.project(base) == params.project(ident) else next(
             (d for d in diffs if order_of(params, d) == len(diffs)), None)

@@ -208,12 +208,13 @@ def test_law_suite_builds_the_whole_loop_index_once(monkeypatch):
     assert built == [175, 75] and adds[0] == 16
     assert all(r.holds for r in reports)
     assert [r.law for r in reports if not r.exhaustive] == ["power-associative"]
-    # the laws suite at budget 907 would draw 28 power-associativity cases and
+    # the laws suite at budget 907 is priced at 28 power-associativity cases and
     # 453 latin-square pairs: 1,443 additions at 3 a case, under the 38^2 = 1,444
-    # a table is priced at; latin-square is decided on its 9 fiber pairs instead
+    # a table is priced at; latin-square is decided on its 9 fiber pairs instead,
+    # and power-associativity on 907 // (3 * 32) = 9 seeded fibers of 25 points
     reports = laws_suite(group, budget=907, seed=7)
     assert built == [175, 75]
-    assert [(r.checked, r.exhaustive) for r in reports] == [(28, False), (75 ** 2, True)]
+    assert [(r.checked, r.exhaustive) for r in reports] == [(9 * 25, False), (75 ** 2, True)]
 
 
 def test_point_set_not_closed_under_the_loop_is_a_precondition_error():
@@ -565,9 +566,11 @@ def test_lookup_laws_name_the_table_and_its_lookups(inst):
         assert rep.detail == (f"simplex probes: {probes:,} cases decide {q * q:,} fiber pairs"
                               " over the index table")
     # at budget 907 neither loop's table pays for the laws suite's samples, and
-    # latin-square is decided on fiber pairs over points
+    # latin-square is decided on fiber pairs over points, power-associativity on
+    # 9 seeded fibers, each with two exponents, from 3 probes a fiber
     assert [r.detail for r in laws_suite(params, budget=907, seed=7)] == [
-        "", f"simplex probes: {5 * q * q:,} cases decide {q * q:,} fiber pairs"]
+        "simplex probes: 27 cases decide 9 seeded fiber tuples",
+        f"simplex probes: {5 * q * q:,} cases decide {q * q:,} fiber pairs"]
     e1 = params_for(263, 1, 4, 1)  # a fiber is one point, its one probe: the table pair by pair
     reports = law_suite(e1, ("alternative", "jordan", "latin-square"), budget=200_000, seed=7)
     n = e1.cardinality()

@@ -709,19 +709,18 @@ def test_verify_instance_rejects_budget_below_one():
 @pytest.mark.parametrize("law", LAW_NAMES)
 def test_triple_laws_sample_a_pool_that_is_not_the_loop(law, monkeypatch):
     # 5^5 (2,1) has 2.7 M points, so no budget builds an index table over it:
-    # power-associative draws from a pool of at most 4,000 points, and every
-    # other law is decided on the C(2k + 4, 4) probes of its fiber pairs or
-    # triples, points built by index.  The five laws that fail stop at a
-    # counterexample even at 10^12, decided on every tuple; the two that hold
-    # run at a budget that ends, latin-square's 49 * 70 probes of two
-    # additions sampled.
+    # every law is decided on the C(2k + 4, 4) probes of its fiber pairs or
+    # triples, or for power-associative of one fiber and two exponents, points
+    # built by index.  The five laws that fail stop at a counterexample even
+    # at 10^12, decided on every tuple; the two that hold run at a budget that
+    # ends, latin-square's 49 * 70 probes of two additions sampled.
     params = params_for(5, 5, 2, 1)
     built = counting_builds(monkeypatch)
     holds = LAW_EXPECTATIONS[law]
     (report,) = law_suite(params, (law,), budget=2_000 if holds else 10**12, seed=0)
     assert built == []
     assert report.holds == holds and report.exhaustive == (not holds)
-    assert report.detail.startswith("simplex probes: ") == (law != "power-associative")
+    assert report.detail.startswith("simplex probes: ")
     if not holds:
         assert replay(params, report)
 

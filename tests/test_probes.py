@@ -5,21 +5,27 @@ the simplex of degree e - 1: over Z/p^e every offset vector of at most
 e - 1 in all, over F_p[t]/(t^e) every vector of base-p digits whose
 weights (digit i weighs i + 1) sum to at most e - 1.  These tests pin that
 set and its order, that its verdict is a full sweep's on every pair of the
-625-point infinity parts of Z/125 and F_5[t]/(t^3), that a planted defect
-of top degree fails the suites, also past e = p, where a probe set without
-its top degree misses it, and that seeded tuples at e = 3 replay.
+625-point infinity parts of Z/125 and F_5[t]/(t^3), and power-associativity's
+on every point of a fiber, that a planted defect of top degree fails the
+suites and the power-associativity probes, also past e = p, where a probe
+set without its top degree misses it, that seeded tuples at e = 3 replay,
+and that every identity on loop points is decided by the probes or by
+Light's test.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import product
 
 import pytest
 
-from elliptic_loops import CayleyIndex, LoopParams, RingConfig, law_suite, replay
+from elliptic_loops import (CayleyIndex, LoopParams, RingConfig, law_suite, low_nilpotency_suite,
+                            replay)
 from elliptic_loops import diagnostics
-from elliptic_loops.diagnostics import _fiber_probes, _law_holds, _ops
+from elliptic_loops.diagnostics import (LAW_NAMES, NILPOTENCY_CHECKS, _fiber_probes, _law_holds,
+                                        _ops)
 from elliptic_loops.ring import INTEGER_QUOTIENT
 
 
@@ -160,3 +166,55 @@ def test_seeded_fiber_tuples_at_e3_are_drawn_by_seed_and_replay(ring, monkeypatc
     assert all("seeded fiber" in r["detail"] for r in first)
     for rep in first[:2]:
         assert replay(params, rep) is True
+
+
+#: exponent pairs of power-associativity; with the first exponent 1 the planted
+#: defect moves P + bP by a top-degree bump of P itself
+POWER_PAIRS = ((1, 1), (1, -2), (1, 7), (-3, 5))
+
+
+@pytest.mark.parametrize("ring", [RingConfig.integer(5, 2), RingConfig.integer(5, 3),
+                                  RingConfig.integer(5, 4), RingConfig.truncated_poly(5, 3)],
+                         ids=str)
+def test_power_associativity_probes_decide_a_fiber_as_its_full_sweep_does(ring, monkeypatch):
+    """For each exponent pair, the probes of one affine fiber give the verdict of all
+    |m|^2 points of it: clean, where both hold, and with ``add`` moved by a defect
+    of top degree, where both fail for the pairs that bump P itself; the probes
+    without their top degree, the mutation, miss that defect."""
+    params = LoopParams(ring, 2, 1)
+    fiber, top = params.fiber(1), ring.e - 1
+
+    def verdicts(pairs, kept=None):  # (by the probes, by the full sweep) per pair
+        holds = partial(_law_holds, _ops(params), "power-associative")
+        out = []
+        for a, b in pairs:  # the probes come in the order of _simplex's steps
+            probes = _fiber_probes(params, (1,), (1, a, b))
+            probes = probes if kept is None else [c for c, k in zip(probes, kept) if k]
+            out.append((all(holds(params.loop_point(i), a, b) for i, _, _ in probes),
+                        all(holds(pt, a, b) for pt in fiber)))
+        return out
+
+    assert verdicts(POWER_PAIRS) == [(True, True)] * len(POWER_PAIRS)
+    monkeypatch.setattr(diagnostics, "add", bumped_add(diagnostics.add))
+    planted = verdicts(POWER_PAIRS)
+    assert all(by_probes == by_sweep for by_probes, by_sweep in planted)
+    assert planted[:3] == [(False, False)] * 3
+    below_top = [degree(ring, steps) < top for steps in diagnostics._simplex(ring, 1)]
+    assert [by_probes for by_probes, _ in verdicts(POWER_PAIRS[:3], below_top)] == [True] * 3
+
+
+@pytest.mark.parametrize("budget", [1, 1_000, 200_000])
+@pytest.mark.parametrize("ring, a, b", [(RingConfig.integer(13, 1), 0, 6),
+                                        (RingConfig.integer(5, 2), 2, 1),
+                                        (RingConfig.integer(5, 3), 2, 1)], ids=str)
+def test_every_identity_on_loop_points_is_decided_by_the_probes_or_light_test(ring, a, b, budget):
+    """Every law and low-nilpotency identity, at e = 1, 2 and 3 and at any budget,
+    names its route: the simplex probes of fiber tuples, or Light's test over the
+    whole loop's table, so none can fall back to a private sampler."""
+    params = LoopParams(ring, a, b)
+    reports = law_suite(params, budget=budget, seed=0)
+    if ring.e <= 2:
+        reports += low_nilpotency_suite(params, budget=budget, seed=0)
+    assert [r.law for r in reports] == list(LAW_NAMES) + list(NILPOTENCY_CHECKS) * (ring.e <= 2)
+    routes = ("simplex probes: ", "Light's test", "implied by associativity, Light's test")
+    assert all(r.detail.startswith(routes) for r in reports), [r.detail for r in reports]

@@ -336,6 +336,23 @@ def test_torsion_suite_builds_each_fiber_once(monkeypatch):
     assert len(muls) == 350
 
 
+def test_torsion_geometry_filters_each_fiber_once(monkeypatch):
+    """With its default bases, each residue fiber is built once and its q-torsion
+    filtered once, base and fiber alike: on Z/49 (0,2), one q * P for each of the
+    441 points and one build for each of the 9 fibers."""
+    from elliptic_loops import structure
+
+    params = params_for(7, 2, 0, 2)
+    muls, built = [], []
+    real_mul, real_fiber = structure.scalar_mul, LoopParams.fiber
+    monkeypatch.setattr(structure, "scalar_mul",
+                        lambda *args: muls.append(args[1]) or real_mul(*args))
+    monkeypatch.setattr(LoopParams, "fiber", lambda self, f: built.append(f) or real_fiber(self, f))
+    records = torsion_geometry(params, params.q)
+    assert len(records) == params.q == 9 and built == list(range(9))
+    assert muls == [params.q] * params.cardinality() and len(muls) == 441
+
+
 # ---------------------------------------------------------------------------
 # torsion lines
 # ---------------------------------------------------------------------------

@@ -11,15 +11,14 @@ work they did not do.
 
 from __future__ import annotations
 
-import random
 from itertools import count
 
 import pytest
 
-from elliptic_loops import (LoopParams, NilpotencyTooHigh, PreconditionUnmet, RingConfig,
+from elliptic_loops import (LoopParams, NilpotencyTooHigh, RingConfig,
                             law_suite, low_nilpotency_suite, replay, verify_instance)
 from elliptic_loops import diagnostics, structure
-from elliptic_loops.diagnostics import NILPOTENCY_CHECKS, _point_pool, _sweep
+from elliptic_loops.diagnostics import NILPOTENCY_CHECKS, VERIFY_SUITES, _sweep
 
 
 def params_for(p, e, a, b):
@@ -108,6 +107,18 @@ def test_same_seed_same_report():
     assert runs[0] != runs[2]
 
 
+@pytest.mark.parametrize("budget", [1_000, 20_000])
+@pytest.mark.parametrize("inst", [(5, 2, 2, 1), (5, 3, 2, 1)], ids=["int-5-2-2-1", "int-5-3-2-1"])
+def test_a_report_carries_its_seed_iff_it_drew_cases(inst, budget):
+    """Of all 13 suites' reports, an exhaustive one drew nothing and a skipped one
+    inspected nothing, so their seed is None; a sampled one names the seed."""
+    params = params_for(*inst)
+    for suite in VERIFY_SUITES:
+        for rep in verify_instance(params, suite, budget=budget, seed=7):
+            sampled = not rep.exhaustive and rep.status != "skipped"
+            assert rep.seed == (7 if sampled else None), (suite, rep.law)
+
+
 def test_sampled_law_failure_counts_its_draw():
     # the report of a failing sampled law stops at its k-th drawn fiber triple, of
     # 7 probes and 5^6 point triples: a budget of 7k reproduces it, and the k - 1
@@ -133,17 +144,29 @@ def test_exhaustive_law_failure_counts_the_whole_space():
     assert replay(params, report)
 
 
-def test_laws_draw_from_the_shared_point_pool(monkeypatch):
-    # power-associative, the one law that draws points, takes every one from the pool
-    params = params_for(5, 5, 2, 1)  # 2.7 M points: the pool is a sample
-    pool = set(_point_pool(params, random.Random(0)))
+def test_power_associativity_draws_fiber_tuples_without_listing_the_loop(monkeypatch):
+    """power-associative is decided on seeded tuples of one fiber and two exponents,
+    on the C(2 + 3, 3) = 10 probes of the fiber at e = 4, points built by index:
+    on a fresh Z/625 (2,1), 109,375 points, the loop is never listed."""
+    params = params_for(5, 4, 2, 1)
+
+    def unlisted(self):
+        raise AssertionError("the loop was listed")
+
+    monkeypatch.setattr(LoopParams, "loop_points", unlisted)
     drawn, real = [], diagnostics._law_holds
     monkeypatch.setattr(diagnostics, "_law_holds",
-                        lambda ops, law, p, *rest: drawn.append(p) or real(ops, law, p, *rest))
-    (report,) = law_suite(params, ("power-associative",), budget=10_000, seed=0)
-    assert report.holds and not report.exhaustive
-    assert report.checked == len(drawn) == 10_000 // 32  # 4 * max(e, 8) additions a draw
-    assert set(drawn) <= pool
+                        lambda ops, law, *case: drawn.append(case) or real(ops, law, *case))
+    (report,) = law_suite(params, ("power-associative",), budget=1_000, seed=0)
+    tuples = 1_000 // (10 * 32)  # 4 * max(e, 8) additions a probe
+    assert report.holds and not report.exhaustive and report.seed == 0
+    assert len(drawn) == 10 * tuples and report.checked == tuples * 125 ** 2
+    assert report.detail == f"simplex probes: {10 * tuples} cases decide {tuples} seeded fiber tuples"
+    for k in range(tuples):  # each tuple: one fiber, one pair of exponents in [-200, 200]
+        cases = drawn[10 * k:10 * (k + 1)]
+        assert len({params.project(pt) for pt, _, _ in cases}) == 1
+        assert len({(a, b) for _, a, b in cases}) == 1
+        assert all(-200 <= a <= 200 and -200 <= b <= 200 for _, a, b in cases)
 
 
 def _decode(params, coords):
@@ -328,25 +351,30 @@ def test_torsion_suite_runs_within_the_budget(inst, budget, runs):
                    f" = {budget:,}" for r in reports)
 
 
-def test_low_nilpotency_over_the_table_cap_skips_inside_verify(capsys):
+def test_low_nilpotency_over_the_table_cap_runs_inside_verify(capsys, monkeypatch):
+    """Above LOOP_TABLE_MAX the five identities are decided on the probes of fiber
+    tuples, points built by index, with no table: on Z/961 (1,3) (39,401 points)
+    and on Z/101^2 (1,1) (1,071,105 points), where verify prints no SKIP."""
     from elliptic_loops.cli import run
 
-    params = params_for(101, 2, 1, 1)  # 1,071,105 points
-    with pytest.raises(PreconditionUnmet, match="index-table budget"):
-        low_nilpotency_suite(params, budget=1_000)
-    assert run(["verify", "-p", "101", "-e", "2", "-A", "1", "-B", "1", "--suite", "all",
-                "--budget", "1000"]) == 0
-    skips = [line for line in capsys.readouterr().out.splitlines()
-             if "exceeds the index-table budget" in line]
-    assert [line.split()[:2] for line in skips] == [
-        ["SKIP", law] for law in ("translate-by-infinity-pair", "difference-across-fiber",
-                                  "triple-in-fiber", "fiberwise-sum-exchange",
-                                  "multiple-of-fiber-sum")]
+    built = []
+    monkeypatch.setattr(diagnostics.CayleyIndex, "__init__",
+                        lambda self, params, pts: built.append(len(pts)))
+    for inst in ((31, 2, 1, 3), (101, 2, 1, 1)):
+        reports = low_nilpotency_suite(params_for(*inst), budget=1_000, seed=0)
+        assert [r.law for r in reports] == list(NILPOTENCY_CHECKS)
+        assert all(r.holds and r.checked and r.detail.startswith("simplex probes: ")
+                   for r in reports)
+    assert built == []
+    assert run(["verify", "-p", "101", "-e", "2", "-A", "1", "-B", "1", "--suite",
+                "low-nilpotency", "--budget", "1000"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["PASS", law] for law in NILPOTENCY_CHECKS]
+    assert summary == "VERIFIED: 5 pass, 0 skip, 0 fail"
 
 
 @pytest.mark.parametrize("inst, error", [
     ((5, 3, 2, 1), NilpotencyTooHigh),
-    ((101, 2, 1, 1), PreconditionUnmet),  # over the index-table cap
 ])
 def test_low_nilpotency_skips_say_the_suites_own_reason(inst, error):
     params = params_for(*inst)
