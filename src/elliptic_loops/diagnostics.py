@@ -918,9 +918,8 @@ def low_nilpotency_suite(params: LoopParams, budget: int = 1_000_000, seed: int 
             f"these identities require nilpotency degree <= 2 (e = {ring.e})"
         )
     rng = random.Random(seed)
-    cayley = None
-    if _affordable(math.inf, table=params.cardinality()):  # capped, never priced
-        cayley = CayleyIndex(params, params.loop_points())
+    cayley = (CayleyIndex(params, params.loop_points())  # capped, never priced
+              if _affordable(math.inf, table=params.cardinality()) else None)
     ops, points = _ops(params, cayley), _point_ce(params, cayley and cayley.points)
     reports = []
     for law in NILPOTENCY_CHECKS:
