@@ -230,15 +230,14 @@ BYTE_ROWS_MAX = 256
 
 
 def _table_by_pairs(params: LoopParams, pts: list, idx: dict, mirror: list, at) -> list:
-    """The index table by one sum per unordered pair, and (-i) + (-j) = -(i + j)
-    filled from it when all three negatives are in the set (``mirror[i]`` is the
-    index of -points[i], or None); ``at(sum, why)`` raises for a sum outside.
-    When every point is canonical (Y = 1), a sum is ``add``'s own statement of
-    the law on such points, :func:`loop_core._add_canonical`, with no
-    ``ProjPoint`` built but for the error; otherwise it is ``add``."""
+    """The index table of canonical points by one sum per unordered pair, and
+    (-i) + (-j) = -(i + j) filled from it when all three negatives are in the set
+    (``mirror[i]`` is the index of -points[i], or None); ``at(sum, why)`` raises
+    for a sum outside.  A sum is ``add``'s own statement of the law on canonical
+    points, :func:`loop_core._add_canonical`, with no ``ProjPoint`` built but for
+    the error."""
     n, ring = len(pts), params.ring
-    one = ring.one
-    kernel = loop_core._add_canonical if all(pt.y == one for pt in pts) else None
+    one, kernel = ring.one, loop_core._add_canonical
     table = [[None] * n for _ in range(n)]
     for i, a in enumerate(pts):
         row, ni = table[i], mirror[i]
@@ -246,11 +245,8 @@ def _table_by_pairs(params: LoopParams, pts: list, idx: dict, mirror: list, at) 
             if row[j] is not None:  # filled as the negative of an earlier sum
                 continue
             b = pts[j]
-            if kernel:
-                x, z = kernel(params, a.x, a.z, b.x, b.z)
-                s = x, one, z
-            else:
-                s = add(params, a, b).coords()
+            x, z = kernel(params, a.x, a.z, b.x, b.z)
+            s = x, one, z
             k = idx.get(s)
             if k is None:
                 k = at(ProjPoint(ring, *s), f"{a!r} + {b!r}")  # raises: the sum is outside
@@ -262,8 +258,8 @@ def _table_by_pairs(params: LoopParams, pts: list, idx: dict, mirror: list, at) 
 
 def _table_by_blocks(params: LoopParams, pts: list, idx: dict, mirror: list):
     """The index table of canonical points at e = 2, fiber pair by fiber pair; None
-    at any other e, if a point is not canonical, or on any miss (a sum outside
-    the set, or a degenerate one), where :func:`_table_by_pairs` names the error.
+    at any other e, or on any miss (a sum outside the set, or a degenerate one),
+    where :func:`_table_by_pairs` names the error.
     ``mirror[i]`` is the index of -points[i], or None.
 
     A fiber is the set's points over one residue (x mod m, z mod m); a point
@@ -287,7 +283,7 @@ def _table_by_blocks(params: LoopParams, pts: list, idx: dict, mirror: list):
     """
     ring = params.ring
     one, digits, pi = ring.one, ring.digits, ring.uniformizer()
-    if ring.e != 2 or any(pt.y != one for pt in pts):
+    if ring.e != 2:
         return None
     s, w = ring.p, 2 * ring.p
     fibers, members, slots, fiber, offsets = {}, [], [], [], []
@@ -375,13 +371,14 @@ class CayleyIndex:
     ``(x, y, z)`` to its index.  Built once, it turns bulk law sweeps into
     lookups, which is what makes the exhaustive checks affordable.
 
-    At e = 2 a set of canonical points is built block by block, one affine map
-    per pair of fibers from at most five sums, because m^2 = 0
-    (:func:`_table_by_blocks`).  Otherwise, or on a miss there, each unordered
-    pair is added once (:func:`_table_by_pairs`, by ``add``'s kernel on
-    canonical points), and as the law is odd in Y each sum i + j also fills
-    -i + -j: ((n+1)/2)^2 additions on odd sets closed under negation.  A set
-    that is not closed raises at its first pair, in row order, whose sum is
+    Every point must be canonical, (x : 1 : z), as every loop point is; the
+    first that is not raises PreconditionUnmet.  At e = 2 the table is built
+    block by block, one affine map per pair of fibers from at most five sums,
+    because m^2 = 0 (:func:`_table_by_blocks`).  Otherwise, or on a miss there,
+    each unordered pair is added once (:func:`_table_by_pairs`, by ``add``'s
+    kernel on canonical points), and as the law is odd in Y each sum i + j also
+    fills -i + -j: ((n+1)/2)^2 additions on odd sets closed under negation.  A
+    set that is not closed raises at its first pair, in row order, whose sum is
     outside, with the point ``add`` gives for that pair.
 
     Light's test on a generating set (:meth:`associative`, n^2 lookups per
@@ -397,6 +394,8 @@ class CayleyIndex:
     def __init__(self, params: LoopParams, points):
         self.params = params
         self.points = pts = list(points)
+        if bad := next((pt for pt in pts if pt.y != params.ring.one), None):
+            raise PreconditionUnmet(f"{bad!r} is not a canonical point (x : 1 : z)")
         # tuple keys hash and compare in C, where ProjPoint keys call Python
         self.index = idx = {(pt.x, pt.y, pt.z): i for i, pt in enumerate(pts)}
 
@@ -1118,9 +1117,12 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     Past ``witness_B`` at e = 2 every affine residue point is 3-torsion, so
     E(F_p) has exponent 3, q is 3 or 9, Hasse's bound q >= p + 1 - 2 sqrt(p)
     gives p <= 13, and n = q p^2 <= 1,521: the table always fits
-    ``LOOP_TABLE_MAX``, and past that cap, which only e = 1 reaches, the
-    triples are searched by :func:`_fiber_sweep` on seeded fiber triples,
-    at e = 1 each a triple of points built by index.
+    ``LOOP_TABLE_MAX``: ``classify``, which asks only at e >= 2, never passes
+    that cap.  Past it, which only e = 1 reaches, the triples are searched by
+    :func:`_fiber_sweep` on fiber triples, at e = 1 each a triple of points
+    built by index; an exhaustive search that holds proves the loop
+    associative, so a group (method ``fiber-triple-probes``, invariants not
+    computed), and a seeded one that holds leaves it undetermined.
     """
     n = params.cardinality()
 
@@ -1141,8 +1143,9 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
                            _point_ce(params), at=params.loop_point)
         if not rep.holds:
             return non_group("sampled-triple", rep.counterexample)
-        return {"is_group": None, "order": n, "invariants": None,
-                "method": "undetermined", "checked": rep.checked}
+        return {"is_group": rep.exhaustive or None, "order": n, "invariants": None,
+                "method": "fiber-triple-probes" if rep.exhaustive else "undetermined",
+                "checked": rep.checked}
     pts = params.loop_points()
     cayley = CayleyIndex(params, pts)
     orders = [len(cayley.multiples(i)) for i in range(n)]
@@ -1273,16 +1276,17 @@ def projection_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 
 def three_torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    """Hessian vanishing mod m detects exactly the residue 3-torsion."""
+    """Hessian vanishing mod m detects exactly the residue 3-torsion.
+
+    Both sides, "H(P) is a unit" and "the order of P mod m is not 1 or 3",
+    depend on P mod m alone, so any point of a fiber decides the fiber: decided
+    on single fibers as :func:`projection_suite` decides fiber pairs.
+    """
     from .loop_core import eval_H
 
-    first_bad = _breaker(lambda pt: eval_H(params, pt).is_unit()
-                         != (params.pi_order(pt) in (1, 3)))
-    return [_sweep("three-torsion-hessian", budget, seed, _point_ce(params),
-                   space=params.cardinality(),
-                   exhaust=lambda: first_bad(zip(params.loop_points())),
-                   draws=_draws(1, lambda rng: random_loop_point(params, rng)),
-                   first_bad=first_bad)]
+    ok = lambda pt: eval_H(params, pt).is_unit() != (params.pi_order(pt) in (1, 3))
+    return [_fiber_sweep(params, "three-torsion-hessian", (1,), ok, budget, seed,
+                         _point_ce(params), at=params.loop_point)]
 
 
 def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1356,9 +1360,6 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     size_ok = gen_ok = val_ok = iso_ok = True
     closure, assoc, proofs = [], [], []
     associative = _breaker(partial(_law_holds, _ops(params), "full-associative"))
-    val_checked = 0
-    ident = identity(params)
-    rident = params.project(ident)
     for t in ring.ideal_elements():
         lay = Layer(params, t)
         pts = layer_points(lay)
@@ -1383,12 +1384,9 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         if iso and tabled and iso_ok:
             iso_ok = cayley is not None and layer_isomorphism_check(lay, cayley)[0]
         gen_ok &= order_of(params, layer_infinity_generator(lay)) == isz
-        # no nonzero infinity point of a layer has v(Z) <= v(X)
-        for pt in pts:
-            if params.project(pt) == rident and pt != ident:
-                val_checked += 1
-                if ring.valuation(pt.z) <= ring.valuation(pt.x):
-                    val_ok = False
+        # no nonzero infinity point of a layer has v(Z) <= v(X): the infinity
+        # fiber comes first, the identity first in it (see LoopParams.fiber)
+        val_ok &= all(ring.valuation(pt.z) > ring.valuation(pt.x) for pt in pts[1:isz])
     reports = [
         LawReport("layer-cardinality", size_ok, None, isz, True, None,
                   detail=f"each layer has q * p^(e-1) = {expected} points: one Hensel"
@@ -1397,7 +1395,7 @@ def layer_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         _merge(assoc, _table_detail(proofs)),
         LawReport("layer-infinity-generator", gen_ok, None, isz, True, None,
                   detail=f"(p : 1 : Z_t) has order {isz} in every layer"),
-        LawReport("layer-infinity-valuation", val_ok, None, val_checked, True, None,
+        LawReport("layer-infinity-valuation", val_ok, None, isz * (isz - 1), True, None,
                   detail="nonzero layer points at infinity have v(Z) > v(X)"),
     ]
     if not iso:
@@ -1421,10 +1419,12 @@ def hessian_combination_suite(params: LoopParams, budget: int = 200_000, seed: i
     """Raw-sum closure of the zero sets of F - t*H (every layer) and of H.
 
     Each check is priced once, in the raw sums of the blocks of all its zero
-    sets (:func:`layers.closure_blocks`), and :func:`_sweep` runs every block
-    when that is :func:`_affordable`, else draws ``pair_budget`` seeded pairs
-    per set.  H's zero set is listed by one scan of P^2(R), whose points are
-    priced against 40 * budget, as :func:`_layer_gate` prices q * |m|^3.
+    sets (:func:`layers.closure_blocks`: each fiber pair is decided by the sums
+    on its two fibers' frames, whether or not a fiber fills its frame's span),
+    and :func:`_sweep` runs every block when that is :func:`_affordable`, else
+    draws ``pair_budget`` seeded pairs per set.  H's zero set is listed by one
+    scan of P^2(R), whose points are priced against 40 * budget, as
+    :func:`_layer_gate` prices q * |m|^3.
     """
     from .layers import Layer, closure_blocks, closure_run, combination, layer_points, plane_zeros
 

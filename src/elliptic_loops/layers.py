@@ -16,8 +16,6 @@ degree.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import HessianNotUnit, PreconditionUnmet
 from .loop_core import (
     LoopParams,
@@ -191,20 +189,21 @@ def closure_blocks(params: LoopParams, zeros) -> tuple:
     with no term in both, as every such term carries pi^2 (the first-order
     formal group, see ``diagnostics._table_by_blocks``).  A fiber's frame is
     a0, then the first member off a0, then the first off the line through
-    both; the fiber lies in the frame's affine span of p^d points, d <= 2,
-    so it is that span iff it has p^d points.  Then G vanishes on A x B iff
-    it vanishes at (a0, b0), (a_i, b0) and (a0, b_j): 1 + d_A + d_B sums, and
-    1 + d_A on A x A, as the raw law is symmetric.  A fiber pair without
-    both frames is swept pair by pair.  At any other e each point is a
-    fiber, its own frame, so each block is one pair, in the order of a
-    direct sweep, and s points are priced at s(s+1)/2 sums.
+    both: an affine basis of the span aff(A) of the fiber's offsets.  G is
+    c + L(a) + L'(b), so if it vanishes at (a0, b0), (a_i, b0) and (a0, b_j),
+    L and L' vanish on the frames' steps and G on all of aff(A) x aff(B),
+    which holds A x B whether or not A fills its span: 1 + d_A + d_B sums,
+    and 1 + d_A on A x A, as the raw law is symmetric (L = L').  At any
+    other e each point is a fiber, its own frame, so each block is one pair,
+    in the order of a direct sweep.  f frames are priced at
+    f * sum |frame| - f(f - 1)/2 sums, s(s+1)/2 for s one-point fibers.
     """
     p, digits, two = params.ring.p, params.ring.digits, params.ring.e == 2
     fibers = {}
     for k, pt in enumerate(zeros):
         residue, off = zip(*map(digits, pt.coords())) if two else (k, None)
         fibers.setdefault(residue, []).append((pt, off))
-    framed = []
+    frames = []
     for members in fibers.values():
         (_, o0), frame, steps = members[0], [members[0][0]], []
         for pt, off in members[1:]:
@@ -215,28 +214,16 @@ def closure_blocks(params: LoopParams, zeros) -> tuple:
             frame.append(pt)
             if len(steps) == 2:
                 break
-        framed.append(([pt for pt, _ in members], frame if len(members) == p ** len(steps) else None))
-    # framed A, B make |frame A| + |frame B| - 1 sums, A with itself |frame A|; other pairs one
-    sizes = [len(frame) for _, frame in framed if frame]
-    f, s, on_frames = len(sizes), len(zeros), sum(len(mine) for mine, frame in framed if frame)
-    price = f * sum(sizes) - f * (f - 1) // 2 + (s * (s + 1) - on_frames * (on_frames + 1)) // 2
+        frames.append(frame)
+    # frames A, B make |A| + |B| - 1 sums, A with itself |A|
+    f = len(frames)
+    price = f * sum(map(len, frames)) - f * (f - 1) // 2
 
     def blocks():
-        for i, (mine, frame) in enumerate(framed):
-            a0, rest = (frame[0], frame[1:]) if frame else (None, None)
-            yield ([(a, a0) for a in frame] if frame else
-                   [(u, v) for k, u in enumerate(mine) for v in mine[k:]])
-            for other, their in framed[i + 1:]:
-                if not (frame and their):
-                    yield list(product(mine, other))
-                    continue
-                b0 = their[0]  # (a0, b0), then A's frame with b0, then a0 with B's frame
-                block = [(a0, b0)]
-                if rest:
-                    block += [(a, b0) for a in rest]
-                if len(their) > 1:
-                    block += [(a0, b) for b in their[1:]]
-                yield block
+        for i, (a0, *rest) in enumerate(frames):
+            yield [(a, a0) for a in (a0, *rest)]
+            for b0, *more in frames[i + 1:]:  # (a0, b0), A's frame with b0, a0 with B's frame
+                yield [(a0, b0), *((a, b0) for a in rest), *((a0, b) for b in more)]
     return price, blocks()
 
 

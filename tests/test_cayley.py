@@ -663,8 +663,33 @@ def test_no_table_is_built_above_the_cap(inst, n, run, law, exhaustive, monkeypa
                         lambda self, params, pts: built.append(len(pts)) or init(self, params, pts))
     answers = run(params)
     assert built == []
-    if law is None:  # the group certificate answers with its seeded search
-        assert answers[0]["is_group"] is None and answers[0]["method"] == "undetermined"
+    if law is None:  # the group certificate answers with its exhaustive fiber-triple search
+        assert answers[0]["is_group"] is True and answers[0]["method"] == "fiber-triple-probes"
     else:
         rep = next(r for r in answers if r.law == law)
         assert rep.checked and rep.exhaustive == exhaustive
+
+
+@pytest.mark.parametrize("budget", [188, 189, 1_000])
+def test_an_exhaustive_fiber_triple_search_past_the_cap_certifies_a_group(budget, monkeypatch):
+    """The group Z/25 (4,2) with its 75-point table above the cap: its 27 fiber
+    triples of 7 probes each, 189 in all, prove it associative once they all run,
+    and below that the seeded triples leave it undetermined."""
+    params = params_for(5, 2, 4, 2)
+    monkeypatch.setattr(diagnostics, "LOOP_TABLE_MAX", 75 ** 2 - 1)
+    cert = diagnostics.group_certificate(params, budget=budget)
+    whole = budget >= 27 * 7
+    assert cert["is_group"] is (True if whole else None)
+    assert cert["method"] == ("fiber-triple-probes" if whole else "undetermined")
+    assert cert["invariants"] is None and cert["order"] == 75
+    assert (cert["checked"] == 75 ** 3) == whole
+
+
+def test_a_table_over_a_point_that_is_not_canonical_names_it():
+    """Every table is over canonical points (x : 1 : z); the first point without
+    Y = 1 is named, before any sum is made."""
+    params = params_for(5, 2, 2, 1)
+    ring = params.ring
+    off = ProjPoint(ring, 1, 0, 0)
+    with pytest.raises(PreconditionUnmet, match=re.escape(f"{off!r} is not a canonical point")):
+        CayleyIndex(params, [*params.infinity_points(), off, ProjPoint(ring, 0, 0, 1)])

@@ -231,6 +231,38 @@ def closure_params(request):
     return LoopParams(*request.param)
 
 
+def zero_sets(params, zero_set) -> list:
+    """[(g, its zero set)]: every layer's, H's in the plane, or that of F + X^3,
+    a cubic off the pencil whose zero set is not closed."""
+    ring = params.ring
+    if zero_set == "layers":
+        return [(combination(params, 1, ring.neg(t)), layer_points(Layer(params, t)))
+                for t in ring.ideal_elements()]
+    g = (combination(params, 0, 1) if zero_set == "hessian" else
+         lambda x, y, z: (_eval_f(params, x, y, z) + x * x * x) % ring.mod)
+    return [(g, plane_zeros(params, g))]
+
+
+def closed(params, g, pairs) -> bool:
+    return all(g(*raw_add(params, u.coords(), v.coords())) == 0 for u, v in pairs)
+
+
+def residue_fibers(ring, zeros) -> list:
+    """The oracle's fibers: the zero set grouped by residue point."""
+    fibers = {}
+    for pt in zeros:
+        fibers.setdefault(tuple(map(ring.residue, pt.coords())), []).append(pt)
+    return list(fibers.values())
+
+
+def fiber_pairs(fibers):
+    """Each unordered fiber pair (i, j), in block order, with all its point pairs."""
+    for i, a in enumerate(fibers):
+        yield i, i, [(u, v) for k, u in enumerate(a) for v in a[k:]]
+        for j, b in enumerate(fibers[i + 1:], i + 1):
+            yield i, j, list(product(a, b))
+
+
 @pytest.mark.parametrize("zero_set", ["hessian", "layers", "off-pencil"])
 def test_closure_probes_decide_every_fiber_pair_as_its_full_sweep_does(closure_params, zero_set):
     """On the zero set of H in the plane, of every layer, and of F + X^3, a cubic
@@ -241,15 +273,8 @@ def test_closure_probes_decide_every_fiber_pair_as_its_full_sweep_does(closure_p
     verdict, first failing pair and sums are those of a direct pair sweep."""
     params = closure_params
     ring = params.ring
-    if zero_set == "layers":
-        sets = [(combination(params, 1, ring.neg(t)), layer_points(Layer(params, t)))
-                for t in ring.ideal_elements()]
-    else:
-        g = (combination(params, 0, 1) if zero_set == "hessian" else
-             lambda x, y, z: (_eval_f(params, x, y, z) + x * x * x) % ring.mod)
-        sets = [(g, plane_zeros(params, g))]
-    closed = lambda g, pairs: all(g(*raw_add(params, u.coords(), v.coords())) == 0
-                                  for u, v in pairs)
+    sets = zero_sets(params, zero_set)
+    closed_ = partial(closed, params)
     verdicts, at_a_step = set(), False
     for g, zeros in sets:
         price, blocks = closure_blocks(params, zeros)
@@ -258,36 +283,52 @@ def test_closure_probes_decide_every_fiber_pair_as_its_full_sweep_does(closure_p
             every = [(u, v) for k, u in enumerate(zeros) for v in zeros[k:]]
             assert price == len(every) == len(blocks)
             assert all(u is a and v is b for [(u, v)], (a, b) in zip(blocks, every))
-            first = next((k for k, pair in enumerate(every) if not closed(g, [pair])), None)
+            first = next((k for k, pair in enumerate(every) if not closed_(g, [pair])), None)
             bad, sums, runs = closure_run(params, [(g, blocks)])
             assert bad == (None if first is None else (0, *every[first]))
             assert sums == runs == (len(every) if first is None else first + 1)
             verdicts.add(first is None)
             continue
-        fibers = {}  # the oracle's fibers: the zero set grouped by residue point
-        for pt in zeros:
-            fibers.setdefault(tuple(map(ring.residue, pt.coords())), []).append(pt)
-        fibers = list(fibers.values())
+        fibers = residue_fibers(ring, zeros)
         assert len(blocks) == len(fibers) * (len(fibers) + 1) // 2
         assert price == sum(map(len, blocks))
-        pairs = ((i, j) for i in range(len(fibers)) for j in range(i, len(fibers)))
-        for (i, j), sums in zip(pairs, blocks):
-            a, b = fibers[i], fibers[j]
-            every = ([(u, v) for k, u in enumerate(a) for v in a[k:]] if i == j
-                     else list(product(a, b)))
-            assert len(sums) <= 5 and set(sums) <= set(product(a, b))
-            assert closed(g, sums) == closed(g, every), (i, j)
-            verdicts.add(closed(g, every))
-            at_a_step |= closed(g, sums[:1]) and not closed(g, sums)
-    fiber_pairs = ring.e == 2 and zero_set == "off-pencil"
-    assert verdicts == ({True, False} if fiber_pairs else {zero_set != "off-pencil"})
-    assert at_a_step == fiber_pairs
+        for sums, (i, j, every) in zip(blocks, fiber_pairs(fibers), strict=True):
+            assert len(sums) <= 5 and set(sums) <= set(product(fibers[i], fibers[j]))
+            assert closed_(g, sums) == closed_(g, every), (i, j)
+            verdicts.add(closed_(g, every))
+            at_a_step |= closed_(g, sums[:1]) and not closed_(g, sums)
+    by_pairs = ring.e == 2 and zero_set == "off-pencil"
+    assert verdicts == ({True, False} if by_pairs else {zero_set != "off-pencil"})
+    assert at_a_step == by_pairs
 
 
-def test_a_fiber_that_is_not_an_affine_span_is_swept_pair_by_pair(monkeypatch):
+@pytest.mark.parametrize("ring, a, b", [loop[:3] for loop in PAIR_LOOPS], ids=str)
+def test_frames_decide_the_fiber_pairs_of_random_subsets_of_zero_sets(ring, a, b):
+    """Random 60% subsets of every layer, of H's zero set and of F + X^3's: a
+    fiber that no longer fills its frame's affine span lies in it still, so the
+    frame's sums decide each fiber pair exactly as its full pair sweep does."""
+    params = LoopParams(ring, a, b)
+    p, rng = ring.p, random.Random(0)
+    verdicts, unfilled = Counter(), 0
+    for zero_set in ("layers", "hessian", "off-pencil"):
+        for g, zeros in zero_sets(params, zero_set):
+            cut = [pt for pt in zeros if rng.random() < 0.6]
+            fibers = residue_fibers(ring, cut)
+            price, blocks = closure_blocks(params, cut)
+            blocks = list(blocks)
+            assert price == sum(map(len, blocks))
+            for sums, (i, j, every) in zip(blocks, fiber_pairs(fibers), strict=True):
+                if i == j:  # a fiber with itself: its frame, each point with the base
+                    unfilled += len(fibers[i]) < p ** (len(sums) - 1)
+                verdicts[closed(params, g, every)] += 1
+                assert closed(params, g, sums) == closed(params, g, every), (zero_set, i, j)
+    assert unfilled and verdicts[True] and verdicts[False], (unfilled, verdicts)
+
+
+def test_a_fiber_that_is_not_an_affine_span_is_decided_by_its_frame(monkeypatch):
     """Each layer of Z/25 (2,1) without its first point: that fiber keeps 4 of the
-    5 points its frame spans, so its 7 fiber pairs are swept pair by pair, and
-    the other 21 are still decided by probes."""
+    5 points its frame spans, and its frame of two points still decides its 7
+    fiber pairs, as every other fiber's does: 2 sums with itself, 3 with another."""
     params = LoopParams(RingConfig.integer(5, 2), 2, 1)
     q, p = params.q, params.ring.p
     real = layers.layer_points
@@ -296,9 +337,8 @@ def test_a_fiber_that_is_not_an_affine_span_is_swept_pair_by_pair(monkeypatch):
     assert rep.holds and rep.exhaustive
     n = q * p - 1
     assert rep.checked == p * n * (n + 1) // 2
-    swept = (p - 1) * p // 2 + (p - 1) * p * (q - 1)  # with itself, with the 6 others
-    probed = 2 * (q - 1) + 3 * (q - 1) * (q - 2) // 2
-    assert rep.detail.endswith(f": {p * (swept + probed):,} raw sums decide "
+    framed = 2 * q + 3 * q * (q - 1) // 2
+    assert rep.detail.endswith(f": {p * framed:,} raw sums decide "
                                f"{p * q * (q + 1) // 2:,} fiber pairs")
 
 

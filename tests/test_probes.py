@@ -25,7 +25,7 @@ from elliptic_loops import (CayleyIndex, LoopParams, RingConfig, law_suite, low_
                             replay)
 from elliptic_loops import diagnostics
 from elliptic_loops.diagnostics import (LAW_NAMES, NILPOTENCY_CHECKS, _fiber_probes, _law_holds,
-                                        _ops)
+                                        _ops, projection_suite, three_torsion_suite)
 from elliptic_loops.ring import INTEGER_QUOTIENT
 
 
@@ -210,11 +210,14 @@ def test_power_associativity_probes_decide_a_fiber_as_its_full_sweep_does(ring, 
 def test_every_identity_on_loop_points_is_decided_by_the_probes_or_light_test(ring, a, b, budget):
     """Every law and low-nilpotency identity, at e = 1, 2 and 3 and at any budget,
     names its route: the simplex probes of fiber tuples, or Light's test over the
-    whole loop's table, so none can fall back to a private sampler."""
+    whole loop's table, so none can fall back to a private sampler; so are the
+    projection homomorphism and the Hessian's detection of the residue 3-torsion."""
     params = LoopParams(ring, a, b)
     reports = law_suite(params, budget=budget, seed=0)
     if ring.e <= 2:
         reports += low_nilpotency_suite(params, budget=budget, seed=0)
-    assert [r.law for r in reports] == list(LAW_NAMES) + list(NILPOTENCY_CHECKS) * (ring.e <= 2)
+    reports += [*projection_suite(params, budget, 0), *three_torsion_suite(params, budget, 0)]
+    assert [r.law for r in reports] == (list(LAW_NAMES) + list(NILPOTENCY_CHECKS) * (ring.e <= 2)
+                                        + ["projection-homomorphism", "three-torsion-hessian"])
     routes = ("simplex probes: ", "Light's test", "implied by associativity, Light's test")
     assert all(r.detail.startswith(routes) for r in reports), [r.detail for r in reports]

@@ -30,7 +30,9 @@ BECAME_EXHAUSTIVE = {
             "combination-closure-layers": E2,
             # decided on the simplex probes of the one infinity tuple at e = 3
             "infinity-associativity": ["int-5-3-2-1"],
-            "infinity-coordinates-additive": ["int-5-3-2-1"]},
+            "infinity-coordinates-additive": ["int-5-3-2-1"],
+            # 42 probes decide the 7 fibers at e = 3
+            "three-torsion-hessian": ["int-5-3-2-1"]},
     20_000: {"projection-homomorphism": [name for name in E2
                                          if name not in ("int-5-2-4-2", "int-5-2-3-2")]
                                         + ["int-5-3-2-1"],
