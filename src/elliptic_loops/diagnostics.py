@@ -30,7 +30,7 @@ import operator
 import random
 from array import array
 from functools import cache, partial
-from itertools import islice, product, starmap
+from itertools import count, islice, product, starmap, takewhile
 
 from . import loop_core
 from .errors import DegenerateSum, EvenOrder, NilpotencyTooHigh, PreconditionUnmet, SingularCurve
@@ -801,45 +801,48 @@ FIBER_LAYOUTS = {"translate-by-infinity-pair": (1, 0, 0), "difference-across-fib
                  "multiple-of-fiber-sum": (1, 1, 1)}
 
 
-def _fiber_probes(params: LoopParams, layout, tup) -> list:
+def _fiber_probes(params: LoopParams, layout, tup, levels=None, top=None) -> list:
     """The cases, as indices into ``loop_points()``, that decide an identity on a fiber tuple.
 
     Fiber f is the index range from f * |m|^2 on, its point f * |m|^2 +
     u * |m| + v at the u-th x offset and the v-th z offset of m (see
     :meth:`LoopParams.fiber`).  Slot c lies in the fiber ``layout[c]`` names
-    (:data:`FIBER_LAYOUTS`), and the tuple's entries after its fibers end
-    every case.
+    (:data:`FIBER_LAYOUTS`) at level ``levels[c]`` (1 by default): offsets
+    pi^k u in m^k, ``ideal_element(u, k) == ideal_element(u p^(k-1))``.  The
+    tuple's entries after its fibers end every case.
 
-    Over Z/p^e the u-th offset is p u, so every coordinate of a law
-    expression on the tuple (sums, negatives, fixed multiples; its one
-    inverse is of a unit, a finite geometric series) is an integer
-    polynomial in the 2k offsets u, v of its k slots whose terms of degree d
-    carry p^d.  In the binomial (Mahler) basis, prod C(u_i, b_i), a term with
-    |b| = d still carries p^d (K. Mahler, J. reine angew. Math. 199, 1958),
-    so every term with |b| >= e vanishes, and the values at the simplex
-    points u = b, |b| <= e - 1, fix the rest by a unitriangular system: an
-    identity that holds at these C(2k + e - 1, e - 1) probes holds on all
-    |m|^(2k) cases of the tuple.  Over F_p[t]/(t^e) an offset is
-    t * sum d_i t^i with base-p digits d_i of u, and a monomial in the
-    digits carries t to its weight, digit i weighing i + 1; as d^p = d on
-    F_p, the probes are the weighted simplex, each digit below p and the
-    weights summing to at most e - 1.  The probes come by degree, so at
-    e = 1 the base case (every slot at offset 0) is all, and at e = 2 the
-    base is followed by one unit step per slot, in x (+|m|) and then z (+1).
+    Every coordinate of a law expression on the tuple (sums, negatives, fixed
+    multiples; its one inverse is of a unit, a finite geometric series) is a
+    polynomial in the offsets, over Z/p^e each of weight k at level k, over
+    F_p[t]/(t^e) in their base-p digits, digit i of weight k + i and below p
+    as d^p = d on F_p; a monomial of weight w carries pi^w, and so does its
+    term in the binomial (Mahler) basis, prod C(u_i, b_i) (K. Mahler, J.
+    reine angew. Math. 199, 1958).  So an identity modulo m^T loses every
+    term of weight >= T, and the probes, the vectors b of weight at most
+    ``top`` = T - 1 (e - 1 by default: an exact identity), fix the rest by a
+    unitriangular system: an identity modulo m^T that holds at them holds on
+    all prod |m^k|^2 cases of the tuple (C(2k + e - 1, e - 1) probes for k
+    slots of level 1 over Z/p^e).  The probes come by weight, so at top 0
+    the base case (every slot at offset 0) is all, and at e = 2 the base is
+    followed by one unit step per slot, in x (+|m|) and then z (+1).
     """
-    base, rest = [(0, *tup)[c] * params.ring.ideal_size ** 2 for c in layout], tup[max(layout):]
-    return [(*map(operator.add, base, steps), *rest) for steps in _simplex(params.ring, len(base))]
+    ring = params.ring
+    base, rest = [(0, *tup)[c] * ring.ideal_size ** 2 for c in layout], tup[max(layout):]
+    steps = _simplex(ring, tuple(levels or [1] * len(base)), ring.e - 1 if top is None else top)
+    return [(*map(operator.add, base, s), *rest) for s in steps]
 
 
 @cache
-def _simplex(ring: RingConfig, width: int) -> tuple:
-    """The slot steps of :func:`_fiber_probes`' probes on ``width`` slots, by degree."""
-    isz, top = ring.ideal_size, ring.e - 1
-    digits = ([(1, 1, top)] if ring.kind == INTEGER_QUOTIENT  # (weight, index step, cap)
-              else [(i + 1, ring.p ** i, ring.p - 1) for i in range(top)])
+def _simplex(ring: RingConfig, levels: tuple, top: int) -> tuple:
+    """The slot steps of :func:`_fiber_probes`' probes on slots of ``levels``, the
+    exponent vectors of weight at most ``top``, by weight."""
+    isz, p = ring.ideal_size, ring.p
+    # (weight, index step, cap) of each variable, one per digit, of an offset of level k
+    digits = lambda k: ([(k, p ** (k - 1), top)] if ring.kind == INTEGER_QUOTIENT
+                        else [(k + i, p ** (k - 1 + i), p - 1) for i in range(top - k + 1)])
     # one variable per slot, coordinate (an x step is |m| indices, a z step 1) and digit
-    variables = [(c, coord * step, w, cap) for c in range(width) for coord in (isz, 1)
-                 for w, step, cap in digits]
+    variables = [(c, coord * step, w, cap) for c, k in enumerate(levels) for coord in (isz, 1)
+                 for w, step, cap in digits(k)]
 
     def vectors(k, left):  # exponents of variables[k:] of weight at most left
         if k == len(variables):
@@ -849,20 +852,20 @@ def _simplex(ring: RingConfig, width: int) -> tuple:
         for b in range(min(cap, left // w) + 1):
             yield from ((b, *more) for more in vectors(k + 1, left - b * w))
 
-    by_degree = sorted(vectors(0, top), key=lambda bs: (
+    by_weight = sorted(vectors(0, top), key=lambda bs: (
         sum(b * v[2] for b, v in zip(bs, variables)), [-b for b in bs]))
     return tuple(tuple(sum(b * v[1] for b, v in zip(bs, variables) if v[0] == c)
-                       for c in range(width)) for bs in by_degree)
+                       for c in range(len(levels))) for bs in by_weight)
 
 
 def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *, extra=(),
-                 weight=1, at=None, cost=None, rng=None) -> LawReport:
+                 levels=None, top=None, weight=1, at=None, cost=None, rng=None) -> LawReport:
     """Decide ``law`` on whole fiber tuples through :func:`_sweep`: the one loop of
     every fiber-tuple route, at every e.
 
     A tuple names one fiber per fiber of ``layout``, then a value from each
-    range of ``extra``.  Its cases are the probes of :func:`_fiber_probes`,
-    which decide all |m|^(2k) point cases of a k-slot tuple, as indices into
+    range of ``extra``.  Its cases are the probes of :func:`_fiber_probes` (on
+    ``levels`` up to weight ``top``), deciding the tuple, as indices into
     ``loop_points()`` or, mapped by ``at`` (such as
     :meth:`LoopParams.loop_point`), as points, and ``holds(*case)`` judges
     one; a probe costs ``weight``.  Every tuple runs when their probes, or
@@ -871,14 +874,15 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
     tuples cover in ``checked`` and names its probes in ``detail``, as "fiber
     pairs" for the layout (1, 2).
     """
-    dims = [range(params.q)] * max(layout) + list(extra)
-    probes, evaluated, width = len(_fiber_probes(params, layout, (0,) * len(dims))), 0, len(layout)
+    dims, levels = [range(params.q)] * max(layout) + list(extra), levels or (1,) * len(layout)
+    probe = lambda tup: _fiber_probes(params, layout, tup, levels, top)
+    probes, evaluated, width = len(probe((0,) * len(dims))), 0, len(layout)
     at = at and cache(at)  # a probe point recurs in every tuple over its fiber
 
     def first_bad(tuples):
         nonlocal evaluated
         for k, (tup,) in enumerate(tuples, 1):
-            for case in _fiber_probes(params, layout, tup):
+            for case in probe(tup):
                 evaluated += 1
                 if at is not None:
                     case = (*map(at, case[:width]), *case[width:])
@@ -889,7 +893,8 @@ def _fiber_sweep(params: LoopParams, law, layout, holds, budget, seed, encode, *
                  weight=probes * weight, exhaust=lambda: first_bad(zip(product(*dims))),
                  draws=_draws(1, lambda rng: tuple(map(rng.choice, dims))),
                  first_bad=first_bad, rng=rng, cost=cost)
-    tuples, rep.checked = rep.checked, rep.checked * params.ring.ideal_size ** (2 * width)
+    ring, tuples = params.ring, rep.checked
+    rep.checked *= math.prod(ring.p ** (2 * (ring.e - k)) for k in levels)
     noun = "fiber pair" if tuple(layout) == (1, 2) else "fiber tuple"
     cases = "1 case decides" if evaluated == 1 else f"{evaluated:,} cases decide"
     rep.detail = (f"simplex probes: {cases} {tuples:,} {'' if rep.exhaustive else 'seeded '}"
@@ -1030,7 +1035,7 @@ def _congruent(ring, pt, x, z, k) -> bool:
 
 def technical_congruences(params: LoopParams, cases: int = 10_000, seed: int = 0,
                           parts=("i", "ii", "iv")):
-    """Seeded random verification of the three infinity congruences.
+    """The three infinity congruences: (i) and (ii) on weighted simplex probes, (iv) seeded.
 
     (i)   sums of points with coordinates in m^k are coordinatewise
           additive modulo m^(3k);
@@ -1038,57 +1043,62 @@ def technical_congruences(params: LoopParams, cases: int = 10_000, seed: int = 0
           by the same deltas modulo m^(f+2k);
     (iv)  integer multiples are coordinatewise linear modulo
           m^(3k + v(n) - 1)  (integer quotients only).
+
+    (i) and (ii) are identities modulo m^T, T = min(3k, e), min(f + 2k, e), on
+    infinity-fiber points of level k (and the deltas' of level f), so each
+    level, one tuple, is decided on its probes (:func:`_fiber_probes`) at any
+    budget: every k <= f below max(2, e); f = e moves by zero, trivially.  (iv)
+    draws ``cases`` seeded (k, point, n): no certified period bounds n.
     """
-    ring = params.ring
-    known = {"i", "ii", "iv"}
-    bad = set(parts) - known
-    if bad:
-        raise ValueError(f"unknown parts {sorted(bad)}; expected subset of {sorted(known)}")
+    ring, e = params.ring, params.ring.e
+    if bad := set(parts) - {"i", "ii", "iv"}:
+        raise ValueError(f"unknown parts {sorted(bad)}; expected subset of ['i', 'ii', 'iv']")
     if "iv" in parts and ring.kind != INTEGER_QUOTIENT:
         raise PreconditionUnmet("part (iv) needs an integer uniformizer")
-    rng = random.Random(seed)
-    e = ring.e
+    end, judged = max(2, e), []  # every level is below end
+    levels = {"i": [((k, k), min(3 * k, e)) for k in range(1, end)],  # (slot levels, T)
+              "ii": [((k, k, f), min(f + 2 * k, e)) for k in range(1, end) for f in range(k, end)]}
+
+    def holds(T, a, b, d=None):  # (i) on (P1, P2); (ii) on (P1, P2, D): P1 moved by D's x, z
+        judged.append(T)
+        s = add(params, a, b)
+        if d is None:
+            return _congruent(ring, s, ring.add(a.x, b.x), ring.add(a.z, b.z), T)
+        moved = add(params, ProjPoint(ring, ring.add(a.x, d.x), ring.one, ring.add(a.z, d.z)), b)
+        return _congruent(ring, moved, ring.add(s.x, d.x), ring.add(s.z, d.z), T)
+
+    def encode(lv, case):  # k, then for (ii) f and the deltas, D's x and z; then (P1, P2)
+        pts = _encode_points(params, case)
+        return {"k": lv[0], **({"f": lv[2], "deltas": pts[2][::2]} if case[2:] else {}),
+                "points": pts[:2]}
+
+    def linear(k, pt, n):  # (iv)
+        bound = 3 * k + min(e, ring.valuation(ring.from_int(n))) - 1
+        return _congruent(ring, scalar_mul(params, n, pt), ring.mul_int(n, pt.x),
+                          ring.mul_int(n, pt.z), bound)
 
     def draws(rng):
         while True:
-            k = rng.randrange(1, max(2, e))
-            x1, z1, x2, z2 = (ring.random_element(rng, k) for _ in range(4))
-            if part == "ii":
-                f = rng.randrange(k, e + 1)
-                extra = (f, ring.random_element(rng, f), ring.random_element(rng, f))
-            else:
-                extra = (rng.randrange(-ring.modulus, ring.modulus),) if part == "iv" else ()
-            yield k, x1, z1, x2, z2, extra
-
-    def first_bad(cases):
-        for c, (k, x1, z1, x2, z2, extra) in enumerate(cases, 1):
-            p1 = ProjPoint(ring, x1, ring.one, z1)
-            p2 = ProjPoint(ring, x2, ring.one, z2)
-            s = add(params, p1, p2)
-            if part == "i":
-                ok = _congruent(ring, s, ring.add(x1, x2), ring.add(z1, z2), 3 * k)
-                case = {"k": k}
-            elif part == "ii":
-                f, dx, dz = extra
-                moved = add(params, ProjPoint(ring, ring.add(x1, dx), ring.one,
-                                              ring.add(z1, dz)), p2)
-                ok = _congruent(ring, moved, ring.add(s.x, dx), ring.add(s.z, dz), f + 2 * k)
-                case = {"k": k, "f": f,
-                        "deltas": [ring.payload_to_json(dx), ring.payload_to_json(dz)]}
-            else:
-                (n,) = extra
-                bound = 3 * k + min(e, ring.valuation(ring.from_int(n))) - 1
-                ok = _congruent(ring, scalar_mul(params, n, p1), ring.mul_int(n, x1),
-                                ring.mul_int(n, z1), bound)
-                case = {"k": k, "n": n}
-            if not ok:
-                case["points"] = _encode_points(params, (p1, p2))
-                return c, case
+            k = rng.randrange(1, end)
+            x, z = ring.random_element(rng, k), ring.random_element(rng, k)
+            yield k, ProjPoint(ring, x, ring.one, z), rng.randrange(-ring.modulus, ring.modulus)
 
     reports = []
-    for part in parts:  # draws and first_bad read the current part
-        reports.append(_sweep(f"congruence-{part}", cases, seed, lambda case: case,
-                              draws=draws, first_bad=first_bad, samples=cases, rng=rng))
+    for part in parts:
+        judged.clear()
+        if part == "iv":
+            rep = _sweep("congruence-iv", cases, seed, lambda case: {
+                "k": case[0], "n": case[2], "points": _encode_points(params, case[1:2])},
+                draws=draws, first_bad=_breaker(linear), samples=cases)
+            rep.detail = "seeded: n ranges over every integer, and no certified period bounds it"
+        else:
+            rep = _merge([_fiber_sweep(params, f"congruence-{part}", (0,) * len(lv),
+                                       partial(holds, T), cases, seed, partial(encode, lv),
+                                       levels=lv, top=T - 1, at=params.loop_point)
+                          for lv, T in levels[part]])
+            decide = "1 case decides" if len(judged) == 1 else f"{len(judged):,} cases decide"
+            rep.detail = f"simplex probes: {decide} every level k {'<= f ' * (part == 'ii')}< {end}"
+        reports.append(rep)
     return reports
 
 
@@ -1120,9 +1130,9 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
     ``LOOP_TABLE_MAX``: ``classify``, which asks only at e >= 2, never passes
     that cap.  Past it, which only e = 1 reaches, the triples are searched by
     :func:`_fiber_sweep` on fiber triples, at e = 1 each a triple of points
-    built by index; an exhaustive search that holds proves the loop
-    associative, so a group (method ``fiber-triple-probes``, invariants not
-    computed), and a seeded one that holds leaves it undetermined.
+    built by index; an exhaustive search (``fiber-triple-probes``) refutes
+    the loop or proves it associative, so a group (invariants not computed),
+    and a seeded one refutes it (``sampled-triple``) or leaves it undetermined.
     """
     n = params.cardinality()
 
@@ -1141,10 +1151,11 @@ def group_certificate(params: LoopParams, budget: int = 200_000, seed: int = 0) 
         rep = _fiber_sweep(params, "full-associative", (1, 2, 3),
                            partial(_law_holds, _ops(params), "full-associative"), budget, seed,
                            _point_ce(params), at=params.loop_point)
+        method = "fiber-triple-probes" if rep.exhaustive else "sampled-triple"
         if not rep.holds:
-            return non_group("sampled-triple", rep.counterexample)
+            return non_group(method, rep.counterexample)
         return {"is_group": rep.exhaustive or None, "order": n, "invariants": None,
-                "method": "fiber-triple-probes" if rep.exhaustive else "undetermined",
+                "method": method if rep.exhaustive else "undetermined",
                 "checked": rep.checked}
     pts = params.loop_points()
     cayley = CayleyIndex(params, pts)
@@ -1177,27 +1188,17 @@ def classify_group_loops(p_max: int = 17, size_max: int = 300, seed: int = 0):
     Returns one record per loop.
     """
     records = []
-    p = 5
-    while p <= p_max:
-        e = 2
-        while p**e <= size_max:
+    for p in filter(_is_prime, range(5, p_max + 1, 2)):
+        for e in takewhile(lambda e: p ** e <= size_max, count(2)):
             ring = RingConfig.integer(p, e)
-            for a in range(p):
-                for b in range(p):
-                    try:
-                        params = LoopParams(ring, a, b)
-                    except (SingularCurve, EvenOrder):
-                        continue
-                    cert = group_certificate(params, seed=seed)
-                    rec = {"p": p, "e": e, "A": a, "B": b, "q": params.q,
-                           "order": cert["order"], "is_group": cert["is_group"],
-                           "invariants": cert["invariants"],
-                           "method": cert["method"]}
-                    records.append(rec)
-            e += 1
-        p += 2
-        while not _is_prime(p):
-            p += 2
+            for a, b in product(range(p), repeat=2):
+                try:
+                    params = LoopParams(ring, a, b)
+                except (SingularCurve, EvenOrder):
+                    continue
+                cert = group_certificate(params, seed=seed)
+                records.append({"p": p, "e": e, "A": a, "B": b, "q": params.q, **{
+                    key: cert[key] for key in ("order", "is_group", "invariants", "method")}})
     return records
 
 
@@ -1264,29 +1265,29 @@ def cardinality_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 def projection_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Reduction mod m is a loop homomorphism onto the residue curve.
 
-    Decided on fiber pairs by :func:`_fiber_sweep`, whose probes
-    (:func:`_fiber_probes`) decide all |m|^4 point pairs of each, on points
-    built by index (see :meth:`LoopParams.fiber`): all q^2 fiber pairs when
-    their probes fit the budget, else seeded ones.
+    An identity modulo m, so the one probe of weight 0 (:func:`_fiber_probes`
+    at top 0) decides all |m|^4 point pairs of a fiber pair: decided by
+    :func:`_fiber_sweep` on points built by index (see :meth:`LoopParams.fiber`),
+    all q^2 fiber pairs when they fit the budget, else seeded ones.
     """
     rp, proj = params.residue_params, params.project
     ok = lambda a, b: add(rp, proj(a), proj(b)) == proj(add(params, a, b))
     return [_fiber_sweep(params, "projection-homomorphism", (1, 2), ok, budget, seed,
-                         _point_ce(params), at=params.loop_point)]
+                         _point_ce(params), top=0, at=params.loop_point)]
 
 
 def three_torsion_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
     """Hessian vanishing mod m detects exactly the residue 3-torsion.
 
     Both sides, "H(P) is a unit" and "the order of P mod m is not 1 or 3",
-    depend on P mod m alone, so any point of a fiber decides the fiber: decided
-    on single fibers as :func:`projection_suite` decides fiber pairs.
+    depend on P mod m alone, so one probe (top 0) decides a fiber: decided on
+    single fibers as :func:`projection_suite` decides fiber pairs.
     """
     from .loop_core import eval_H
 
     ok = lambda pt: eval_H(params, pt).is_unit() != (params.pi_order(pt) in (1, 3))
     return [_fiber_sweep(params, "three-torsion-hessian", (1,), ok, budget, seed,
-                         _point_ce(params), at=params.loop_point)]
+                         _point_ce(params), top=0, at=params.loop_point)]
 
 
 def stratification_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1554,10 +1555,11 @@ def structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
         r_triple = AssocMatrix(params, (p1, p2, p3)).rank()
         return r_triple == 2 or AssocMatrix(params, (p1, add(params, p2, p3))).rank() <= r_triple
 
-    first_bad = _breaker(monotone)
-    return [_sweep("rank-monotonicity", budget, seed, _point_ce(params),
-                   draws=_picks(_point_pool(params, rng), 3), first_bad=first_bad,
-                   samples=min(2000, budget), rng=rng)]
+    rep = _sweep("rank-monotonicity", budget, seed, _point_ce(params),
+                 draws=_picks(_point_pool(params, rng), 3), first_bad=_breaker(monotone),
+                 samples=min(2000, budget), rng=rng)
+    rep.detail = "seeded: its rank compares minors with zero, a condition, not an identity"
+    return [rep]
 
 
 def congruence_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
@@ -1606,7 +1608,4 @@ def verify_instance(params: LoopParams, suite: str = "all", budget: int = 200_00
         raise ValueError(
             f"unknown suite {suite!r}; expected 'all' or one of {sorted(VERIFY_SUITES)}"
         )
-    reports = []
-    for name in names:
-        reports.extend(VERIFY_SUITES[name](params, budget=budget, seed=seed))
-    return reports
+    return [rep for name in names for rep in VERIFY_SUITES[name](params, budget=budget, seed=seed)]

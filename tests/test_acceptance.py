@@ -437,4 +437,6 @@ def test_criterion_12_technical_congruences():
         for r in reports:
             assert r.holds
             assert r.checked >= 10_000
-    _pass(12, "congruences (i), (ii), (iv) hold on 10^4 seeded cases at e = 4, 6")
+        assert [r.exhaustive for r in reports] == [True, True, False]
+    _pass(12, "congruences (i), (ii) hold on every level, exhaustively, and (iv) on 10^4 "
+              "seeded cases at e = 4, 6")

@@ -685,6 +685,25 @@ def test_an_exhaustive_fiber_triple_search_past_the_cap_certifies_a_group(budget
     assert (cert["checked"] == 75 ** 3) == whole
 
 
+@pytest.mark.parametrize("budget", [100, 10_000])
+def test_a_refutation_past_the_cap_names_whether_its_search_was_exhaustive(budget, monkeypatch):
+    """The non-group Z/25 (2,1) with ``witness_B`` switched off and its 175-point
+    table above the cap: its 343 fiber triples of 7 probes fit budget 10,000, so
+    the refuting triple comes from an exhaustive search, ``fiber-triple-probes``;
+    at 100 it comes from seeded triples, ``sampled-triple``.  Both replay."""
+    params = params_for(5, 2, 2, 1)
+    monkeypatch.setattr(diagnostics, "LOOP_TABLE_MAX", 175 ** 2 - 1)
+
+    def no_witness(params):
+        raise PreconditionUnmet("switched off")
+
+    monkeypatch.setattr(diagnostics, "witness_B", no_witness)
+    cert = diagnostics.group_certificate(params, budget=budget)
+    assert cert["is_group"] is False and cert["invariants"] is None
+    assert cert["method"] == ("fiber-triple-probes" if budget >= 343 * 7 else "sampled-triple")
+    assert replay(params, {"law": "full-associative", "counterexample": cert["witness"]})
+
+
 def test_a_table_over_a_point_that_is_not_canonical_names_it():
     """Every table is over canonical points (x : 1 : z); the first point without
     Y = 1 is named, before any sum is made."""

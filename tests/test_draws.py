@@ -86,8 +86,8 @@ def test_every_drawn_case_lies_where_its_identity_needs_it(loop, monkeypatch):
     probed, drawn, sweeping = {}, {}, []
     real_probes, real_sweep = diagnostics._fiber_probes, diagnostics._sweep
 
-    def probes(params, layout, tup):  # the probes each law's sweep evaluates
-        cases = real_probes(params, layout, tup)
+    def probes(params, layout, tup, *rest):  # the probes each law's sweep evaluates
+        cases = real_probes(params, layout, tup, *rest)
         if sweeping:
             probed.setdefault(sweeping[-1], []).extend(cases)
         return cases
@@ -359,7 +359,7 @@ def test_alternative_and_jordan_fail_on_fiber_pairs_and_replay(budget, tabled, m
         assert replay(params, rep) is True
 
 
-#: an e = 2 loop whose 41^2 fiber pairs do not fit budget 1,000 (5 probes each)
+#: an e = 2 loop whose 41^2 fiber pairs do not fit budget 1,000
 WIDE = (RingConfig.integer(31, 2), 1, 3)
 
 
@@ -369,16 +369,16 @@ def sampled_pair_checks(params, seed):
 
 
 def test_sampled_pair_checks_draw_seeded_fiber_pairs():
-    """On Z/961 (1,3), with q = 41, latin-square (two additions a probe) draws
-    1,000 // 10 fiber pairs and projection 1,000 // 5, each covering 31^4 point
-    pairs."""
+    """On Z/961 (1,3), with q = 41, latin-square (5 probes of two additions)
+    draws 1,000 // 10 fiber pairs and projection, an identity modulo m decided
+    by 1 probe, 1,000 // 1, each covering 31^4 point pairs."""
     params = LoopParams(*WIDE)
     assert params.q == 41
-    for rep, tuples in zip(sampled_pair_checks(params, 0), (100, 200)):
+    for rep, probes, tuples in zip(sampled_pair_checks(params, 0), (5, 1), (100, 1_000)):
         assert rep.holds and not rep.exhaustive and rep.seed == 0
         assert rep.checked == tuples * 31 ** 4
-        assert rep.detail == (f"simplex probes: {5 * tuples:,} cases decide "
-                              f"{tuples} seeded fiber pairs")
+        assert rep.detail == (f"simplex probes: {probes * tuples:,} cases decide "
+                              f"{tuples:,} seeded fiber pairs")
 
 
 def test_sampled_fiber_pairs_are_drawn_by_seed(monkeypatch):
@@ -394,7 +394,7 @@ def test_sampled_fiber_pairs_are_drawn_by_seed(monkeypatch):
 
     (first, tuples), (again, retuples), (_, other) = run(0), run(0), run(1)
     assert first == again and tuples == retuples != other
-    assert len(tuples) == 1 + 100 + 1 + 200  # each sweep first sizes its probes
+    assert len(tuples) == 1 + 100 + 1 + 1_000  # each sweep first sizes its probes
 
 
 @pytest.mark.parametrize("law", ["alternative", "jordan"])

@@ -9,8 +9,10 @@ set and its order, that its verdict is a full sweep's on every pair of the
 on every point of a fiber, that a planted defect of top degree fails the
 suites and the power-associativity probes, also past e = p, where a probe
 set without its top degree misses it, that seeded tuples at e = 3 replay,
-and that every identity on loop points is decided by the probes or by
-Light's test.
+that every identity on loop points is decided by the probes or by
+Light's test, and that the weighted probes of the technical congruences (i)
+and (ii), identities modulo m^T on slots of level k, give a full sweep's
+verdict and catch a planted defect of top weight that a cut simplex misses.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from elliptic_loops import (CayleyIndex, LoopParams, RingConfig, law_suite, low_
                             replay)
 from elliptic_loops import diagnostics
 from elliptic_loops.diagnostics import (LAW_NAMES, NILPOTENCY_CHECKS, _fiber_probes, _law_holds,
-                                        _ops, projection_suite, three_torsion_suite)
+                                        _ops, projection_suite, technical_congruences,
+                                        three_torsion_suite)
 from elliptic_loops.ring import INTEGER_QUOTIENT
 
 
@@ -137,8 +140,8 @@ def test_a_top_degree_defect_fails_and_a_truncated_simplex_misses_it(ring, monke
     (bad,) = law_suite(params, ("latin-square",), budget=10**7, seed=0)
     assert not bad.holds and bad.exhaustive and replay(params, bad)
     real = diagnostics._simplex
-    monkeypatch.setattr(diagnostics, "_simplex", lambda ring, width: [
-        steps for steps in real(ring, width) if degree(ring, steps) < ring.e - 1])
+    monkeypatch.setattr(diagnostics, "_simplex", lambda ring, levels, top: [
+        steps for steps in real(ring, levels, top) if degree(ring, steps) < ring.e - 1])
     (missed,) = law_suite(params, ("latin-square",), budget=10**7, seed=0)
     assert missed.holds and missed.exhaustive
 
@@ -199,7 +202,7 @@ def test_power_associativity_probes_decide_a_fiber_as_its_full_sweep_does(ring, 
     planted = verdicts(POWER_PAIRS)
     assert all(by_probes == by_sweep for by_probes, by_sweep in planted)
     assert planted[:3] == [(False, False)] * 3
-    below_top = [degree(ring, steps) < top for steps in diagnostics._simplex(ring, 1)]
+    below_top = [degree(ring, steps) < top for steps in diagnostics._simplex(ring, (1,), top)]
     assert [by_probes for by_probes, _ in verdicts(POWER_PAIRS[:3], below_top)] == [True] * 3
 
 
@@ -217,7 +220,98 @@ def test_every_identity_on_loop_points_is_decided_by_the_probes_or_light_test(ri
     if ring.e <= 2:
         reports += low_nilpotency_suite(params, budget=budget, seed=0)
     reports += [*projection_suite(params, budget, 0), *three_torsion_suite(params, budget, 0)]
-    assert [r.law for r in reports] == (list(LAW_NAMES) + list(NILPOTENCY_CHECKS) * (ring.e <= 2)
-                                        + ["projection-homomorphism", "three-torsion-hessian"])
+    congruences = technical_congruences(params, budget, 0, ("i", "ii"))
+    assert [r.law for r in reports + congruences] == (
+        list(LAW_NAMES) + list(NILPOTENCY_CHECKS) * (ring.e <= 2)
+        + ["projection-homomorphism", "three-torsion-hessian", "congruence-i", "congruence-ii"])
     routes = ("simplex probes: ", "Light's test", "implied by associativity, Light's test")
-    assert all(r.detail.startswith(routes) for r in reports), [r.detail for r in reports]
+    assert all(r.detail.startswith(routes) for r in reports + congruences), [
+        r.detail for r in reports + congruences]
+    assert all(r.exhaustive and r.seed is None for r in congruences)  # one tuple per level
+
+
+def planted_add(real):
+    """``add`` with its sum's x moved by x1 z1, the product of the first summand's
+    coordinates: of weight 2k on two points of level k, so it breaks congruence (i)
+    where 2k < min(3k, e), and (ii) where k + f < min(f + 2k, e)."""
+    def plus(params, a, b):
+        s = real(params, a, b)
+        return type(s)(params.ring, params.ring.add(s.x, params.ring.mul(a.x, a.z)), s.y, s.z)
+    return plus
+
+
+def congruence_levels(params, part, monkeypatch):
+    """The report of congruence (i) or (ii), and for each level its number of point
+    cases, the probe verdict and, where those cases are at most 20,000, the verdict
+    of all of them (else None), on the condition its sweep judges."""
+    real, sweeps = diagnostics._fiber_sweep, []
+
+    def spy(params, law, layout, holds, *args, levels=None, top=None, **kw):
+        sweeps.append((layout, holds, levels, top))
+        return real(params, law, layout, holds, *args, levels=levels, top=top, **kw)
+
+    monkeypatch.setattr(diagnostics, "_fiber_sweep", spy)
+    (report,) = technical_congruences(params, 1_000, 0, (part,))
+    monkeypatch.setattr(diagnostics, "_fiber_sweep", real)
+    ring, at, verdicts = params.ring, params.loop_point, []
+    isz = ring.ideal_size
+    for layout, holds, levels, top in sweeps:
+        probes = _fiber_probes(params, layout, (), levels, top)
+        by_probes = all(holds(*map(at, case)) for case in probes)
+        # a slot of level k: the infinity-fiber points at every offset index n p^(k-1)
+        sides = [[at(u * isz + v) for u, v in product(range(0, isz, ring.p ** (k - 1)), repeat=2)]
+                 for k in levels]
+        space = math.prod(map(len, sides))
+        verdicts.append((levels, space, by_probes, all(holds(*case) for case in product(*sides))
+                         if space <= 20_000 else None))
+    return report, verdicts
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("part", ["i", "ii"])
+@pytest.mark.parametrize("ring", [RingConfig.integer(5, 2), RingConfig.truncated_poly(5, 2),
+                                  RingConfig.integer(5, 3)], ids=str)
+def test_congruence_probes_decide_a_level_as_its_full_sweep_does(ring, part, planted,
+                                                                 monkeypatch):
+    """On every level of at most 20,000 point cases, all of them on Z/25 and
+    F_5[t]/(t^2), and k = 2 (k = f = 2 for (ii)) on Z/125, the weighted probes
+    give the verdict of the full sweep: clean, and with ``add`` moved by x1 z1,
+    which those levels do not see modulo m^T; the report is the levels' verdict."""
+    params = LoopParams(ring, 2, 1)
+    if planted:
+        monkeypatch.setattr(diagnostics, "add", planted_add(diagnostics.add))
+    report, verdicts = congruence_levels(params, part, monkeypatch)
+    swept = [(levels, by_probes, by_sweep) for levels, _, by_probes, by_sweep in verdicts
+             if by_sweep is not None]
+    assert [levels[0] for levels, _, _ in swept] == ([1] if ring.e == 2 else [2])
+    assert all(by_probes == by_sweep for _, by_probes, by_sweep in swept)
+    assert report.exhaustive and report.holds == all(v[2] for v in verdicts)
+    assert report.checked == sum(space for _, space, _, _ in verdicts)
+    assert report.holds == (not planted or ring.e == 2)  # Z/125 sees it at k = 1
+
+
+@pytest.mark.parametrize("part, ring", [
+    ("i", RingConfig.integer(5, 3)), ("i", RingConfig.truncated_poly(5, 3)),
+    ("i", RingConfig.integer(5, 4)),
+    ("ii", RingConfig.integer(5, 3)), ("ii", RingConfig.integer(5, 4)),
+    ("ii", RingConfig.truncated_poly(5, 4)),
+], ids=str)
+def test_a_top_weight_defect_fails_the_congruences_and_a_cut_simplex_misses_it(part, ring,
+                                                                               monkeypatch):
+    """With ``add`` moved by x1 z1, of weight 2k, (i) at k = 1 and (ii) at k = f = 1
+    fail on their full weighted simplex, exhaustively, with a counterexample at that
+    level, and pass on the simplex cut below its top weight, the mutation."""
+    params = LoopParams(ring, 2, 1)
+    (clean,) = technical_congruences(params, 1_000, 0, (part,))
+    assert clean.holds and clean.exhaustive
+    monkeypatch.setattr(diagnostics, "add", planted_add(diagnostics.add))
+    (bad,) = technical_congruences(params, 1_000, 0, (part,))
+    assert not bad.holds and bad.exhaustive
+    assert bad.counterexample["k"] == bad.counterexample.get("f", 1) == 1
+    assert set(bad.counterexample) == ({"k", "points"} if part == "i" else
+                                       {"k", "f", "deltas", "points"})
+    real = diagnostics._simplex
+    monkeypatch.setattr(diagnostics, "_simplex",
+                        lambda ring, levels, top: real(ring, levels, top - 1))
+    (missed,) = technical_congruences(params, 1_000, 0, (part,))
+    assert missed.holds and missed.exhaustive

@@ -31,8 +31,10 @@ BECAME_EXHAUSTIVE = {
             # decided on the simplex probes of the one infinity tuple at e = 3
             "infinity-associativity": ["int-5-3-2-1"],
             "infinity-coordinates-additive": ["int-5-3-2-1"],
-            # 42 probes decide the 7 fibers at e = 3
-            "three-torsion-hessian": ["int-5-3-2-1"]},
+            # the 7 fibers at e = 3, one probe each since the identity holds modulo m
+            "three-torsion-hessian": ["int-5-3-2-1"],
+            # each level of the congruences is one tuple of weighted simplex probes
+            "congruence-i": list(LOOPS), "congruence-ii": list(LOOPS)},
     20_000: {"projection-homomorphism": [name for name in E2
                                          if name not in ("int-5-2-4-2", "int-5-2-3-2")]
                                         + ["int-5-3-2-1"],
@@ -40,7 +42,8 @@ BECAME_EXHAUSTIVE = {
              "latin-square": ["int-7-2-0-2", "int-5-3-2-1"],
              "combination-closure-layers": E2,
              "infinity-associativity": ["int-5-3-2-1"],
-             "infinity-coordinates-additive": ["int-5-3-2-1"]},
+             "infinity-coordinates-additive": ["int-5-3-2-1"],
+             "congruence-i": list(LOOPS), "congruence-ii": list(LOOPS)},
 }
 
 

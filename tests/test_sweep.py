@@ -189,22 +189,22 @@ def test_stratification_checks_affine_points_at_e3(budget):
 
 @pytest.mark.parametrize("inst,budget", [
     ((5, 3, 2, 1), 1_000), ((5, 3, 2, 1), 5_000), ((5, 2, 2, 1), 1_000), ((5, 2, 2, 1), 100),
-    ((5, 3, 2, 1), 30), ((5, 2, 2, 1), 20),
+    ((5, 3, 2, 1), 30), ((5, 2, 2, 1), 20), ((5, 3, 2, 1), 5), ((5, 2, 2, 1), 1),
 ])
 def test_three_torsion_exhaustive_flag_matches_its_count(inst, budget):
-    """One fiber per case, decided by its probes: the report counts the |m|^2
-    points of every fiber it decides, all q of them when their probes fit."""
+    """One fiber per case, decided by its one probe, as the identity holds modulo
+    m: the report counts the |m|^2 points of every fiber it decides, all q of
+    them when they fit."""
     params = params_for(*inst)
     (report,) = verify_instance(params, "three-torsion", budget=budget, seed=0)
     assert report.holds
     assert report.exhaustive == (report.checked == params.cardinality())
-    probes = len(diagnostics._simplex(params.ring, 1))
-    assert report.checked == min(budget // probes, params.q) * params.ring.ideal_size ** 2
+    assert report.checked == min(budget, params.q) * params.ring.ideal_size ** 2
 
 
 def test_three_torsion_decides_every_fiber_without_listing_the_loop(monkeypatch):
-    """On a fresh Z/961 (1,3) each of the 41 fibers is decided by its probes, on
-    points built by index: the loop is never listed."""
+    """On a fresh Z/961 (1,3) each of the 41 fibers is decided by its one probe,
+    on points built by index: the loop is never listed."""
     params = LoopParams(RingConfig.integer(31, 2), 1, 3)
 
     def refuse(self):
@@ -214,7 +214,7 @@ def test_three_torsion_decides_every_fiber_without_listing_the_loop(monkeypatch)
     (report,) = verify_instance(params, "three-torsion", budget=200_000, seed=0)
     assert report.holds and report.exhaustive and report.seed is None
     assert report.checked == params.cardinality() == 41 * 31 ** 2
-    assert report.detail == "simplex probes: 123 cases decide 41 fiber tuples"
+    assert report.detail == "simplex probes: 41 cases decide 41 fiber tuples"
 
 
 @pytest.mark.parametrize("budget", [10, 1_000, 10_000])
