@@ -46,7 +46,7 @@ from .loop_core import (
 )
 from .projective import ProjPoint, count_projective, plane_triples
 from .ring import INTEGER_QUOTIENT, RingConfig, _is_prime
-from .structure import AssocMatrix, infinity_generators
+from .structure import AssocMatrix, coarse_rank, infinity_generators, point_column
 
 LAW_NAMES = (
     "alternative",
@@ -728,10 +728,9 @@ def witness_A(params: LoopParams) -> WitnessReport:
     u = ring.uniformizer()
     m1 = params.point(u, ring.one, u)
     m2 = params.point(ring.zero, ring.one, u)
-    for rpt in params.residue_points:
-        if rpt.y == 1 and ring.residue_ring().is_unit(rpt.z):
-            p1 = params.point(ring.from_int(rpt.x), ring.one, ring.from_int(rpt.z))
-            return _finish_witness(params, "A", p1, m1, m2)
+    for _, rpt in params.residue_walk():  # the first affine residue point
+        p1 = params.point(ring.from_int(rpt.x), ring.one, ring.from_int(rpt.z))
+        return _finish_witness(params, "A", p1, m1, m2)
     raise PreconditionUnmet("no affine point available")
 
 
@@ -745,9 +744,7 @@ def witness_B(params: LoopParams, pt: ProjPoint = None) -> WitnessReport:
         raise PreconditionUnmet(f"this witness needs e >= 2 (e = {ring.e})")
     ident = identity(params.residue_params)
     if pt is None:
-        for rpt in params.residue_points:
-            if not params.residue_params.ring.is_unit(rpt.z):
-                continue
+        for _, rpt in params.residue_walk():
             if scalar_mul(params.residue_params, 3, rpt) == ident:
                 continue
             pt = params.point(ring.from_int(rpt.x), ring.one, ring.from_int(rpt.z))
@@ -1548,16 +1545,24 @@ def witness_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
 
 
 def structure_suite(params: LoopParams, budget: int = 200_000, seed: int = 0):
-    """Sampled rank monotonicity: collapsing a pair never raises the rank."""
-    rng = random.Random(seed)
+    """Sampled rank monotonicity: collapsing a pair never raises the rank.
 
-    def monotone(p1, p2, p3):  # a coarse rank is at most 2, so a triple of rank 2 passes
-        r_triple = AssocMatrix(params, (p1, p2, p3)).rank()
-        return r_triple == 2 or AssocMatrix(params, (p1, add(params, p2, p3))).rank() <= r_triple
+    A case is three indices into the point pool, drawn as ``rng.choice(pool)``
+    draws its members.  Each drawn point's column is evaluated once per call;
+    the sum P2 + P3 is formed, and its column evaluated, only below rank 2.
+    """
+    rng, ring = random.Random(seed), params.ring
+    pool = _point_pool(params, rng)
+    column = cache(lambda i: point_column(params, pool[i]))
 
-    rep = _sweep("rank-monotonicity", budget, seed, _point_ce(params),
-                 draws=_picks(_point_pool(params, rng), 3), first_bad=_breaker(monotone),
-                 samples=min(2000, budget), rng=rng)
+    def monotone(i, j, k):  # a coarse rank is at most 2, so a triple of rank 2 passes
+        r_triple = coarse_rank(ring, (column(i), column(j), column(k)))
+        return r_triple == 2 or coarse_rank(
+            ring, (column(i), point_column(params, add(params, pool[j], pool[k])))) <= r_triple
+
+    rep = _sweep("rank-monotonicity", budget, seed, _point_ce(params, pool),
+                 draws=_draws(3, lambda rng: rng.randrange(len(pool))),
+                 first_bad=_breaker(monotone), samples=min(2000, budget), rng=rng)
     rep.detail = "seeded: its rank compares minors with zero, a condition, not an identity"
     return [rep]
 

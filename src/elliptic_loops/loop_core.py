@@ -43,10 +43,10 @@ from .ring import INTEGER_QUOTIENT, Payload, RingConfig, RingElem
 
 
 def _sqrt_table(p: int) -> dict:
-    """v -> sorted list of square roots of v modulo p."""
-    roots: dict = {}
-    for y in range(p):
-        roots.setdefault(y * y % p, []).append(y)
+    """v -> sorted list of square roots of v modulo p: a nonzero square has
+    the two roots y < p - y, one from each half of [1, p)."""
+    roots = {y * y % p: [y, p - y] for y in range(1, (p + 1) // 2)}
+    roots[0] = [0]
     return roots
 
 
@@ -137,24 +137,25 @@ class LoopParams:
                               doc="The identity, then the canonical form of each pair.")
     q = property(lambda self: len(self._curve()[0]) + 1, doc="|E(F_p)|.")
 
-    def _enumerate_residue_curve(self) -> tuple:
-        """Affine points of y^2 = x^3 + A x + B over F_p and their loop points.
+    def residue_walk(self):
+        """Each affine point (x, y) of E over F_p with its loop point, lazily.
 
-        Only the e = 1 integer loop runs this; every other loop shares the
-        lists of its residue loop.  Each affine (x, y) has y != 0 (odd
-        order), so its canonical form is (x y^-1 : 1 : y^-1).
+        x ascends, then y among the roots of ``_sqrt_table``.  Each y != 0 (odd
+        order), so the canonical form over Z/p is (x y^-1 : 1 : y^-1).
         """
-        p = self.ring.p
-        ra, rb = self.a, self.b
+        rp = self.residue_params
+        p, ra, rb = rp.ring.p, rp.a, rp.b
         roots = _sqrt_table(p)
-        pairs = []
-        pts = [identity(self)]
         for x in range(p):
             for y in roots.get((x * x * x + ra * x + rb) % p, ()):
-                pairs.append((x, y))
                 yi = pow(y, -1, p)
-                pts.append(ProjPoint(self.ring, x * yi % p, 1, yi))
-        return pairs, pts
+                yield (x, y), ProjPoint(rp.ring, x * yi % p, 1, yi)
+
+    def _enumerate_residue_curve(self) -> tuple:
+        """The lists of :meth:`residue_walk`, the identity first among the points.
+        Only the e = 1 integer loop runs this; every other loop shares its lists."""
+        walk = list(self.residue_walk())
+        return [pair for pair, _ in walk], [identity(self)] + [pt for _, pt in walk]
 
     # -- point bookkeeping ---------------------------------------------------
 

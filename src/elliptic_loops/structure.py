@@ -30,6 +30,25 @@ from .projective import ProjPoint
 from .ring import INTEGER_QUOTIENT
 
 
+def point_column(params: LoopParams, pt: ProjPoint) -> tuple:
+    """(F(P), H_F(P)): the column of P in an association matrix."""
+    return _eval_f(params, pt.x, pt.y, pt.z), _eval_h(params, pt.x, pt.y, pt.z)
+
+
+def coarse_rank(ring, columns) -> int:
+    """Coarse rank in {0, 1, 2} of the 2 x n matrix with these (F, H) columns:
+    0 when every entry vanishes, 2 when some 2-minor is nonzero (each reduced
+    once by ``ring.mod``), 1 otherwise.  This is the grading the associativity
+    criteria consume.
+    """
+    zero, mod = ring.zero, ring.mod
+    for i, (fi, hi) in enumerate(columns):
+        for fj, hj in columns[i + 1:]:
+            if (fi * hj - fj * hi) % mod != zero:
+                return 2
+    return 1 if any(f != zero or h != zero for f, h in columns) else 0
+
+
 class AssocMatrix:
     """2 x n matrix of (F, H_F) values at the given points."""
 
@@ -38,28 +57,11 @@ class AssocMatrix:
     def __init__(self, params: LoopParams, points):
         self.params = params
         self.points = tuple(points)
-        self.columns = tuple(
-            (_eval_f(params, pt.x, pt.y, pt.z), _eval_h(params, pt.x, pt.y, pt.z))
-            for pt in self.points
-        )
+        self.columns = tuple(point_column(params, pt) for pt in self.points)
 
     def rank(self) -> int:
-        """Coarse rank in {0, 1, 2}: 0 when every entry vanishes, 2 when
-        some 2-minor is nonzero, 1 otherwise.  This is the grading the
-        associativity criteria consume.
-        """
-        ring = self.params.ring
-        zero = ring.zero
-        cols = self.columns
-        if all(f == zero and h == zero for f, h in cols):
-            return 0
-        for i in range(len(cols)):
-            fi, hi = cols[i]
-            for j in range(i + 1, len(cols)):
-                fj, hj = cols[j]
-                if ring.sub(ring.mul(fi, hj), ring.mul(fj, hi)) != zero:
-                    return 2
-        return 1
+        """:func:`coarse_rank` of the columns."""
+        return coarse_rank(self.params.ring, self.columns)
 
     def __repr__(self) -> str:
         return f"AssocMatrix({self.columns!r})"

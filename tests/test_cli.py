@@ -395,6 +395,38 @@ def test_large_p_queries_enumerate_no_residue_curve(capsys, monkeypatch, command
     assert calls == []
 
 
+MID = ("-p", "10007", "-e", "2", "-A", "1", "-B", "1")
+
+
+@pytest.mark.parametrize("command, points, extra", [
+    ("add", ["0,1,1", "10007,1,0"], []),
+    ("mul", ["0,1,1"], ["-n", "12345"]),
+    ("membership", ["0,1,1", "10007,1,10007"], []),
+    ("stratify", ["0,1,1"], []),
+    ("decompose", ["30021,1,10007"], []),
+    ("order", ["0,1,1"], []),
+    ("witness", [], ["--type", "B"]),
+])
+def test_queries_answer_without_listing_the_residue_curve(capsys, monkeypatch, command,
+                                                          points, extra):
+    """``order_of`` walks the residue loop by addition and the witnesses stop at
+    their first base point, so none of these lists E(F_p): each answers as it
+    does with the listing allowed."""
+    from elliptic_loops import loop_core
+
+    argv = [command, *MID, *extra, "--format", "json"]
+    for pt in points:
+        argv += ["--point", pt]
+    listed = run_cli(capsys, *argv)
+
+    def refuse(self):
+        raise RuntimeError("the residue curve was listed")
+
+    monkeypatch.setattr(loop_core.LoopParams, "_enumerate_residue_curve", refuse)
+    assert run_cli(capsys, *argv) == listed
+    assert listed[0] == (1 if command == "witness" else 0), listed[2]
+
+
 # ----------------------------------------------------------------------------
 # verification, witnesses, classification
 # ----------------------------------------------------------------------------

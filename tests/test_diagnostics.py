@@ -12,6 +12,7 @@ import json
 import random
 import re
 from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -742,6 +743,58 @@ def test_verify_instance_seed_determinism():
     a = verify_instance(params, "structure", budget=5_000, seed=3)
     b = verify_instance(params, "structure", budget=5_000, seed=3)
     assert [r.to_json() for r in a] == [r.to_json() for r in b]
+
+
+RANK_LOOPS = [(RingConfig.integer(5, 2), 2, 1), (RingConfig.truncated_poly(5, 2), 2, 1),
+              (RingConfig.integer(5, 5), 2, 1)]  # the last one's pool is 4,000 drawn points
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("ring, a, b", RANK_LOOPS, ids=str)
+def test_rank_monotonicity_draws_the_same_triples_and_replays(monkeypatch, ring, a, b, seed):
+    """The suite sees the triples of ``_picks(_point_pool(params, rng), 3)``, case by
+    case, and a sum planted off P1's layer fails at its case with a counterexample
+    that replays.  A triple of rank 2 passes whatever its sum, so the failure is
+    planted at the first case k >= 40 of rank below 2 whose pair no earlier such
+    case sums and whose rank some sum exceeds (over the identity none exceeds 1),
+    where one exists."""
+    from elliptic_loops import structure
+
+    params = LoopParams(ring, a, b)
+    rng = random.Random(seed)
+    pool = diagnostics._point_pool(params, rng)
+    triples = list(islice(diagnostics._picks(pool, 3)(rng), 2000))
+    triple_columns = []
+    real_rank = diagnostics.coarse_rank
+
+    def spy(r, columns):
+        if len(columns) == 3:
+            triple_columns.append(tuple(columns))
+        return real_rank(r, columns)
+
+    monkeypatch.setattr(diagnostics, "coarse_rank", spy)
+    (rep,) = diagnostics.structure_suite(params, seed=seed)
+    assert rep.holds and rep.checked == 2000
+    assert triple_columns == [tuple(structure.point_column(params, pt) for pt in t)
+                              for t in triples]
+    ranks = [matrix_rank(params, t) for t in triples]
+    low = [k for k in range(1, 2001) if ranks[k - 1] < 2]
+    planted = next(((k, off) for k in low if k >= 40
+                    and all(triples[j - 1][1:] != triples[k - 1][1:] for j in low if j < k)
+                    for off in pool
+                    if matrix_rank(params, [triples[k - 1][0], off]) > ranks[k - 1]), None)
+    if planted is None:
+        return
+    k, off = planted
+    p1, p2, p3 = triples[k - 1]
+    real_add = diagnostics.add
+    monkeypatch.setattr(diagnostics, "add",
+                        lambda params, u, v: off if (u, v) == (p2, p3) else real_add(params, u, v))
+    (rep,) = diagnostics.structure_suite(params, seed=seed)
+    assert not rep.holds and rep.checked == k
+    assert rep.counterexample == {"points": diagnostics._encode_points(params, triples[k - 1])}
+    q1, q2, q3 = _decode(params, rep.counterexample["points"])
+    assert matrix_rank(params, [q1, off]) > matrix_rank(params, [q1, q2, q3])
 
 
 def test_random_loop_point_lands_on_loop():

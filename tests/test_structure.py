@@ -8,6 +8,7 @@ filtering; lines against explicit evaluation on every fiber point.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -40,6 +41,7 @@ from elliptic_loops import (
     torsion_line,
     triple_associates,
 )
+from elliptic_loops.structure import coarse_rank, point_column
 
 
 def params_for(p, e, a, b):
@@ -443,3 +445,50 @@ def test_rank_monotone_under_pair_collapse():
         r3 = matrix_rank(params, [p1, p2, p3])
         r2 = matrix_rank(params, [p1, add(params, p2, p3)])
         assert r2 <= r3
+
+
+def _rank_oracle(params, points):
+    """The coarse rank as first written: each minor by ring.sub of two ring.mul."""
+    ring = params.ring
+    zero = ring.zero
+    cols = [(eval_F(params, pt).val, eval_H(params, pt).val) for pt in points]
+    if all(f == zero and h == zero for f, h in cols):
+        return 0
+    for i in range(len(cols)):
+        fi, hi = cols[i]
+        for j in range(i + 1, len(cols)):
+            fj, hj = cols[j]
+            if ring.sub(ring.mul(fi, hj), ring.mul(fj, hi)) != zero:
+                return 2
+    return 1
+
+
+def _mixed_points(params):
+    """The identity, three infinity points, three affine points of one layer
+    t != 0, whose minors vanish only after reduction, and one affine point from
+    each of three other layers."""
+    from elliptic_loops import stratify
+
+    by_layer = {}
+    for pt in params.loop_points():
+        if params.ring.is_unit(eval_H(params, pt).val):
+            by_layer.setdefault(stratify(params, pt).val, []).append(pt)
+    one, *others = (pts for t, pts in by_layer.items() if t and len(pts) >= 3)
+    return ([identity(params)] + params.infinity_points()[1:4] + one[:3]
+            + [pts[1] for pts in others[:3]])
+
+
+@pytest.mark.parametrize("ring, a, b", [
+    (RingConfig.integer(5, 2), 2, 1), (RingConfig.integer(5, 3), 2, 1),
+    (RingConfig.truncated_poly(5, 2), 2, 1), (RingConfig.truncated_poly(5, 3), 2, 1),
+], ids=str)
+def test_coarse_rank_matches_the_oracle_on_every_triple(ring, a, b):
+    params = LoopParams(ring, a, b)
+    pts = _mixed_points(params)
+    seen = set()
+    for triple in product(pts, repeat=3):
+        want = _rank_oracle(params, triple)
+        assert coarse_rank(ring, [point_column(params, pt) for pt in triple]) == want
+        assert AssocMatrix(params, triple).rank() == want
+        seen.add(want)
+    assert seen == {0, 1, 2}
